@@ -53,6 +53,8 @@ def _read_source(source: str) -> str:
     except OSError as exc:
         reason = exc.strerror or exc.__class__.__name__
         raise CliError(f"cannot read {source}: {reason}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {source}: not valid UTF-8") from exc
 
 
 def _load_document(source: str) -> SetDocument:
@@ -195,6 +197,9 @@ def _cmd_defect(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    for flag, rate in (("--delta", args.delta), ("--epsilon", args.epsilon)):
+        if not 0 <= rate <= 1:  # also rejects nan
+            raise CliError(f"{flag} must lie in [0, 1]")
     ks = _load_document(args.set).ks_set
     stats = build_stats(ks)
     margin = inequality_margin(stats.M, stats.N, args.delta, args.epsilon)
@@ -277,10 +282,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("--trials must be >= 1")
     if not 0 <= args.r <= 1:
         raise CliError("--r must lie in [0, 1]")
+    if not 0 <= args.seed < 2**64:
+        raise CliError("--seed must lie in [0, 2^64)")
     ks = _load_document(args.set).ks_set
     stats = build_stats(ks)
-    colorable = find_coloring(ks).satisfiable
-    base = default_base(ks)
+    report = min_defect(ks)
+    colorable = report.d_min == 0
+    base = default_base(ks, report)
     model = TrialModel(ks_set=ks, base=base, flip_rate=args.r, seed=args.seed)
     summary = simulate_model(model, args.trials)
     verdict = (

@@ -279,26 +279,26 @@ def _drop_context(ks: KsSet, ci: int) -> KsSet:
 
 
 def min_defect(ks: KsSet) -> DefectReport:
-    """Exact minimum defect via branch-and-bound over contexts.
+    """Exact minimum defect, with a branch-and-bound only where it is needed.
 
-    Contexts are assigned complete slot patterns in declaration order; the
-    cost already incurred (wrong sums plus disagreements among assigned
-    contexts) is an admissible bound because future constraints can only add
-    defects.  Patterns at each level are tried cheapest-first with index
-    ties broken low-first, which makes the returned witness deterministic.
+    A satisfying coloring, when one exists, is a defect-0 witness.  Otherwise
+    the set is uncolorable, so d_min >= 1, and a coloring of the set minus
+    one context (drop-one probe, in declaration order) breaks only that
+    context's sum: it is an optimal defect-1 witness, returned with
+    ``nodes=0`` because no branch-and-bound node was expanded.
 
-    Two greedy witnesses seed the incumbent before the search: a satisfying
-    coloring when one exists (defect 0), else the best drop-one-context
-    coloring (defect 1 when found).  The bound then prunes everything that
-    cannot improve, so for KS sets the search reduces to re-proving that no
-    defect-free completion exists.
+    Only when no drop-one subset is colorable does the search run: contexts
+    are assigned complete slot patterns in declaration order, starting from
+    independent per-context patterns as the incumbent.  The cost already
+    incurred (wrong sums plus disagreements among assigned contexts) is an
+    admissible bound because future constraints can only add defects.
+    Patterns at each level are tried cheapest-first with index ties broken
+    low-first, and the incumbent is replaced only on strict improvement,
+    which makes the returned witness deterministic.
     """
     d = ks.dimension
     n_ctx = len(ks.contexts)
-    order, _, ctxs = _index_contexts(ks)
-
-    best_witness: Optional[dict] = None
-    best = None
+    _, _, ctxs = _index_contexts(ks)
 
     base = find_coloring(ks)
     if base.satisfiable:
@@ -312,17 +312,14 @@ def min_defect(ks: KsSet) -> DefectReport:
             assert sub.assignment is not None
             witness = _slots_from_vector_assignment(ks, sub.assignment)
             s, c = assignment_defect(ks, witness)
-            if best is None or s + c < best:
-                best, best_witness = s + c, witness
-            break
+            assert (s, c) == (1, 0)
+            return DefectReport(1, witness, s, c, nodes=0)
 
-    if best is None:
-        # independent per-context patterns: zero in slot 0, ones elsewhere
-        witness = {
-            (ci, p): (0 if p == 0 else 1) for ci in range(n_ctx) for p in range(d)
-        }
-        s, c = assignment_defect(ks, witness)
-        best, best_witness = s + c, witness
+    # independent per-context patterns: zero in slot 0, ones elsewhere
+    best_witness = {
+        (ci, p): (0 if p == 0 else 1) for ci in range(n_ctx) for p in range(d)
+    }
+    best = sum(assignment_defect(ks, best_witness))
 
     # connection structure for incremental costs: earlier slots per vector
     occurrences: dict[int, list[tuple[int, int]]] = {}
@@ -374,7 +371,6 @@ def min_defect(ks: KsSet) -> DefectReport:
             search(ci + 1, incurred + inc)
 
     search(0, 0)
-    assert best_witness is not None and best is not None
     s, c = assignment_defect(ks, best_witness)
     assert s + c == best
     return DefectReport(best, best_witness, s, c, nodes=nodes)

@@ -34,6 +34,7 @@ from .model import (
 
 _IDENT = re.compile(r"^[A-Za-z0-9_.-]+$")
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_DIGITS = re.compile(r"[0-9]+")  # str.isdigit would admit '²', which int() refuses
 
 
 class ParseError(ValueError):
@@ -122,7 +123,7 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
                 raise ParseError("duplicate name directive", lineno)
             name = tokens[1]
         elif directive == "dim":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not _DIGITS.fullmatch(tokens[1]):
                 raise ParseError("dim takes one integer", lineno)
             if dim is not None:
                 raise ParseError("duplicate dim directive", lineno)
@@ -130,7 +131,7 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
             if dim < 3:
                 raise ParseError(f"dim must be >= 3, got {dim}", lineno)
         elif directive == "field":
-            if len(tokens) != 3 or tokens[1] != "sqrt" or not tokens[2].isdigit():
+            if len(tokens) != 3 or tokens[1] != "sqrt" or not _DIGITS.fullmatch(tokens[2]):
                 raise ParseError("field directive must read 'field sqrt <k>'", lineno)
             if field_line is not None:
                 raise ParseError("duplicate field directive", lineno)
@@ -197,7 +198,7 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
             contexts.append(Context(tuple(ids)))
             ctx_lines.append(lineno)
         elif directive == "m-override":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not _DIGITS.fullmatch(tokens[1]):
                 raise ParseError("m-override takes one non-negative integer", lineno)
             if m_override is not None:
                 raise ParseError("duplicate m-override directive", lineno)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .coloring import find_coloring, min_defect
+from .coloring import DefectReport, min_defect
 from .model import KsSet, SetStats, build_stats
 
 DEFAULT_CHUNK_ROWS = 1 << 16
@@ -259,8 +259,8 @@ def empirical_inequality_check(
     Requires the caller to have *verified* uncolorability (the verdict is
     undefined otherwise, so a colorable or unchecked set is refused).  For a
     KS set every single trial violates at least one of the constraints, so
-    both the per-trial minimum and the mean total defect must be >= 1; also
-    reports the worst per-event rates and the union-bound form
+    the per-trial minimum (and with it the mean total defect) must be >= 1;
+    also reports the worst per-event rates and the union-bound form
     M*max(delta_hat) + N*max(epsilon_hat) >= 1 they imply (using the
     all-pairs connection count, never an override).
     """
@@ -269,7 +269,7 @@ def empirical_inequality_check(
     delta_max = max(summary.delta_hat, default=0.0)
     epsilon_max = max(summary.epsilon_hat, default=0.0)
     implied = stats.m_all_pairs * delta_max + stats.N * epsilon_max
-    holds = summary.min_trial_defect >= 1 and summary.mean_total_defect >= 1
+    holds = summary.min_trial_defect >= 1
     return InequalityVerdict(
         holds=holds,
         mean_total_defect=summary.mean_total_defect,
@@ -280,15 +280,16 @@ def empirical_inequality_check(
     )
 
 
-def default_base(ks: KsSet) -> dict[str, int]:
-    """A defect-optimal non-contextual base: a satisfying coloring when one
-    exists, else the per-vector values of a min_defect witness (majority over
-    the vector's slots, ones winning ties)."""
-    res = find_coloring(ks)
-    if res.satisfiable:
-        assert res.assignment is not None
-        return dict(res.assignment)
-    report = min_defect(ks)
+def default_base(ks: KsSet, report: Optional[DefectReport] = None) -> dict[str, int]:
+    """A defect-optimal non-contextual base: the per-vector values of a
+    min_defect witness (majority over the vector's slots, ones winning ties).
+
+    A d_min == 0 witness is a satisfying coloring, so its base is that
+    coloring.  Pass ``report`` when the caller already holds
+    ``min_defect(ks)``; the set is then not searched again.
+    """
+    if report is None:
+        report = min_defect(ks)
     votes: dict[str, list[int]] = {v.id: [] for v in ks.vectors}
     for ci, ctx in enumerate(ks.contexts):
         for p, vid in enumerate(ctx.vector_ids):

@@ -1,8 +1,10 @@
 """CLI behavior: commands, exit codes, diagnostics, JSON determinism."""
 import json
+import sys
 
 import pytest
 
+import ksbound
 from ksbound.cli import main
 
 GOOD = """\
@@ -63,6 +65,20 @@ def test_validate_json(good_file, capsys):
 def test_missing_file(capsys):
     assert main(["validate", "/no/such/file.ksset"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_non_decimal_digit_in_directive(tmp_path, capsys):
+    p = tmp_path / "sup.ksset"
+    p.write_text("ksset 1\nname demo\ndim \u00b2\n", encoding="utf-8")
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {p}:3: dim takes one integer\n"
+
+
+def test_non_utf8_file(tmp_path, capsys):
+    p = tmp_path / "bytes.ksset"
+    p.write_bytes(b"\xff\xfe")
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read {p}: not valid UTF-8\n"
 
 
 def test_unknown_catalog_name(capsys):
@@ -144,6 +160,15 @@ def test_bounds_json_vacuous(capsys):
     assert doc["contradiction"] is False
 
 
+def test_bounds_rejects_bad_rates(capsys):
+    for flag, other in (("--delta", "--epsilon"), ("--epsilon", "--delta")):
+        for value in ("nan", "inf", "-inf", "-5", "7", "1.0001", "-0.0001"):
+            argv = ["bounds", "catalog:cabello18", f"{flag}={value}", other, "0.001"]
+            assert main(argv) == 1, (flag, value)
+            assert f"{flag} must lie in [0, 1]" in capsys.readouterr().err
+    assert main(["bounds", "catalog:cabello18", "--delta", "1", "--epsilon", "0"]) == 0
+
+
 def test_critical_r_from_parameters(capsys):
     assert main(["critical-r", "--N", "9", "--M", "18", "--d", "4"]) == 0
     out = capsys.readouterr().out
@@ -194,6 +219,37 @@ def test_simulate_json_byte_deterministic(capsys):
 def test_simulate_rejects_bad_rate(capsys):
     assert main(["simulate", "catalog:cabello18", "--r", "1.5"]) == 1
     assert "--r must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_simulate_rejects_bad_seed(capsys):
+    for seed in ("-1", str(2**64), str(2**128)):
+        assert main(["simulate", "catalog:cabello18", "--r", "0.1", f"--seed={seed}"]) == 1
+        assert "--seed must lie in [0, 2^64)" in capsys.readouterr().err
+    argv = ["simulate", "catalog:cabello18", "--r", "0.1", "--trials", "10"]
+    assert main(argv + ["--seed", str(2**64 - 1)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["defect", "catalog:cabello18", "--json"],
+    ["simulate", "catalog:cabello18", "--r", "0.0142", "--trials", "100", "--json"],
+])
+def test_command_searches_the_full_set_once(argv, cabello18, monkeypatch, capsys):
+    real = ksbound.coloring.find_coloring
+    full_searches = []
+
+    def counting(ks):
+        if ks.contexts == cabello18.contexts:
+            full_searches.append(ks.name)
+        return real(ks)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ksbound"):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    assert main(argv) == 0
+    assert len(full_searches) == 1
+    assert json.loads(capsys.readouterr().out)["set"] == "cabello18"
 
 
 def test_table_text(capsys):

@@ -180,6 +180,57 @@ def test_min_defect_catalog_is_one(catalog_sets):
         assert (rep.sum_defects, rep.connection_defects) == (s, c)
 
 
+# Witness slots, context by context: the witnesses the full branch-and-bound
+# returns, so stopping at the drop-one witness must leave them unchanged.
+CATALOG_WITNESSES = {
+    "cabello18": "0110 0111 0111 0111 1110 1101 1101 1011 1011",
+    "kernaghan20": "1010 1011 1110 1011 0111 0111 1101 1101 1011 1101 1101",
+    "kernaghan-peres36": "01111110 01111111 01111111 01111111 11101111 01111111 "
+    "01111111 11111101 01111111 01111111 11111101",
+}
+
+
+def test_min_defect_catalog_witness_is_pinned(catalog_sets):
+    for ks in catalog_sets:
+        rep = min_defect(ks)
+        rows = " ".join(
+            "".join(str(rep.witness[(ci, p)]) for p in range(ks.dimension))
+            for ci in range(len(ks.contexts))
+        )
+        assert rows == CATALOG_WITNESSES[ks.name]
+        assert (rep.d_min, rep.sum_defects, rep.connection_defects) == (1, 1, 0)
+        assert rep.nodes == 0  # the drop-one witness is optimal; no search ran
+
+
+def test_min_defect_branch_and_bound_on_two_disjoint_copies(cabello18):
+    # Dropping one context leaves the other copy uncolorable, so no drop-one
+    # witness exists and the branch-and-bound must prove d_min = 2 itself.
+    def renamed(tag):
+        return {v.id: f"{tag}{v.id}" for v in cabello18.vectors}
+
+    a, b = renamed("a_"), renamed("b_")
+    doubled = KsSet(
+        name="cabello18x2",
+        dimension=cabello18.dimension,
+        ring_radicand=cabello18.ring_radicand,
+        vectors=tuple(
+            kb.RayVector(ids[v.id], v.components)
+            for ids in (a, b)
+            for v in cabello18.vectors
+        ),
+        contexts=tuple(
+            kb.Context(tuple(ids[vid] for vid in ctx.vector_ids))
+            for ids in (a, b)
+            for ctx in cabello18.contexts
+        ),
+    )
+    rep = min_defect(doubled)
+    assert rep.d_min == 2
+    assert rep.nodes > 0
+    assert assignment_defect(doubled, rep.witness) == (rep.sum_defects, rep.connection_defects)
+    assert rep.sum_defects + rep.connection_defects == 2
+
+
 def test_min_defect_witness_is_total(cabello18):
     rep = min_defect(cabello18)
     d = cabello18.dimension

@@ -110,6 +110,8 @@ def test_dim_directive_errors():
     rejects("ksset 1\nname x\ndim\n", "dim takes one integer", line=3)
     rejects("ksset 1\nname x\ndim three\n", "dim takes one integer", line=3)
     rejects("ksset 1\nname x\ndim 2\n", "dim must be >= 3", line=3)
+    for digit in ("²", "³", "٣"):  # superscripts, and a non-ASCII decimal
+        rejects(f"ksset 1\nname x\ndim {digit}\n", "dim takes one integer", line=3)
     rejects("ksset 1\nname x\ndim 3\ndim 4\n", "duplicate dim", line=4)
     rejects("ksset 1\nname x\n", "missing dim", line=2)
     rejects("ksset 1\nname x\nvec a 1 0 0\n", "dim must be declared before any vec", line=3)
@@ -120,6 +122,8 @@ def test_field_directive_errors():
     rejects("ksset 1\nname x\ndim 3\nfield sqrt 8\n", "not a square-free", line=4)
     rejects("ksset 1\nname x\ndim 3\nfield 2\n", "field directive must read", line=4)
     rejects("ksset 1\nname x\ndim 3\nfield sqrt two\n", "field directive must read", line=4)
+    for digit in ("²", "³", "٣"):
+        rejects(f"ksset 1\nname x\ndim 3\nfield sqrt {digit}\n", "field directive must read", line=4)
     rejects(
         "ksset 1\nname x\ndim 3\nfield sqrt 2\nfield sqrt 3\n",
         "duplicate field",
@@ -163,6 +167,8 @@ def test_ctx_directive_errors():
 def test_m_override_errors():
     base = "ksset 1\nname x\ndim 3\nvec a 1 0 0\nvec b 0 1 0\nvec c 0 0 1\nctx a b c\n"
     rejects(base + "m-override -1\n", "m-override takes one non-negative integer", line=8)
+    for digit in ("²", "³", "٣"):
+        rejects(base + f"m-override {digit}\n", "m-override takes one non-negative integer", line=8)
     rejects(base + "m-override 5\nm-override 5\n", "duplicate m-override", line=9)
     ks = parses(base + "m-override 5\n")
     assert ks.m_override == 5
