@@ -203,7 +203,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     ks = _load_document(args.set).ks_set
     stats = build_stats(ks)
     margin = inequality_margin(stats.M, stats.N, args.delta, args.epsilon)
-    floor = delta_lower_bound(stats.N, stats.M, args.epsilon)
+    try:
+        floor = delta_lower_bound(stats.N, stats.M, args.epsilon)
+    except ValueError as exc:  # a set with no connections has no delta floor
+        raise CliError(str(exc)) from exc
     if args.json:
         _emit_json(
             {
@@ -290,7 +293,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     colorable = report.d_min == 0
     base = default_base(ks, report)
     model = TrialModel(ks_set=ks, base=base, flip_rate=args.r, seed=args.seed)
-    summary = simulate_model(model, args.trials)
+    try:
+        summary = simulate_model(model, args.trials)
+    except ValueError as exc:  # trials * slots past the int64 position range
+        raise CliError(str(exc)) from exc
     verdict = (
         empirical_inequality_check(summary, stats, verified_uncolorable=True)
         if not colorable

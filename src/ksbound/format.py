@@ -33,7 +33,7 @@ from .model import (
 )
 
 _IDENT = re.compile(r"^[A-Za-z0-9_.-]+$")
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 _DIGITS = re.compile(r"[0-9]+")  # str.isdigit would admit '²', which int() refuses
 
 

@@ -1,15 +1,20 @@
 """Seeded Monte Carlo validation of the independent-error model.
 
 All randomness comes from a counter-based Philox stream keyed by the 64-bit
-seed.  Flips are drawn as one logical row-major matrix over (trial, slot),
-so results are bit-identical across platforms, chunk sizes, and schedules;
-accumulation uses exact integer counters.
+seed, and every count is an exact integer.  ``simulate_model`` draws only
+where flips land: one stream of geometric gaps over the row-major
+(trial, slot) index of the whole run (the ``philox-geometric`` stream), and
+it re-counts only the contexts and connections those flips touch.
+``simulate_pair`` and ``simulate_context`` draw one uniform per slot.
+Results are reproducible across runs and chunk sizes.  numpy's geometric
+sampler calls ``log``, so bit-identity across platforms rests on their libm
+agreeing.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -17,6 +22,8 @@ from .coloring import DefectReport, min_defect
 from .model import KsSet, SetStats, build_stats
 
 DEFAULT_CHUNK_ROWS = 1 << 16
+#: ``simulate_model`` holds at most this many trial-slots per chunk.
+CHUNK_SLOTS = 1 << 20
 
 
 def _stream(seed: int) -> np.random.Generator:
@@ -172,12 +179,44 @@ class SimSummary:
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
+            "stream": "philox-geometric",
             "trials": self.trials,
             "r": self.r,
             "delta_hat": list(self.delta_hat),
             "epsilon_hat": list(self.epsilon_hat),
             "mean_defect": self.mean_total_defect,
         }
+
+
+def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.ndarray]:
+    """The flipped positions of a run of ``total`` slots, one chunk of
+    ``width`` positions at a time, each as sorted offsets from the chunk start.
+
+    One Philox(key=seed) stream of geometric(r) gaps places flip k at
+    p_k = p_{k-1} + g_k with p_0 = -1.  Positions drawn past a chunk's end
+    carry into the next chunk, so the flips do not depend on ``width``.
+    """
+    gen = _stream(seed)
+    last = -1  # the last position drawn
+    carry = np.empty(0, dtype=np.int64)
+    for lo in range(0, total, width):
+        hi = min(lo + width, total)
+        parts = [carry]
+        while r > 0 and last < hi - 1:
+            ahead = total - last  # a gap this long lands past the run
+            mean = r * (hi - 1 - last)
+            # about 4 sigma past the mean count, so one draw usually reaches
+            # hi; numpy clamps gaps at 2^63 - 1 for tiny r, so clip each to
+            # ``ahead`` and draw few enough that the cumulative sum fits int64
+            n = min(int(mean + 4 * math.sqrt(mean)) + 16, (2**63 - 1 - last) // ahead)
+            pos = np.cumsum(np.minimum(gen.geometric(r, n), ahead))
+            pos += last
+            last = int(pos[-1])
+            parts.append(pos)
+        flips = np.concatenate(parts)
+        cut = int(np.searchsorted(flips, hi))
+        carry = flips[cut:]
+        yield flips[:cut] - lo
 
 
 def simulate_model(
@@ -188,7 +227,16 @@ def simulate_model(
     Per trial: flip each of the N*d slots of the base table independently
     with probability r, then count contexts whose slot sum differs from d-1
     and connections (all-pairs list from build_stats) whose two slots
-    disagree.  Reproducible bit-for-bit from (seed, trials) alone.
+    disagree.
+
+    Only the flips are drawn (see ``_flip_offsets``) and only what they
+    touch is re-counted, starting from the base defect: the base is a
+    per-vector assignment, so every connection agrees before noise, and a
+    connection mismatches exactly when one of its two slots flipped.
+    A chunk holds at most ``chunk_rows`` trials and, beyond one trial, at
+    most CHUNK_SLOTS trial-slots.
+    The counters are exact integers and reproducible from (seed, trials)
+    alone, whatever the chunk size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -197,37 +245,70 @@ def simulate_model(
     d = ks.dimension
     n_ctx = len(ks.contexts)
     slots = n_ctx * d
+    if trials * slots >= 2**63:
+        raise ValueError(f"trials * slots must be < 2^63, got {trials} * {slots}")
+    n_conn = len(stats.connections)
 
     base = np.array(
-        [model.base[vid] for ctx in ks.contexts for vid in ctx.vector_ids], dtype=bool
+        [model.base[vid] for ctx in ks.contexts for vid in ctx.vector_ids], dtype=np.int64
     )
-    pos_in_ctx = [{vid: p for p, vid in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
-    left = np.array(
-        [a * d + pos_in_ctx[a][vid] for vid, (a, b) in stats.connections], dtype=np.intp
-    )
-    right = np.array(
-        [b * d + pos_in_ctx[b][vid] for vid, (a, b) in stats.connections], dtype=np.intp
-    )
+    at = [{vid: p for p, vid in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
+    conn_slots = [(a * d + at[a][vid], b * d + at[b][vid]) for vid, (a, b) in stats.connections]
+    left, right = np.array(conn_slots, dtype=np.intp).reshape(-1, 2).T
+    base_ones = base.reshape(n_ctx, d).sum(axis=1)
+    base_broken = base_ones != d - 1
+    base_defect = int(base_broken.sum())
+    step = 1 - 2 * base  # a flip's change to its context's count of ones
+    # connections sorted by left end; slot a's run starts at left_first[a]
+    by_left = np.argsort(left, kind="stable")
+    left_count = np.bincount(left, minlength=slots)
+    left_first = np.cumsum(left_count) - left_count
+    partner = right[by_left]
+    degree = left_count + np.bincount(right, minlength=slots)
 
-    ctx_errors = np.zeros(n_ctx, dtype=np.int64)
-    conn_mismatches = np.zeros(len(stats.connections), dtype=np.int64)
-    total_defect = 0
-    min_trial = slots + len(stats.connections) + 1
+    rows = max(1, min(chunk_rows, CHUNK_SLOTS // slots))
+    flipped = np.zeros(rows * slots, dtype=bool)
+    ctx_errors = trials * base_broken.astype(np.int64)
+    conn_mismatches = np.zeros(n_conn, dtype=np.int64)
+    total_defect = trials * base_defect
+    min_trial = slots + n_conn + 1
 
-    gen = _stream(model.seed)
-    done = 0
-    while done < trials:
-        m = min(chunk_rows, trials - done)
-        flips = gen.random((m, slots)) < model.flip_rate
-        values = flips ^ base
-        bad_ctx = values.reshape(m, n_ctx, d).sum(axis=2) != d - 1
-        mism = values[:, left] != values[:, right]
-        ctx_errors += bad_ctx.sum(axis=0)
-        conn_mismatches += mism.sum(axis=0)
-        per_trial = bad_ctx.sum(axis=1) + mism.sum(axis=1)
-        total_defect += int(per_trial.sum())
-        min_trial = min(min_trial, int(per_trial.min()))
-        done += m
+    offsets = _flip_offsets(model.seed, model.flip_rate, trials * slots, rows * slots)
+    for done, q in zip(range(0, trials, rows), offsets):
+        q = q.astype(np.int32)  # offsets stay below rows * slots, far under 2^31
+        trial, slot = np.divmod(q, slots)
+
+        # contexts: the net change of each touched (trial, context) count
+        key = q // d  # trial * n_ctx + context, sorted because q is
+        group = np.ones(len(q), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=group[1:])
+        first = np.flatnonzero(group)
+        g_ctx = slot[first] // d
+        broken = base_ones[g_ctx] + np.add.reduceat(step[slot], first) != d - 1
+        was = base_broken[g_ctx]
+        ctx_errors += np.bincount(g_ctx[broken & ~was], minlength=n_ctx)
+        ctx_errors -= np.bincount(g_ctx[was & ~broken], minlength=n_ctx)
+
+        # connections: flips at either end, less twice the trials where both
+        # flipped; each flip looks up the right ends of its left-end run
+        ends = left_count[slot]
+        pair = np.repeat(np.arange(len(q)), ends)
+        j = (left_first[slot] - (np.cumsum(ends) - ends))[pair] + np.arange(len(pair))
+        flipped[q] = True
+        both = flipped[(q - slot)[pair] + partner[j]]
+        flipped[q] = False
+        per_slot = np.bincount(slot, minlength=slots)
+        conn_mismatches += per_slot[left] + per_slot[right]
+        conn_mismatches -= 2 * np.bincount(by_left[j[both]], minlength=n_conn)
+
+        # per flip, the change to its trial's defect; a context's change is
+        # counted at its group's first flip
+        change = degree[slot] - 2 * np.bincount(pair[both], minlength=len(q))
+        change[first] += broken.astype(np.int64) - was
+        total_defect += int(change.sum())
+        # float64 weights; the sums are small integers, so exact
+        per_trial = np.bincount(trial, weights=change, minlength=min(rows, trials - done))
+        min_trial = min(min_trial, base_defect + int(per_trial.min()))
     return SimSummary(
         seed=model.seed,
         trials=trials,

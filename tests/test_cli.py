@@ -1,6 +1,9 @@
 """CLI behavior: commands, exit codes, diagnostics, JSON determinism."""
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +172,13 @@ def test_bounds_rejects_bad_rates(capsys):
     assert main(["bounds", "catalog:cabello18", "--delta", "1", "--epsilon", "0"]) == 0
 
 
+def test_bounds_without_connections_exits_1(good_file, capsys):
+    assert main(["bounds", good_file, "--delta", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert "error: M must be >= 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_critical_r_from_parameters(capsys):
     assert main(["critical-r", "--N", "9", "--M", "18", "--d", "4"]) == 0
     out = capsys.readouterr().out
@@ -227,6 +237,22 @@ def test_simulate_rejects_bad_seed(capsys):
         assert "--seed must lie in [0, 2^64)" in capsys.readouterr().err
     argv = ["simulate", "catalog:cabello18", "--r", "0.1", "--trials", "10"]
     assert main(argv + ["--seed", str(2**64 - 1)]) == 0
+
+
+@pytest.mark.parametrize("rate", ["1e-300", "5e-324"])
+def test_simulate_tiny_rate_exits_at_once(rate):
+    # numpy clamps these geometric gaps at 2^63 - 1; unclipped they never end
+    argv = [sys.executable, "-m", "ksbound", "simulate", "catalog:cabello18", "--r", rate]
+    env = {**os.environ, "PYTHONPATH": str(Path(ksbound.__file__).resolve().parents[1])}
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "min per-trial defect 1" in done.stdout
+
+
+def test_simulate_rejects_run_past_int64_positions(capsys):
+    argv = ["simulate", "catalog:cabello18", "--r", "0.1", "--trials", str(10**18)]
+    assert main(argv) == 1
+    assert "trials * slots must be < 2^63" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

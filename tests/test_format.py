@@ -153,6 +153,9 @@ def test_component_errors():
     rejects(base + "vec a 1/0 0 0\n", "zero denominator", line=4)
     rejects(base + "vec a 1:2:3 0 0\n", "malformed component", line=4)
     rejects(base + "vec a 1:1 0 0\n", "while the ring radicand is 1", line=4)
+    for digit in ("٣", "３", "²"):  # only ASCII digits are components
+        rejects(base + f"vec a {digit} 0 0\n", "malformed rational", line=4)
+        rejects(base + f"vec a 1/{digit} 0 0\n", "malformed rational", line=4)
 
 
 def test_ctx_directive_errors():

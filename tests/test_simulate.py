@@ -1,12 +1,16 @@
 """Seeded Monte Carlo: analytic agreement, determinism, defect floor."""
 import math
+import random
 
+import numpy as np
 import pytest
 
 import ksbound as kb
 from ksbound import (
+    SimSummary,
     TrialModel,
     build_stats,
+    critical_rate,
     default_base,
     delta_analytic,
     empirical_inequality_check,
@@ -16,6 +20,7 @@ from ksbound import (
     simulate_model,
     simulate_pair,
 )
+from ksbound.simulate import DEFAULT_CHUNK_ROWS
 
 
 def three_sigma(p, trials):
@@ -137,13 +142,19 @@ def test_counter_identity_and_rates(cabello18):
     assert all(0 <= x <= 1 for x in summary.epsilon_hat)
 
 
+def family_z(checks, alpha=1e-6):
+    """Two-sided z bound for ``checks`` rates at family-wise false-alarm
+    rate ``alpha`` (union bound with the Gaussian tail)."""
+    return math.sqrt(2 * math.log(2 * checks / alpha))
+
+
 def test_connection_mismatch_rate_is_base_independent(cabello18):
     # mismatch = (flip1 != flip2) regardless of the base bit, so every
     # connection tracks delta_analytic even on a defective base
     base = default_base(cabello18)
-    summary = simulate_model(TrialModel(cabello18, base, 0.0142, seed=12), 200_000)
+    summary = simulate_model(TrialModel(cabello18, base, 0.0142, seed=12), 800_000)
     expect = delta_analytic(0.0142)
-    bound = three_sigma(expect, summary.trials)
+    bound = family_z(len(summary.delta_hat)) * math.sqrt(expect * (1 - expect) / summary.trials)
     for rate in summary.delta_hat:
         assert abs(rate - expect) <= bound
 
@@ -156,9 +167,10 @@ def test_intact_context_rate_tracks_epsilon_analytic(cabello18):
         if sum(base[v] for v in ctx.vector_ids) != cabello18.dimension - 1
     }
     assert len(broken) == 1  # min-defect base violates exactly one context
-    summary = simulate_model(TrialModel(cabello18, base, 0.0142, seed=12), 200_000)
+    summary = simulate_model(TrialModel(cabello18, base, 0.0142, seed=12), 800_000)
     expect = epsilon_analytic(0.0142, 4)
-    bound = three_sigma(expect, summary.trials)
+    intact = len(summary.epsilon_hat) - len(broken)
+    bound = family_z(intact) * math.sqrt(expect * (1 - expect) / summary.trials)
     for ci, rate in enumerate(summary.epsilon_hat):
         if ci in broken:
             assert rate > 0.9  # stays broken unless flips repair it
@@ -175,6 +187,73 @@ def test_model_determinism_and_chunk_invariance(kernaghan20):
     assert a == b == c
 
 
+def dense_reference(model, trials):
+    """The counters of ``simulate_model`` from the whole (trial, slot) flip
+    matrix: the same geometric gaps, evaluated densely."""
+    ks, r = model.ks_set, model.flip_rate
+    st = build_stats(ks)
+    d, n_ctx = ks.dimension, len(ks.contexts)
+    slots = n_ctx * d
+    flips = np.zeros(trials * slots, dtype=bool)
+    if r > 0:
+        gaps = np.random.Generator(np.random.Philox(key=model.seed)).geometric(r, trials * slots)
+        pos = np.cumsum(gaps) - 1
+        flips[pos[pos < trials * slots]] = True
+    base = np.array([model.base[v] for ctx in ks.contexts for v in ctx.vector_ids], dtype=bool)
+    at = [{v: p for p, v in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
+    left = [a * d + at[a][v] for v, (a, b) in st.connections]
+    right = [b * d + at[b][v] for v, (a, b) in st.connections]
+    values = flips.reshape(trials, slots) ^ base
+    bad_ctx = values.reshape(trials, n_ctx, d).sum(axis=2) != d - 1
+    mism = values[:, left] != values[:, right]
+    per_trial = bad_ctx.sum(axis=1) + mism.sum(axis=1)
+    return SimSummary(
+        seed=model.seed,
+        trials=trials,
+        r=r,
+        context_error_counts=tuple(int(c) for c in bad_ctx.sum(axis=0)),
+        connection_mismatch_counts=tuple(int(c) for c in mism.sum(axis=0)),
+        total_defect=int(per_trial.sum()),
+        min_trial_defect=int(per_trial.min()),
+    )
+
+
+@pytest.mark.parametrize("rate", [1e-3, "r*", 0.1, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "case", ["cabello18", "kernaghan20", "kp36", "two_triads", "random:cabello18", "random:kp36"]
+)
+def test_model_matches_dense_reference(case, rate, request):
+    name = case.removeprefix("random:")
+    ks = request.getfixturevalue(name)
+    if name == case:
+        base = default_base(ks)
+    else:
+        rng = random.Random(case)
+        base = {v.id: rng.randint(0, 1) for v in ks.vectors}
+    if rate == "r*":
+        st = build_stats(ks)
+        rate = critical_rate(st.N, st.M, ks.dimension).r
+    model = TrialModel(ks, base, rate, seed=2024)
+    expect = dense_reference(model, 700)
+    for chunk_rows in (1, 333, DEFAULT_CHUNK_ROWS):
+        assert simulate_model(model, 700, chunk_rows=chunk_rows) == expect, chunk_rows
+
+
+def test_zero_rate_repeats_the_base_defect(kp36):
+    rng = random.Random(4)
+    for _ in range(5):
+        base = {v.id: rng.randint(0, 1) for v in kp36.vectors}
+        broken = [
+            int(sum(base[v] for v in ctx.vector_ids) != kp36.dimension - 1)
+            for ctx in kp36.contexts
+        ]
+        summary = simulate_model(TrialModel(kp36, base, 0.0, seed=1), 250, chunk_rows=7)
+        assert summary.context_error_counts == tuple(250 * b for b in broken)
+        assert set(summary.connection_mismatch_counts) == {0}
+        assert summary.total_defect == 250 * sum(broken)
+        assert summary.min_trial_defect == sum(broken)
+
+
 def test_defect_monotone_in_noise(kernaghan20):
     base = default_base(kernaghan20)
     low = simulate_model(TrialModel(kernaghan20, base, 0.01, seed=8), 50_000)
@@ -186,7 +265,10 @@ def test_json_payload_schema(cabello18):
     base = default_base(cabello18)
     summary = simulate_model(TrialModel(cabello18, base, 0.1, seed=6), 1000)
     doc = summary.to_json_dict()
-    assert list(doc) == ["seed", "trials", "r", "delta_hat", "epsilon_hat", "mean_defect"]
+    assert list(doc) == [
+        "seed", "stream", "trials", "r", "delta_hat", "epsilon_hat", "mean_defect"
+    ]
+    assert doc["stream"] == "philox-geometric"
     assert doc["seed"] == 6 and doc["trials"] == 1000 and doc["r"] == 0.1
     assert len(doc["delta_hat"]) == 18
     assert len(doc["epsilon_hat"]) == 9
