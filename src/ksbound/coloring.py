@@ -9,11 +9,12 @@ connections); its minimum is >= 1 exactly when the set is KS.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .model import Context, KsSet, SetStats, build_stats, inner_product, same_ray
+from .model import Context, KsSet, SetStats, build_stats, orthogonal
 
 BRUTE_FORCE_LIMIT = 25
 
@@ -35,27 +36,21 @@ class ValidationReport:
 def validate_orthogonality(ks: KsSet) -> ValidationReport:
     """Full mathematical validation; every violation is reported, none raised.
 
-    Checks each context for exact pairwise orthogonality, the vector list
-    for projective duplicates, and the context list for repeats.  Structural
-    problems (undeclared ids, wrong component counts) cannot occur in a
-    constructed KsSet.
+    Checks the vector list for projective duplicates, then each context for
+    repeats and exact pairwise orthogonality.  Vectors are grouped by ray key,
+    and every duplicate pair is reported in declaration order.  Structural
+    problems (undeclared ids, wrong component counts, zero vectors) cannot
+    occur in a constructed KsSet.
     """
     violations: list[Violation] = []
-    for v in ks.vectors:
-        if all(c.is_zero() for c in v.components):  # unreachable post-construction
-            violations.append(Violation("zero-vector", f"vector {v.id!r} is zero", None, (v.id,)))
-    for i in range(len(ks.vectors)):
-        for j in range(i + 1, len(ks.vectors)):
-            u, v = ks.vectors[i], ks.vectors[j]
-            if same_ray(u, v):
-                violations.append(
-                    Violation(
-                        "duplicate-ray",
-                        f"{u.id!r} and {v.id!r} are the same ray",
-                        None,
-                        (u.id, v.id),
-                    )
-                )
+    rays: dict[tuple[int, ...], list[int]] = {}
+    for i, v in enumerate(ks.vectors):
+        rays.setdefault(v.key, []).append(i)
+    for i, j in sorted(p for group in rays.values() for p in combinations(group, 2)):
+        u, v = ks.vectors[i], ks.vectors[j]
+        violations.append(
+            Violation("duplicate-ray", f"{u.id!r} and {v.id!r} are the same ray", None, (u.id, v.id))
+        )
     seen: dict[frozenset, int] = {}
     for ci, ctx in enumerate(ks.contexts):
         key = frozenset(ctx.vector_ids)
@@ -70,19 +65,11 @@ def validate_orthogonality(ks: KsSet) -> ValidationReport:
             )
         else:
             seen[key] = ci
-        ids = ctx.vector_ids
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                u, v = ks.vector(ids[a]), ks.vector(ids[b])
-                if not inner_product(u, v).is_zero():
-                    violations.append(
-                        Violation(
-                            "non-orthogonal",
-                            f"context {ci}: {ids[a]}·{ids[b]} != 0",
-                            ci,
-                            (ids[a], ids[b]),
-                        )
-                    )
+        for a, b in combinations(ctx.vector_ids, 2):
+            if not orthogonal(ks.vector(a), ks.vector(b)):
+                violations.append(
+                    Violation("non-orthogonal", f"context {ci}: {a}·{b} != 0", ci, (a, b))
+                )
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 

@@ -6,7 +6,7 @@ ignored, UTF-8 with LF or CRLF endings):
     ksset 1                         first non-blank line, format version
     name <identifier>               required, once
     dim <integer >= 3>              required, once, before any vec
-    field sqrt <square-free k>      optional, default 1, before any vec
+    field sqrt <square-free k>      optional, default 1, k <= 10**9, before any vec
     vec <id> <comp> ... <comp>      exactly d components
     ctx <id> ... <id>               exactly d previously declared ids
     m-override <integer>            optional, at most once
@@ -20,17 +20,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 from typing import Optional
 
-from .model import (
-    Context,
-    ExactScalar,
-    KsSet,
-    RayVector,
-    inner_product,
-    is_square_free,
-    same_ray,
-)
+from .model import Context, ExactScalar, KsSet, RayVector, check_radicand, orthogonal
 
 _IDENT = re.compile(r"^[A-Za-z0-9_.-]+$")
 _RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -57,15 +50,23 @@ class SetDocument:
     ctx_lines: tuple[int, ...] = ()
 
 
+def _integer(token: str, line: int) -> int:
+    """``int`` of a digit string; one longer than Python's digit limit is a ParseError."""
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from None
+
+
 def _parse_rational(token: str, line: int) -> Fraction:
     if not _RATIONAL.match(token):
         raise ParseError(f"malformed rational {token!r}", line)
     if "/" in token:
-        p, q = token.split("/")
-        if int(q) == 0:
+        p, q = (_integer(t, line) for t in token.split("/"))
+        if q == 0:
             raise ParseError(f"zero denominator in {token!r}", line)
-        return Fraction(int(p), int(q))
-    return Fraction(int(token))
+        return Fraction(p, q)
+    return Fraction(_integer(token, line))
 
 
 def _parse_component(token: str, radicand: int, line: int) -> ExactScalar:
@@ -88,7 +89,9 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
     Beyond the grammar itself, the parser enforces the set invariants that a
     document can break: duplicate vector ids, two declarations of the same
     ray, repeated contexts, references to undeclared ids, and contexts that
-    are not pairwise orthogonal (checked exactly).
+    are not pairwise orthogonal (checked exactly).  Rays are compared through
+    their canonical keys (:func:`ksbound.model.same_ray`), so a duplicate is
+    one dict lookup.
     """
     raw_lines = text.splitlines()
     version_seen = False
@@ -97,7 +100,8 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
     radicand = 1
     field_line: Optional[int] = None
     m_override: Optional[int] = None
-    vectors: list[RayVector] = []
+    vectors: dict[str, RayVector] = {}
+    ray_ids: dict[tuple[int, ...], str] = {}
     vec_lines: dict[str, int] = {}
     contexts: list[Context] = []
     ctx_lines: list[int] = []
@@ -127,7 +131,7 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
                 raise ParseError("dim takes one integer", lineno)
             if dim is not None:
                 raise ParseError("duplicate dim directive", lineno)
-            dim = int(tokens[1])
+            dim = _integer(tokens[1], lineno)
             if dim < 3:
                 raise ParseError(f"dim must be >= 3, got {dim}", lineno)
         elif directive == "field":
@@ -137,11 +141,11 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
                 raise ParseError("duplicate field directive", lineno)
             if vectors:
                 raise ParseError("field must be declared before any vec", lineno)
-            radicand = int(tokens[2])
-            if not is_square_free(radicand):
-                raise ParseError(
-                    f"radicand {radicand} is not a square-free positive integer", lineno
-                )
+            radicand = _integer(tokens[2], lineno)
+            try:
+                check_radicand(radicand)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from exc
             field_line = lineno
         elif directive == "vec":
             if dim is None:
@@ -164,12 +168,12 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
                 if isinstance(exc, ParseError):
                     raise
                 raise ParseError(str(exc), lineno) from exc
-            for known in vectors:
-                if same_ray(known, vec):
-                    raise ParseError(
-                        f"duplicate ray: {vid!r} is a scalar multiple of {known.id!r}", lineno
-                    )
-            vectors.append(vec)
+            known = ray_ids.setdefault(vec.key, vid)
+            if known != vid:
+                raise ParseError(
+                    f"duplicate ray: {vid!r} is a scalar multiple of {known!r}", lineno
+                )
+            vectors[vid] = vec
             vec_lines[vid] = lineno
         elif directive == "ctx":
             if dim is None:
@@ -187,13 +191,9 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
                 raise ParseError(
                     f"duplicate context (same vectors as line {ctx_key_seen[key]})", lineno
                 )
-            by_id = {v.id: v for v in vectors}
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    if not inner_product(by_id[ids[i]], by_id[ids[j]]).is_zero():
-                        raise ParseError(
-                            f"context not orthogonal ({ids[i]}·{ids[j]} != 0)", lineno
-                        )
+            for a, b in combinations(ids, 2):
+                if not orthogonal(vectors[a], vectors[b]):
+                    raise ParseError(f"context not orthogonal ({a}·{b} != 0)", lineno)
             ctx_key_seen[key] = lineno
             contexts.append(Context(tuple(ids)))
             ctx_lines.append(lineno)
@@ -202,7 +202,7 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
                 raise ParseError("m-override takes one non-negative integer", lineno)
             if m_override is not None:
                 raise ParseError("duplicate m-override directive", lineno)
-            m_override = int(tokens[1])
+            m_override = _integer(tokens[1], lineno)
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
 
@@ -217,7 +217,7 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
         name=name,
         dimension=dim,
         ring_radicand=radicand,
-        vectors=tuple(vectors),
+        vectors=tuple(vectors.values()),
         contexts=tuple(contexts),
         m_override=m_override,
     )

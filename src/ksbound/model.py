@@ -2,14 +2,21 @@
 
 Everything here is exact: vector components live in the quadratic ring
 Q(sqrt(k)) for a per-set square-free radicand k, so orthogonality and
-ray-equality tests never touch floating point.  The derived statistics
-(n, N, M) parametrize every bound in :mod:`ksbound.bounds`.
+ray-equality tests never touch floating point.  Each :class:`RayVector`
+carries a canonical integer *ray key*, computed once: two vectors are the
+same ray exactly when their keys are equal, and orthogonal exactly when the
+integer dot product of their keys vanishes (see :func:`same_ray` and
+:func:`orthogonal`).  The derived statistics (n, N, M) parametrize every
+bound in :mod:`ksbound.bounds`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -23,6 +30,12 @@ class DimensionMismatchError(ValueError):
     """Two vectors of different dimension were combined."""
 
 
+#: Largest radicand k accepted for a ring Q(sqrt(k)).  Square-freeness is
+#: decided by trial division up to sqrt(k), at most about 31 600 steps here.
+MAX_RADICAND = 10**9
+
+
+@lru_cache(maxsize=128)
 def is_square_free(k: int) -> bool:
     if k < 1:
         return False
@@ -32,6 +45,14 @@ def is_square_free(k: int) -> bool:
             return False
         p += 1
     return True
+
+
+def check_radicand(k: int) -> None:
+    """Raise ValueError unless k is a square-free integer in [1, MAX_RADICAND]."""
+    if k > MAX_RADICAND:
+        raise ValueError(f"radicand {k} exceeds the limit {MAX_RADICAND}")
+    if not is_square_free(k):
+        raise ValueError(f"radicand {k} is not a square-free positive integer")
 
 
 @dataclass(frozen=True)
@@ -49,8 +70,7 @@ class ExactScalar:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rational", Fraction(self.rational))
         object.__setattr__(self, "surd", Fraction(self.surd))
-        if not is_square_free(self.radicand):
-            raise ValueError(f"radicand {self.radicand} is not a square-free positive integer")
+        check_radicand(self.radicand)
         if self.radicand == 1 and self.surd != 0:
             raise ValueError("surd part must be zero when the radicand is 1")
 
@@ -100,12 +120,42 @@ def zero(radicand: int = 1) -> ExactScalar:
     return ExactScalar(Fraction(0), Fraction(0), radicand)
 
 
+def _ray_key(components: Sequence[ExactScalar], k: int) -> tuple[int, ...]:
+    """Canonical integer key of the ray through a nonzero vector over Q(sqrt(k)).
+
+    The key lists A_0, B_0, A_1, B_1, ... for components A_i + B_i*sqrt(k):
+    the vector cleared of denominators, multiplied by the conjugate a - b*sqrt(k)
+    of its first nonzero component a + b*sqrt(k) (which turns that component
+    into the nonzero integer a^2 - k*b^2), divided by the gcd of all 2d
+    integers, and signed so that the first nonzero entry is positive.  Two
+    vectors on the same ray differ by a rational factor after the conjugate
+    step, so they share one primitive, positively signed key.
+    """
+    scale = math.lcm(*(x.denominator for c in components for x in (c.rational, c.surd)))
+    pairs = [
+        (c.rational.numerator * (scale // c.rational.denominator),
+         c.surd.numerator * (scale // c.surd.denominator))
+        for c in components
+    ]
+    a, b = next(p for p in pairs if p != (0, 0))
+    key = [t for x, y in pairs for t in (x * a - k * y * b, y * a - x * b)]
+    g = math.gcd(*key)
+    if a * a < k * b * b:  # the first entry a^2 - k*b^2 is negative: 1 + sqrt 2 has norm -1
+        g = -g
+    return tuple(t // g for t in key)
+
+
 @dataclass(frozen=True)
 class RayVector:
-    """A named vector; comparisons are projective (see :func:`same_ray`)."""
+    """A named vector; comparisons are projective (see :func:`same_ray`).
+
+    ``key`` is the canonical integer ray key (see :func:`_ray_key`), computed
+    once at construction and excluded from equality.
+    """
 
     id: str
     components: tuple[ExactScalar, ...]
+    key: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -115,6 +165,7 @@ class RayVector:
             raise RingMismatchError(f"vector {self.id!r} mixes ring radicands {sorted(radicands)}")
         if all(c.is_zero() for c in self.components):
             raise ValueError(f"vector {self.id!r} is the zero vector")
+        object.__setattr__(self, "key", _ray_key(self.components, self.radicand))
 
     @property
     def dimension(self) -> int:
@@ -163,8 +214,7 @@ class KsSet:
     def __post_init__(self) -> None:
         if self.dimension < 3:
             raise ValueError(f"dimension must be >= 3, got {self.dimension}")
-        if not is_square_free(self.ring_radicand):
-            raise ValueError(f"ring radicand {self.ring_radicand} is not square-free positive")
+        check_radicand(self.ring_radicand)
         if self.m_override is not None and self.m_override < 0:
             raise ValueError("m_override must be non-negative")
         seen: set[str] = set()
@@ -226,8 +276,7 @@ class SetStats:
         return len(self.connections)
 
 
-def inner_product(u: RayVector, v: RayVector) -> ExactScalar:
-    """Exact real inner product (no conjugation; components are real)."""
+def _check_pair(u: RayVector, v: RayVector) -> None:
     if u.dimension != v.dimension:
         raise DimensionMismatchError(
             f"{u.id!r} has dimension {u.dimension}, {v.id!r} has {v.dimension}"
@@ -236,6 +285,11 @@ def inner_product(u: RayVector, v: RayVector) -> ExactScalar:
         raise RingMismatchError(
             f"{u.id!r} is over sqrt({u.radicand}), {v.id!r} over sqrt({v.radicand})"
         )
+
+
+def inner_product(u: RayVector, v: RayVector) -> ExactScalar:
+    """Exact real inner product (no conjugation; components are real)."""
+    _check_pair(u, v)
     total = zero(u.radicand)
     for a, b in zip(u.components, v.components):
         total = total + a * b
@@ -245,22 +299,27 @@ def inner_product(u: RayVector, v: RayVector) -> ExactScalar:
 def same_ray(u: RayVector, v: RayVector) -> bool:
     """True iff u = c*v for a nonzero scalar c of the ring's fraction field.
 
-    Tested exactly through 2x2 minors: u and v are proportional over a field
-    iff every cross-ratio u_i*v_j - u_j*v_i vanishes.  Both vectors are
-    nonzero by construction, so rank one means proportional.
+    Decided by equality of the canonical integer ray keys: each key is its
+    vector times a nonzero field element, reduced to the one primitive,
+    positively signed integer representative of the ray.
     """
-    if u.dimension != v.dimension:
-        raise DimensionMismatchError(
-            f"{u.id!r} has dimension {u.dimension}, {v.id!r} has {v.dimension}"
-        )
-    if u.radicand != v.radicand:
-        raise RingMismatchError(
-            f"{u.id!r} is over sqrt({u.radicand}), {v.id!r} over sqrt({v.radicand})"
-        )
-    for i, j in combinations(range(u.dimension), 2):
-        if not (u.components[i] * v.components[j] - u.components[j] * v.components[i]).is_zero():
-            return False
-    return True
+    _check_pair(u, v)
+    return u.key == v.key
+
+
+def orthogonal(u: RayVector, v: RayVector) -> bool:
+    """True iff the inner product of u and v is exactly zero.
+
+    Each key is its vector times a nonzero field element, so the keys'
+    product sum(A*C + k*B*D) + sum(A*D + B*C)*sqrt(k) vanishes exactly when
+    the vectors' does; both parts are integers.
+    """
+    _check_pair(u, v)
+    a, b, c, d = u.key[::2], u.key[1::2], v.key[::2], v.key[1::2]
+    return (
+        sum(map(mul, a, c)) + u.radicand * sum(map(mul, b, d)) == 0
+        and sum(map(mul, a, d)) + sum(map(mul, b, c)) == 0
+    )
 
 
 def build_stats(ks: KsSet) -> SetStats:

@@ -77,6 +77,20 @@ def test_non_decimal_digit_in_directive(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {p}:3: dim takes one integer\n"
 
 
+def test_huge_radicand_exits_at_once(tmp_path):
+    # trial division up to sqrt(k) would not end; the radicand limit refuses it
+    p = tmp_path / "huge.ksset"
+    p.write_text(GOOD.replace("dim 3\n", "dim 3\nfield sqrt 1000000000000000003\n"))
+    assert len(p.read_text().splitlines()) == 8
+    argv = [sys.executable, "-m", "ksbound", "validate", str(p)]
+    env = {**os.environ, "PYTHONPATH": str(Path(ksbound.__file__).resolve().parents[1])}
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 1
+    assert done.stderr == (
+        f"error: {p}:4: radicand 1000000000000000003 exceeds the limit 1000000000\n"
+    )
+
+
 def test_non_utf8_file(tmp_path, capsys):
     p = tmp_path / "bytes.ksset"
     p.write_bytes(b"\xff\xfe")

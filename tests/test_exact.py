@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ksbound import ExactScalar, RingMismatchError, is_square_free, zero
+from ksbound import MAX_RADICAND, ExactScalar, RingMismatchError, is_square_free, zero
 
 
 def test_square_free_predicate():
@@ -26,6 +26,13 @@ def test_non_square_free_radicand_rejected():
     for k in (4, 8, 9, 12, 0, -1):
         with pytest.raises(ValueError):
             ExactScalar.of(1, 0, k)
+
+
+def test_radicand_above_the_limit_rejected():
+    for k in (MAX_RADICAND + 7, 10**18 + 3):  # both prime; refused for size
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            ExactScalar.of(1, 0, k)
+    ExactScalar.of(1, 1, 999999937)  # the largest prime below the limit
 
 
 def test_rational_ring_requires_zero_surd():

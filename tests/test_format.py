@@ -1,4 +1,5 @@
 """The ``ksset 1`` text format: grammar, diagnostics, round-trips, catalog."""
+import sys
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,26 @@ def test_field_directive_errors():
         "field must be declared before any vec",
         line=5,
     )
+
+
+def test_radicand_limit():
+    # 10**9 + 7 is prime; only its size refuses it
+    limit = f"exceeds the limit {kb.MAX_RADICAND}"
+    rejects("ksset 1\nname x\ndim 3\nfield sqrt 1000000007\n", limit, line=4)
+    rejects("ksset 1\nname x\ndim 3\nfield sqrt 1000000000000000003\n", limit, line=4)
+    ks = parses("ksset 1\nname x\ndim 3\nfield sqrt 999999937\nvec a 1 0 0:1\n")
+    assert ks.ring_radicand == 999999937
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python's int() has no digit limit")
+def test_integer_longer_than_the_digit_limit():
+    # int() refuses more digits than the interpreter's limit; that is a diagnostic, not a crash
+    digits = "3" * (sys.get_int_max_str_digits() + 1)
+    rejects(f"ksset 1\nname x\ndim {digits}\n", "Exceeds the limit", line=3)
+    rejects(f"ksset 1\nname x\ndim 3\nfield sqrt {digits}\n", "Exceeds the limit", line=4)
+    rejects(f"ksset 1\nname x\ndim 3\nm-override {digits}\n", "Exceeds the limit", line=4)
+    rejects(f"ksset 1\nname x\ndim 3\nvec a {digits} 0 0\n", "Exceeds the limit", line=4)
 
 
 def test_vec_directive_errors():

@@ -87,6 +87,8 @@ def test_set_structural_validation():
         make_set("bad", 3, [("a", (1, 0))], [])
     with pytest.raises(ValueError, match="m_override must be non-negative"):
         make_set("bad", 3, vs, [], m_override=-1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        KsSet("bad", 3, 10**18 + 3, (), ())
 
 
 def test_vector_lookup(triad):
