@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .model import Context, KsSet, SetStats, build_stats, orthogonal
 
 BRUTE_FORCE_LIMIT = 25
@@ -184,6 +182,8 @@ def find_coloring(ks: KsSet) -> ColoringResult:
 
 def brute_force_coloring(ks: KsSet) -> ColoringResult:
     """Independent oracle: enumerate all 2^n vector assignments (n <= 25)."""
+    import numpy as np
+
     order, _, ctxs = _index_contexts(ks)
     n = len(order)
     if n > BRUTE_FORCE_LIMIT:

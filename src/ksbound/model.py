@@ -68,8 +68,11 @@ class ExactScalar:
     radicand: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rational", Fraction(self.rational))
-        object.__setattr__(self, "surd", Fraction(self.surd))
+        # wrap only what is not already a Fraction (a subclass is converted)
+        if type(self.rational) is not Fraction:
+            object.__setattr__(self, "rational", Fraction(self.rational))
+        if type(self.surd) is not Fraction:
+            object.__setattr__(self, "surd", Fraction(self.surd))
         check_radicand(self.radicand)
         if self.radicand == 1 and self.surd != 0:
             raise ValueError("surd part must be zero when the radicand is 1")

@@ -8,18 +8,20 @@ it re-counts only the contexts and connections those flips touch.
 ``simulate_pair`` and ``simulate_context`` draw one uniform per slot.
 Results are reproducible across runs and chunk sizes.  numpy's geometric
 sampler calls ``log``, so bit-identity across platforms rests on their libm
-agreeing.
+agreeing.  numpy is imported inside the functions that draw, so importing this
+module (and so ``ksbound`` and its CLI) does not load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from .coloring import DefectReport, min_defect
 from .model import KsSet, SetStats, build_stats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CHUNK_ROWS = 1 << 16
 #: ``simulate_model`` holds at most this many trial-slots per chunk.
@@ -27,6 +29,8 @@ CHUNK_SLOTS = 1 << 20
 
 
 def _stream(seed: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -60,6 +64,8 @@ class PairSimResult:
 def simulate_pair(r: float, trials: int, seed: int, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> PairSimResult:
     """Empirical agreement rate of a value copied into two slots and flipped
     independently at rate r in each."""
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     gen = _stream(seed)
@@ -102,6 +108,8 @@ def simulate_context(
 ) -> ContextSimResult:
     """Empirical probability that a valid context pattern keeps sum d-1 after
     d independent flips at rate r."""
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if d < 3:
@@ -196,6 +204,8 @@ def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.nd
     p_k = p_{k-1} + g_k with p_0 = -1.  Positions drawn past a chunk's end
     carry into the next chunk, so the flips do not depend on ``width``.
     """
+    import numpy as np
+
     gen = _stream(seed)
     last = -1  # the last position drawn
     carry = np.empty(0, dtype=np.int64)
@@ -238,6 +248,8 @@ def simulate_model(
     The counters are exact integers and reproducible from (seed, trials)
     alone, whatever the chunk size.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ks = model.ks_set

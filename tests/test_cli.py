@@ -308,6 +308,71 @@ def test_table_json(capsys):
     ]
 
 
+def _fresh_python(code, *args):
+    """Run ``code`` with ``args`` in a new interpreter that imports the
+    ksbound under test."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ksbound.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-c", code, *args]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+
+
+# numpy costs most of the start-up of every command that does not draw
+IMPORT_GUARD = """\
+import json, sys
+before = set(sys.modules)
+import ksbound, ksbound.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(added - set(sys.stdlib_module_names) - {"ksbound"})))
+print(json.dumps("numpy" in sys.modules))
+"""
+
+RUN_MAIN = """\
+import runpy, sys
+sys.argv = ["ksbound", *sys.argv[1:]]
+try:
+    runpy.run_module("ksbound", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_import_loads_only_the_standard_library():
+    done = _fresh_python(IMPORT_GUARD)
+    assert done.returncode == 0, done.stderr
+    outside, numpy_loaded = map(json.loads, done.stdout.splitlines())
+    assert outside == []
+    assert numpy_loaded is False
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "catalog:cabello18"], 0),
+    (["stats", "catalog:cabello18", "--json"], 0),
+    (["color", "catalog:cabello18"], 2),
+    (["defect", "catalog:cabello18", "--json"], 0),
+    (["critical-r", "catalog:cabello18"], 0),
+    (["bounds", "catalog:cabello18", "--delta", "0.005", "--epsilon", "0.01"], 0),
+    (["table", "--json"], 0),
+])
+def test_exact_commands_do_not_load_numpy(argv, code, capsys):
+    done = _fresh_python(RUN_MAIN, *argv)
+    assert done.returncode == code, done.stderr
+    assert done.stderr.splitlines()[-1] == "numpy loaded: False"
+    assert main(argv) == code
+    assert done.stdout == capsys.readouterr().out
+
+
+def test_simulate_loads_numpy_and_prints_the_same_json(capsys):
+    argv = ["simulate", "catalog:cabello18", "--r", "0.0142",
+            "--trials", "2000", "--seed", "7", "--json"]
+    done = _fresh_python(RUN_MAIN, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "numpy loaded: True"
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["nosuchcommand"])
