@@ -202,10 +202,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise CliError(f"{flag} must lie in [0, 1]")
     ks = _load_document(args.set).ks_set
     stats = build_stats(ks)
-    margin = inequality_margin(stats.M, stats.N, args.delta, args.epsilon)
     try:
+        margin = inequality_margin(stats.M, stats.N, args.delta, args.epsilon)
         floor = delta_lower_bound(stats.N, stats.M, args.epsilon)
-    except ValueError as exc:  # a set with no connections has no delta floor
+    # ValueError: a set with no connections has no delta floor;
+    # OverflowError: a count past float range meets a float rate
+    except (ValueError, OverflowError) as exc:
         raise CliError(str(exc)) from exc
     if args.json:
         _emit_json(
@@ -251,7 +253,7 @@ def _cmd_critical_r(args: argparse.Namespace) -> int:
         n_ctx, m_conn, dim = args.N, args.M, args.d
     try:
         rate = critical_rate(n_ctx, m_conn, dim)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a count past float range
         raise CliError(str(exc)) from exc
     if args.json:
         _emit_json(
@@ -297,11 +299,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         summary = simulate_model(model, args.trials)
     except ValueError as exc:  # trials * slots past the int64 position range
         raise CliError(str(exc)) from exc
-    verdict = (
-        empirical_inequality_check(summary, stats, verified_uncolorable=True)
-        if not colorable
-        else None
-    )
+    verdict = None if colorable else empirical_inequality_check(summary, stats, report)
     if args.json:
         doc = {"set": ks.name}
         doc.update(summary.to_json_dict())

@@ -1,15 +1,17 @@
 """Seeded Monte Carlo validation of the independent-error model.
 
 All randomness comes from a counter-based Philox stream keyed by the 64-bit
-seed, and every count is an exact integer.  ``simulate_model`` draws only
-where flips land: one stream of geometric gaps over the row-major
-(trial, slot) index of the whole run (the ``philox-geometric`` stream), and
-it re-counts only the contexts and connections those flips touch.
-``simulate_pair`` and ``simulate_context`` draw one uniform per slot.
-Results are reproducible across runs and chunk sizes.  numpy's geometric
-sampler calls ``log``, so bit-identity across platforms rests on their libm
-agreeing.  numpy is imported inside the functions that draw, so importing this
-module (and so ``ksbound`` and its CLI) does not load it.
+seed, and every count is an exact integer.  ``simulate_model`` is the one
+sampler: it draws only where flips land, one stream of geometric gaps over the
+row-major (trial, slot) index of the whole run (the ``philox-geometric``
+stream), and it re-counts only the contexts and connections those flips touch.
+One connection (two triads sharing a ray) and one context (a lone triad) are
+sets like any other, so the analytic rates delta(r) and epsilon(r, d) are
+checked on this engine too.  Results are reproducible across runs and chunk
+sizes.  numpy's geometric sampler calls ``log``, so bit-identity across
+platforms rests on their libm agreeing.  numpy is imported inside the
+functions that draw, so importing this module (and so ``ksbound`` and its CLI)
+does not load it.
 """
 from __future__ import annotations
 
@@ -28,104 +30,9 @@ DEFAULT_CHUNK_ROWS = 1 << 16
 CHUNK_SLOTS = 1 << 20
 
 
-def _stream(seed: int) -> np.random.Generator:
-    import numpy as np
-
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
 def _three_sigma(successes: int, trials: int) -> float:
     p = successes / trials
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
-
-
-@dataclass(frozen=True)
-class PairSimResult:
-    """Agreement of one shared result measured in two contexts."""
-
-    r: float
-    trials: int
-    seed: int
-    agreements: int
-
-    @property
-    def agreement_rate(self) -> float:
-        return self.agreements / self.trials
-
-    @property
-    def expected(self) -> float:
-        return (1 - self.r) ** 2 + self.r**2
-
-    @property
-    def halfwidth3(self) -> float:
-        return _three_sigma(self.agreements, self.trials)
-
-
-def simulate_pair(r: float, trials: int, seed: int, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> PairSimResult:
-    """Empirical agreement rate of a value copied into two slots and flipped
-    independently at rate r in each."""
-    import numpy as np
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    gen = _stream(seed)
-    agreements = 0
-    done = 0
-    while done < trials:
-        m = min(chunk_rows, trials - done)
-        flips = gen.random((m, 2)) < r
-        agreements += int(np.count_nonzero(flips[:, 0] == flips[:, 1]))
-        done += m
-    return PairSimResult(r=r, trials=trials, seed=seed, agreements=agreements)
-
-
-@dataclass(frozen=True)
-class ContextSimResult:
-    """Survival of the exactly-one-zero pattern in one d-slot context."""
-
-    r: float
-    d: int
-    trials: int
-    seed: int
-    successes: int
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.trials
-
-    @property
-    def expected(self) -> float:
-        t = 1 - self.r
-        return t**self.d + (self.d - 1) * t ** (self.d - 2) * self.r**2
-
-    @property
-    def halfwidth3(self) -> float:
-        return _three_sigma(self.successes, self.trials)
-
-
-def simulate_context(
-    r: float, d: int, trials: int, seed: int, chunk_rows: int = DEFAULT_CHUNK_ROWS
-) -> ContextSimResult:
-    """Empirical probability that a valid context pattern keeps sum d-1 after
-    d independent flips at rate r."""
-    import numpy as np
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if d < 3:
-        raise ValueError(f"dimension must be >= 3, got {d}")
-    gen = _stream(seed)
-    base = np.zeros(d, dtype=bool)
-    base[1:] = True  # one zero, d-1 ones
-    successes = 0
-    done = 0
-    while done < trials:
-        m = min(chunk_rows, trials - done)
-        flips = gen.random((m, d)) < r
-        values = flips ^ base
-        successes += int(np.count_nonzero(values.sum(axis=1) == d - 1))
-        done += m
-    return ContextSimResult(r=r, d=d, trials=trials, seed=seed, successes=successes)
 
 
 @dataclass(frozen=True)
@@ -206,7 +113,7 @@ def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.nd
     """
     import numpy as np
 
-    gen = _stream(seed)
+    gen = np.random.Generator(np.random.Philox(key=seed))
     last = -1  # the last position drawn
     carry = np.empty(0, dtype=np.int64)
     for lo in range(0, total, width):
@@ -345,20 +252,22 @@ class InequalityVerdict:
 
 
 def empirical_inequality_check(
-    summary: SimSummary, stats: SetStats, verified_uncolorable: bool
+    summary: SimSummary, stats: SetStats, report: DefectReport
 ) -> InequalityVerdict:
     """Assert the simulated defect floor of an uncolorable set.
 
-    Requires the caller to have *verified* uncolorability (the verdict is
-    undefined otherwise, so a colorable or unchecked set is refused).  For a
-    KS set every single trial violates at least one of the constraints, so
-    the per-trial minimum (and with it the mean total defect) must be >= 1;
-    also reports the worst per-event rates and the union-bound form
+    ``report`` is the set's ``min_defect`` proof; a set with ``d_min < 1`` is
+    colorable and its verdict undefined, so it is refused.  For a KS set every
+    single trial violates at least one of the constraints, so the per-trial
+    minimum (and with it the mean total defect) must be >= 1; also reports the
+    worst per-event rates and the union-bound form
     M*max(delta_hat) + N*max(epsilon_hat) >= 1 they imply (using the
     all-pairs connection count, never an override).
     """
-    if not verified_uncolorable:
-        raise ValueError("inequality check requires a set verified KS-uncolorable")
+    if report.d_min < 1:
+        raise ValueError(
+            f"inequality check requires a KS-uncolorable set, got d_min {report.d_min}"
+        )
     delta_max = max(summary.delta_hat, default=0.0)
     epsilon_max = max(summary.epsilon_hat, default=0.0)
     implied = stats.m_all_pairs * delta_max + stats.N * epsilon_max

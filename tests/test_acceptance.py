@@ -123,24 +123,35 @@ def test_criterion_4_delta_floor_boundaries():
 
 
 def test_criterion_5_monte_carlo_vs_analytic():
+    # one connection (two triads sharing ray a) and one context (a lone
+    # triad), each on simulate_model from a satisfying base
     trials = 1_000_000
-    pair = kb.simulate_pair(0.1, trials, seed=1202)
-    pair_again = kb.simulate_pair(0.1, trials, seed=1202)
-    sigma_pair = (0.82 * 0.18 / trials) ** 0.5
-    pair_ok = abs(pair.agreement_rate - 0.82) <= 3 * sigma_pair
+    vecs = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1)),
+            ("d", (0, 1, 1)), ("e", (0, 1, -1))]
+    two_triads = kb.make_set("two-triads", 3, vecs, [("a", "b", "c"), ("a", "d", "e")])
+    triad = kb.make_set("triad", 3, vecs[:3], [("a", "b", "c")])
 
-    ctx = kb.simulate_context(0.1, 3, trials, seed=1307)
-    ctx_again = kb.simulate_context(0.1, 3, trials, seed=1307)
+    def run(ks, seed):
+        base = kb.find_coloring(ks).assignment
+        return kb.simulate_model(kb.TrialModel(ks, base, 0.1, seed=seed), trials)
+
+    pair, pair_again = run(two_triads, 1202), run(two_triads, 1202)
+    agreement = 1 - pair.delta_hat[0]
+    sigma_pair = (0.82 * 0.18 / trials) ** 0.5
+    pair_ok = abs(agreement - 0.82) <= 3 * sigma_pair
+
+    ctx, ctx_again = run(triad, 1307), run(triad, 1307)
+    survival = 1 - ctx.epsilon_hat[0]
     sigma_ctx = (0.747 * 0.253 / trials) ** 0.5
-    ctx_ok = abs(ctx.success_rate - 0.747) <= 3 * sigma_ctx
+    ctx_ok = abs(survival - 0.747) <= 3 * sigma_ctx
 
     deterministic = pair == pair_again and ctx == ctx_again
     ok = pair_ok and ctx_ok and deterministic
     report(
         5,
         ok,
-        f"pair {pair.agreement_rate:.5f} (|err| <= {3 * sigma_pair:.5f}: {pair_ok}), "
-        f"context {ctx.success_rate:.5f} (|err| <= {3 * sigma_ctx:.5f}: {ctx_ok}), "
+        f"pair {agreement:.5f} (|err| <= {3 * sigma_pair:.5f}: {pair_ok}), "
+        f"context {survival:.5f} (|err| <= {3 * sigma_ctx:.5f}: {ctx_ok}), "
         f"bit-identical reruns: {deterministic}",
     )
 

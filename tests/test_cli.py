@@ -206,6 +206,30 @@ def test_critical_r_from_catalog(capsys):
     assert doc["r_floor4"] == 0.0043
 
 
+HUGE = "1" + "0" * 400  # past float range
+
+
+@pytest.mark.parametrize("flag", ["--N", "--M", "--d"])
+def test_critical_r_huge_parameter_exits_1(flag, capsys):
+    argv = ["critical-r", "--N", "1", "--M", "1", "--d", "3"]
+    argv[argv.index(flag) + 1] = HUGE
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: int too large to convert to float\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["critical-r"], ["bounds"], ["bounds", "--delta", "0.01", "--json"]]
+)
+def test_huge_m_override_exits_1(argv, tmp_path, capsys):
+    p = tmp_path / "huge-m.ksset"
+    p.write_text(GOOD + f"m-override {HUGE}\n")
+    assert main([argv[0], str(p), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: int too large to convert to float\n"
+
+
 def test_critical_r_requires_parameters_or_set(capsys):
     assert main(["critical-r"]) == 1
     assert "needs a set or all of" in capsys.readouterr().err

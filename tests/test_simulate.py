@@ -16,82 +16,10 @@ from ksbound import (
     empirical_inequality_check,
     epsilon_analytic,
     find_coloring,
-    simulate_context,
+    min_defect,
     simulate_model,
-    simulate_pair,
 )
 from ksbound.simulate import DEFAULT_CHUNK_ROWS
-
-
-def three_sigma(p, trials):
-    return 3 * math.sqrt(p * (1 - p) / trials)
-
-
-# --- pair and context simulators ----------------------------------------------
-
-
-def test_pair_no_errors():
-    res = simulate_pair(0.0, 10_000, seed=1)
-    assert res.agreement_rate == 1.0
-    assert res.expected == 1.0
-
-
-def test_pair_all_flip():
-    # at r=1 both copies always flip, so they still agree
-    res = simulate_pair(1.0, 10_000, seed=1)
-    assert res.agreement_rate == 1.0
-
-
-def test_pair_symmetric_rate():
-    res = simulate_pair(0.5, 1_000_000, seed=42)
-    assert abs(res.agreement_rate - 0.5) <= three_sigma(0.5, res.trials)
-
-
-def test_pair_matches_delta_analytic():
-    res = simulate_pair(0.1, 1_000_000, seed=3)
-    assert res.expected == pytest.approx(0.82)
-    assert res.expected == pytest.approx(1 - delta_analytic(0.1))
-    assert abs(res.agreement_rate - 0.82) <= three_sigma(0.82, res.trials)
-    assert res.halfwidth3 > 0
-
-
-def test_context_no_errors():
-    res = simulate_context(0.0, 4, 10_000, seed=1)
-    assert res.success_rate == 1.0
-
-
-def test_context_all_flip_d3():
-    res = simulate_context(1.0, 3, 10_000, seed=1)
-    assert res.success_rate == 0.0
-    assert res.expected == 0.0
-
-
-def test_context_matches_epsilon_analytic():
-    res = simulate_context(0.1, 3, 1_000_000, seed=9)
-    assert res.expected == pytest.approx(0.747)
-    assert res.expected == pytest.approx(1 - epsilon_analytic(0.1, 3))
-    assert abs(res.success_rate - 0.747) <= three_sigma(0.747, res.trials)
-
-
-def test_simulator_input_validation():
-    with pytest.raises(ValueError):
-        simulate_pair(0.1, 0, seed=1)
-    with pytest.raises(ValueError):
-        simulate_context(0.1, 2, 100, seed=1)
-
-
-def test_pair_determinism_and_chunk_invariance():
-    a = simulate_pair(0.3, 50_000, seed=77)
-    b = simulate_pair(0.3, 50_000, seed=77)
-    c = simulate_pair(0.3, 50_000, seed=77, chunk_rows=997)
-    assert a == b == c
-    assert a != simulate_pair(0.3, 50_000, seed=78)
-
-
-def test_context_chunk_invariance():
-    a = simulate_context(0.2, 5, 30_000, seed=5)
-    b = simulate_context(0.2, 5, 30_000, seed=5, chunk_rows=123)
-    assert a == b
 
 
 # --- full model simulation -------------------------------------------------------
@@ -104,6 +32,12 @@ def test_model_validation(triad):
         TrialModel(ks_set=triad, base={"a": 0, "b": 1}, flip_rate=0.1, seed=0)
     with pytest.raises(ValueError, match="base assignment"):
         TrialModel(ks_set=triad, base={"a": 0, "b": 1, "c": 2}, flip_rate=0.1, seed=0)
+
+
+def test_simulator_input_validation(triad):
+    model = TrialModel(ks_set=triad, base={"a": 0, "b": 1, "c": 1}, flip_rate=0.1, seed=0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        simulate_model(model, 0)
 
 
 def test_noise_free_satisfying_base_has_zero_defect(two_triads):
@@ -185,6 +119,7 @@ def test_model_determinism_and_chunk_invariance(kernaghan20):
     b = simulate_model(model, 10_000)
     c = simulate_model(model, 10_000, chunk_rows=333)
     assert a == b == c
+    assert a != simulate_model(TrialModel(kernaghan20, base, 0.1, seed=32), 10_000)
 
 
 def dense_reference(model, trials):
@@ -240,18 +175,22 @@ def test_model_matches_dense_reference(case, rate, request):
 
 
 def test_zero_rate_repeats_the_base_defect(kp36):
+    # r = 0 flips nothing and r = 1 flips every slot: each trial repeats the
+    # base, or its complement, whose connections still all agree
     rng = random.Random(4)
     for _ in range(5):
         base = {v.id: rng.randint(0, 1) for v in kp36.vectors}
-        broken = [
-            int(sum(base[v] for v in ctx.vector_ids) != kp36.dimension - 1)
-            for ctx in kp36.contexts
-        ]
-        summary = simulate_model(TrialModel(kp36, base, 0.0, seed=1), 250, chunk_rows=7)
-        assert summary.context_error_counts == tuple(250 * b for b in broken)
-        assert set(summary.connection_mismatch_counts) == {0}
-        assert summary.total_defect == 250 * sum(broken)
-        assert summary.min_trial_defect == sum(broken)
+        for flip in (0, 1):
+            broken = [
+                int(sum(base[v] ^ flip for v in ctx.vector_ids) != kp36.dimension - 1)
+                for ctx in kp36.contexts
+            ]
+            model = TrialModel(kp36, base, float(flip), seed=1)
+            summary = simulate_model(model, 250, chunk_rows=7)
+            assert summary.context_error_counts == tuple(250 * b for b in broken), flip
+            assert set(summary.connection_mismatch_counts) == {0}
+            assert summary.total_defect == 250 * sum(broken)
+            assert summary.min_trial_defect == sum(broken)
 
 
 def test_defect_monotone_in_noise(kernaghan20):
@@ -277,19 +216,17 @@ def test_json_payload_schema(cabello18):
 # --- the empirical inequality -----------------------------------------------------
 
 
-def test_inequality_check_requires_verification(cabello18):
-    base = default_base(cabello18)
-    summary = simulate_model(TrialModel(cabello18, base, 0.1, seed=1), 100)
-    st = build_stats(cabello18)
-    with pytest.raises(ValueError, match="verified"):
-        empirical_inequality_check(summary, st, verified_uncolorable=False)
+def test_inequality_check_requires_verification(triad):
+    summary = simulate_model(TrialModel(triad, default_base(triad), 0.1, seed=1), 100)
+    with pytest.raises(ValueError, match="KS-uncolorable set, got d_min 0"):
+        empirical_inequality_check(summary, build_stats(triad), min_defect(triad))
 
 
 def test_inequality_check_reports(cabello18):
     base = default_base(cabello18)
     summary = simulate_model(TrialModel(cabello18, base, 0.0142, seed=1), 10_000)
     st = build_stats(cabello18)
-    verdict = empirical_inequality_check(summary, st, verified_uncolorable=True)
+    verdict = empirical_inequality_check(summary, st, min_defect(cabello18))
     assert verdict.holds
     assert verdict.min_trial_defect >= 1
     assert verdict.mean_total_defect >= 1
