@@ -4,15 +4,16 @@ A *coloring* assigns 0 or 1 to every ray so that each context has exactly
 one zero (value sum d-1).  A KS set is one admitting no such assignment.
 ``min_defect`` generalizes this to contextual slot assignments, minimizing
 the number of violated constraints (wrong context sums plus disagreeing
-connections); its minimum is >= 1 exactly when the set is KS.
+connections); that minimum is the fewest contexts whose removal leaves the
+set colorable, and it is >= 1 exactly when the set is KS.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping, Optional
 
-from .model import Context, KsSet, SetStats, build_stats, orthogonal
+from .model import KsSet, build_stats, orthogonal
 
 BRUTE_FORCE_LIMIT = 25
 
@@ -216,7 +217,14 @@ SlotAssignment = Mapping[tuple[int, int], int]
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Minimum combined violation count over all contextual slot assignments."""
+    """Minimum combined violation count over all contextual slot assignments.
+
+    ``witness`` maps every (context, position) slot to 0/1.  It is always a
+    per-vector coloring: every slot of a ray holds the ray's value, so
+    ``connection_defects`` is 0 and ``sum_defects`` equals ``d_min``.
+    ``nodes`` counts the ``find_coloring`` nodes spent on the probes that drop
+    two or more contexts; it is 0 whenever ``d_min <= 1``.
+    """
 
     d_min: int
     witness: dict[tuple[int, int], int]
@@ -254,110 +262,44 @@ def _slots_from_vector_assignment(ks: KsSet, assignment: Mapping[str, int]) -> d
     }
 
 
-def _drop_context(ks: KsSet, ci: int) -> KsSet:
-    return KsSet(
-        name=f"{ks.name}-minus-{ci}",
-        dimension=ks.dimension,
-        ring_radicand=ks.ring_radicand,
-        vectors=ks.vectors,
-        contexts=tuple(c for i, c in enumerate(ks.contexts) if i != ci),
-        m_override=None,
-    )
-
-
 def min_defect(ks: KsSet) -> DefectReport:
-    """Exact minimum defect, with a branch-and-bound only where it is needed.
+    """Exact minimum defect: the fewest contexts whose removal leaves the set
+    colorable.
 
-    A satisfying coloring, when one exists, is a defect-0 witness.  Otherwise
-    the set is uncolorable, so d_min >= 1, and a coloring of the set minus
-    one context (drop-one probe, in declaration order) breaks only that
-    context's sum: it is an optimal defect-1 witness, returned with
-    ``nodes=0`` because no branch-and-bound node was expanded.
+    For k = 0, 1, 2, ... each k-subset of contexts is dropped in lexicographic
+    order and ``find_coloring`` runs on the rest; the first colorable
+    remainder gives ``d_min = k``, and its coloring's slots are the witness.
+    k = 0 is the set itself, so a colorable set has ``d_min = 0``.
 
-    Only when no drop-one subset is colorable does the search run: contexts
-    are assigned complete slot patterns in declaration order, starting from
-    independent per-context patterns as the incumbent.  The cost already
-    incurred (wrong sums plus disagreements among assigned contexts) is an
-    admissible bound because future constraints can only add defects.
-    Patterns at each level are tried cheapest-first with index ties broken
-    low-first, and the incumbent is replaced only on strict improvement,
-    which makes the returned witness deterministic.
+    Why this minimum over drops equals the minimum over all contextual slot
+    assignments of (wrong sums + disagreeing connections):
+
+    * (<=) A coloring of a remainder that drops k contexts agrees on every
+      connection, so at most k sums break; exactly k do, or a smaller drop
+      would have been colorable.
+    * (>=) Take any slot assignment with s wrong sums and c split
+      connections.  Drop the s broken contexts and, for each ray whose slots
+      disagree, the contexts on its smaller value side: a ray with a zeros and
+      b ones has a*b split connections and needs min(a, b) <= a*b drops.  What
+      is left is a valid coloring of a remainder dropping at most s + c
+      contexts, so s + c >= k.
+
+    The probes at k = 0 and k = 1 are the colorability proof and its
+    drop-one witness; ``nodes`` counts only the search beyond them.  Level k
+    runs up to C(N, k) probes, and no effort limit applies yet.
     """
-    d = ks.dimension
     n_ctx = len(ks.contexts)
-    _, _, ctxs = _index_contexts(ks)
-
-    base = find_coloring(ks)
-    if base.satisfiable:
-        assert base.assignment is not None
-        witness = _slots_from_vector_assignment(ks, base.assignment)
-        return DefectReport(0, witness, 0, 0, nodes=0)
-
-    for drop in range(n_ctx):
-        sub = find_coloring(_drop_context(ks, drop))
-        if sub.satisfiable:
-            assert sub.assignment is not None
-            witness = _slots_from_vector_assignment(ks, sub.assignment)
-            s, c = assignment_defect(ks, witness)
-            assert (s, c) == (1, 0)
-            return DefectReport(1, witness, s, c, nodes=0)
-
-    # independent per-context patterns: zero in slot 0, ones elsewhere
-    best_witness = {
-        (ci, p): (0 if p == 0 else 1) for ci in range(n_ctx) for p in range(d)
-    }
-    best = sum(assignment_defect(ks, best_witness))
-
-    # connection structure for incremental costs: earlier slots per vector
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for ci, ctx in enumerate(ctxs):
-        for p, vi in enumerate(ctx):
-            occurrences.setdefault(vi, []).append((ci, p))
-
-    patterns = list(range(1 << d))
-    sumdef = [0 if bin(p).count("1") == d - 1 else 1 for p in patterns]
-    assigned: list[list[int]] = [[0] * d for _ in range(n_ctx)]
     nodes = 0
-
-    def search(ci: int, incurred: int) -> None:
-        nonlocal best, best_witness, nodes
-        if incurred >= best:
-            return
-        if ci == n_ctx:
-            witness = {
-                (c, p): assigned[c][p] for c in range(n_ctx) for p in range(d)
-            }
-            best, best_witness = incurred, witness
-            return
-        nodes += 1
-        # per-slot cost of value 0 / value 1 against earlier assignments
-        cost0 = [0] * d
-        cost1 = [0] * d
-        for p, vi in enumerate(ctxs[ci]):
-            for cj, q in occurrences[vi]:
-                if cj >= ci:
-                    break
-                w = assigned[cj][q]
-                if w == 0:
-                    cost1[p] += 1
-                else:
-                    cost0[p] += 1
-        scored = []
-        for pat in patterns:
-            inc = sumdef[pat]
-            for p in range(d):
-                inc += cost1[p] if (pat >> p) & 1 else cost0[p]
-            scored.append((inc, pat))
-        scored.sort()
-        for inc, pat in scored:
-            if incurred + inc >= best:
-                break
-            row = assigned[ci]
-            for p in range(d):
-                row[p] = (pat >> p) & 1
-            search(ci + 1, incurred + inc)
-
-    search(0, 0)
-    s, c = assignment_defect(ks, best_witness)
-    assert s + c == best
-    return DefectReport(best, best_witness, s, c, nodes=nodes)
+    for k in range(n_ctx + 1):
+        for drop in combinations(range(n_ctx), k):
+            kept = tuple(c for i, c in enumerate(ks.contexts) if i not in drop)
+            found = find_coloring(replace(ks, contexts=kept, m_override=None))
+            if k >= 2:
+                nodes += found.nodes
+            if found.satisfiable:
+                assert found.assignment is not None
+                witness = _slots_from_vector_assignment(ks, found.assignment)
+                s, c = assignment_defect(ks, witness)
+                assert (s, c) == (k, 0)
+                return DefectReport(k, witness, s, c, nodes)
+    raise AssertionError("unreachable: a set without contexts is colorable")

@@ -45,7 +45,6 @@ class SetDocument:
 
     ks_set: KsSet
     source: str
-    lines: tuple[str, ...]
     vec_lines: dict[str, int] = field(default_factory=dict)
     ctx_lines: tuple[int, ...] = ()
 
@@ -224,7 +223,6 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
     return SetDocument(
         ks_set=ks,
         source=source,
-        lines=tuple(raw_lines),
         vec_lines=vec_lines,
         ctx_lines=tuple(ctx_lines),
     )

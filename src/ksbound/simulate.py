@@ -25,14 +25,8 @@ from .model import KsSet, SetStats, build_stats
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_CHUNK_ROWS = 1 << 16
 #: ``simulate_model`` holds at most this many trial-slots per chunk.
 CHUNK_SLOTS = 1 << 20
-
-
-def _three_sigma(successes: int, trials: int) -> float:
-    p = successes / trials
-    return 3.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
 @dataclass(frozen=True)
@@ -83,14 +77,6 @@ class SimSummary:
     def mean_total_defect(self) -> float:
         return self.total_defect / self.trials
 
-    @property
-    def epsilon_halfwidth3(self) -> tuple[float, ...]:
-        return tuple(_three_sigma(c, self.trials) for c in self.context_error_counts)
-
-    @property
-    def delta_halfwidth3(self) -> tuple[float, ...]:
-        return tuple(_three_sigma(c, self.trials) for c in self.connection_mismatch_counts)
-
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
@@ -136,9 +122,7 @@ def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.nd
         yield flips[:cut] - lo
 
 
-def simulate_model(
-    model: TrialModel, trials: int, chunk_rows: int = DEFAULT_CHUNK_ROWS
-) -> SimSummary:
+def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     """Run the trial model, counting every violated constraint per trial.
 
     Per trial: flip each of the N*d slots of the base table independently
@@ -150,8 +134,9 @@ def simulate_model(
     touch is re-counted, starting from the base defect: the base is a
     per-vector assignment, so every connection agrees before noise, and a
     connection mismatches exactly when one of its two slots flipped.
-    A chunk holds at most ``chunk_rows`` trials and, beyond one trial, at
-    most CHUNK_SLOTS trial-slots.
+    A chunk holds one trial or, beyond that, at most CHUNK_SLOTS trial-slots.
+    A set without contexts has no slots: nothing is drawn, and every counter
+    and the per-trial minimum are 0.
     The counters are exact integers and reproducible from (seed, trials)
     alone, whatever the chunk size.
     """
@@ -166,6 +151,8 @@ def simulate_model(
     slots = n_ctx * d
     if trials * slots >= 2**63:
         raise ValueError(f"trials * slots must be < 2^63, got {trials} * {slots}")
+    if slots == 0:
+        return SimSummary(model.seed, trials, model.flip_rate, (), (), 0, 0)
     n_conn = len(stats.connections)
 
     base = np.array(
@@ -185,7 +172,7 @@ def simulate_model(
     partner = right[by_left]
     degree = left_count + np.bincount(right, minlength=slots)
 
-    rows = max(1, min(chunk_rows, CHUNK_SLOTS // slots))
+    rows = max(1, CHUNK_SLOTS // slots)
     flipped = np.zeros(rows * slots, dtype=bool)
     ctx_errors = trials * base_broken.astype(np.int64)
     conn_mismatches = np.zeros(n_conn, dtype=np.int64)
@@ -283,20 +270,18 @@ def empirical_inequality_check(
 
 
 def default_base(ks: KsSet, report: Optional[DefectReport] = None) -> dict[str, int]:
-    """A defect-optimal non-contextual base: the per-vector values of a
-    min_defect witness (majority over the vector's slots, ones winning ties).
+    """A defect-optimal non-contextual base: each ray's value in a min_defect
+    witness, and 1 for a ray in no context.
 
-    A d_min == 0 witness is a satisfying coloring, so its base is that
-    coloring.  Pass ``report`` when the caller already holds
-    ``min_defect(ks)``; the set is then not searched again.
+    The witness is a per-vector coloring (every slot of a ray holds one
+    value), so reading any slot of a ray gives its value; a d_min == 0
+    witness is a satisfying coloring.  Pass ``report`` when the caller already
+    holds ``min_defect(ks)``; the set is then not searched again.
     """
     if report is None:
         report = min_defect(ks)
-    votes: dict[str, list[int]] = {v.id: [] for v in ks.vectors}
+    base = {v.id: 1 for v in ks.vectors}
     for ci, ctx in enumerate(ks.contexts):
         for p, vid in enumerate(ctx.vector_ids):
-            votes[vid].append(report.witness[(ci, p)])
-    return {
-        vid: (1 if not vals or sum(vals) * 2 >= len(vals) else 0)
-        for vid, vals in votes.items()
-    }
+            base[vid] = report.witness[(ci, p)]
+    return base

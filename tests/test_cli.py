@@ -251,6 +251,24 @@ def test_simulate_colorable_set(good_file, capsys):
     assert "not applicable" in out
 
 
+@pytest.mark.parametrize("doc", [
+    "ksset 1\nname lonely\ndim 3\nvec a 1 0 0\n",
+    "ksset 1\nname empty\ndim 3\n",
+], ids=["one-vec", "no-vec"])
+def test_simulate_set_without_contexts(doc, tmp_path, capsys):
+    # no slots: nothing to draw, every counter 0, and the set is colorable
+    path = tmp_path / "bare.ksset"
+    path.write_text(doc)
+    argv = ["simulate", str(path), "--r", "0.1", "--trials", "100", "--seed", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "min per-trial defect 0" in out and "not applicable" in out
+    assert main(argv + ["--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["delta_hat"] == result["epsilon_hat"] == []
+    assert result["mean_defect"] == 0 and result["inequality"] is None
+
+
 def test_simulate_json_byte_deterministic(capsys):
     argv = ["simulate", "catalog:kernaghan20", "--r", "0.1",
             "--trials", "3000", "--seed", "11", "--json"]

@@ -27,6 +27,34 @@ def subset(ks, indices, name="sub"):
     )
 
 
+def disjoint_union(name, *parts):
+    """One set holding disjoint copies of ``parts``, ids prefixed by copy."""
+    ids = [{v.id: f"{tag}_{v.id}" for v in ks.vectors} for tag, ks in zip("abc", parts)]
+    return KsSet(
+        name=name,
+        dimension=parts[0].dimension,
+        ring_radicand=parts[0].ring_radicand,
+        vectors=tuple(
+            kb.RayVector(names[v.id], v.components) for names, ks in zip(ids, parts) for v in ks.vectors
+        ),
+        contexts=tuple(
+            kb.Context(tuple(names[vid] for vid in ctx.vector_ids))
+            for names, ks in zip(ids, parts)
+            for ctx in ks.contexts
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def cabello18x2(cabello18):
+    return disjoint_union("cabello18x2", cabello18, cabello18)
+
+
+@pytest.fixture(scope="module")
+def cabello18x2_report(cabello18x2):
+    return min_defect(cabello18x2)
+
+
 def coloring_satisfies(ks, assignment):
     return all(
         sum(assignment[vid] for vid in ctx.vector_ids) == ks.dimension - 1
@@ -180,8 +208,8 @@ def test_min_defect_catalog_is_one(catalog_sets):
         assert (rep.sum_defects, rep.connection_defects) == (s, c)
 
 
-# Witness slots, context by context: the witnesses the full branch-and-bound
-# returns, so stopping at the drop-one witness must leave them unchanged.
+# Witness slots, context by context: each set's first colorable drop-one
+# remainder, pinned so that a change in probe order or search shows here.
 CATALOG_WITNESSES = {
     "cabello18": "0110 0111 0111 0111 1110 1101 1101 1011 1011",
     "kernaghan20": "1010 1011 1110 1011 0111 0111 1101 1101 1011 1101 1101",
@@ -202,32 +230,13 @@ def test_min_defect_catalog_witness_is_pinned(catalog_sets):
         assert rep.nodes == 0  # the drop-one witness is optimal; no search ran
 
 
-def test_min_defect_branch_and_bound_on_two_disjoint_copies(cabello18):
+def test_min_defect_branch_and_bound_on_two_disjoint_copies(cabello18x2):
     # Dropping one context leaves the other copy uncolorable, so no drop-one
-    # witness exists and the branch-and-bound must prove d_min = 2 itself.
-    def renamed(tag):
-        return {v.id: f"{tag}{v.id}" for v in cabello18.vectors}
-
-    a, b = renamed("a_"), renamed("b_")
-    doubled = KsSet(
-        name="cabello18x2",
-        dimension=cabello18.dimension,
-        ring_radicand=cabello18.ring_radicand,
-        vectors=tuple(
-            kb.RayVector(ids[v.id], v.components)
-            for ids in (a, b)
-            for v in cabello18.vectors
-        ),
-        contexts=tuple(
-            kb.Context(tuple(ids[vid] for vid in ctx.vector_ids))
-            for ids in (a, b)
-            for ctx in cabello18.contexts
-        ),
-    )
-    rep = min_defect(doubled)
+    # witness exists and the search must go on to drop pairs of contexts.
+    rep = min_defect(cabello18x2)
     assert rep.d_min == 2
     assert rep.nodes > 0
-    assert assignment_defect(doubled, rep.witness) == (rep.sum_defects, rep.connection_defects)
+    assert assignment_defect(cabello18x2, rep.witness) == (rep.sum_defects, rep.connection_defects)
     assert rep.sum_defects + rep.connection_defects == 2
 
 
@@ -273,3 +282,108 @@ def test_min_defect_nodes_deterministic(kernaghan20):
     a = min_defect(kernaghan20)
     b = min_defect(kernaghan20)
     assert a.d_min == b.d_min and a.nodes == b.nodes and a.witness == b.witness
+
+
+def drops_that_repair(ks, slots):
+    """Contexts whose removal turns a slot assignment into a coloring of the
+    rest: every broken context, and for each ray whose slots disagree, the
+    contexts holding its less common value (its zeros on a tie)."""
+    d = ks.dimension
+    drop = {ci for ci in range(len(ks.contexts)) if sum(slots[(ci, p)] for p in range(d)) != d - 1}
+    held: dict[str, list[tuple[int, int]]] = {}
+    for ci, ctx in enumerate(ks.contexts):
+        for p, vid in enumerate(ctx.vector_ids):
+            held.setdefault(vid, []).append((ci, slots[(ci, p)]))
+    for where in held.values():
+        ones = sum(value for _, value in where)
+        minority = 1 if 2 * ones < len(where) else 0
+        if 0 < ones < len(where):
+            drop |= {ci for ci, value in where if value == minority}
+    return drop
+
+
+def test_drop_reduction_turns_any_slot_assignment_into_a_coloring(
+    cabello18, cabello18x2, cabello18x2_report
+):
+    # The (>=) half of min_defect's argument: an assignment with s wrong sums
+    # and c split connections becomes a coloring after at most s + c drops.
+    rng = random.Random(11)
+    for ks, best in ((cabello18, min_defect(cabello18)), (cabello18x2, cabello18x2_report)):
+        d = ks.dimension
+        n_ctx = len(ks.contexts)
+        near = best.witness
+        for trial in range(60):
+            if trial % 2:
+                slots = {slot: rng.randint(0, 1) for slot in near}
+            else:  # a few flips away from an optimum, where few drops suffice
+                slots = dict(near)
+                for slot in rng.sample(sorted(near), rng.randint(1, 3)):
+                    slots[slot] ^= 1
+            s, c = assignment_defect(ks, slots)
+            drop = drops_that_repair(ks, slots)
+            assert len(drop) <= s + c
+            kept = [ci for ci in range(n_ctx) if ci not in drop]
+            values = {ks.contexts[ci].vector_ids[p]: slots[(ci, p)] for ci in kept for p in range(d)}
+            rest = subset(ks, kept)
+            assert coloring_satisfies(rest, {**{v.id: 1 for v in ks.vectors}, **values})
+            assert find_coloring(rest).satisfiable
+            assert len(drop) >= best.d_min
+
+
+def milp_min_defect(ks):
+    """Minimum of wrong sums plus split connections over all slot
+    assignments, as an integer program: slot x, broken-context flag s and
+    split-connection flag y, with (1 - s_c)(d-1) <= sum(x_c) <= d-1 + s_c
+    and y_e >= |x_i - x_j|."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    d = ks.dimension
+    n_ctx = len(ks.contexts)
+    at = [{vid: p for p, vid in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
+    pairs = [(a * d + at[a][vid], b * d + at[b][vid]) for vid, (a, b) in build_stats(ks).connections]
+    n_slots = n_ctx * d
+    size = n_slots + n_ctx + len(pairs)
+    rows, lower, upper = [], [], []
+    for ci in range(n_ctx):
+        for sign, slack in ((1, 1), (-1, d - 1)):  # sign * (sum - (d-1)) <= slack * s_c
+            row = [0] * size
+            for p in range(d):
+                row[ci * d + p] = sign
+            row[n_slots + ci] = -slack
+            rows.append(row)
+            lower.append(-float("inf"))
+            upper.append(sign * (d - 1))
+    for e, (i, j) in enumerate(pairs):
+        for sign in (1, -1):  # sign * (x_i - x_j) - y_e <= 0
+            row = [0] * size
+            row[i], row[j], row[n_slots + n_ctx + e] = sign, -sign, -1
+            rows.append(row)
+            lower.append(-float("inf"))
+            upper.append(0)
+    cost = [0] * n_slots + [1] * (n_ctx + len(pairs))
+    result = scipy_optimize.milp(
+        cost,
+        integrality=[1] * size,
+        bounds=scipy_optimize.Bounds(0, 1),
+        constraints=scipy_optimize.LinearConstraint(rows, lower, upper),
+    )
+    assert result.success
+    return round(result.fun)
+
+
+def test_min_defect_matches_an_integer_program(
+    cabello18, kernaghan20, cabello18x2, cabello18x2_report
+):
+    assert milp_min_defect(cabello18x2) == cabello18x2_report.d_min == 2
+    mixed = disjoint_union("cabello18+kernaghan20", cabello18, kernaghan20)
+    cases = [mixed]
+    rng = random.Random(8)
+    n_ctx = len(mixed.contexts)
+    for trial in range(10):  # drop 1-3 contexts: d_min 1 if one copy stays whole, else 0
+        kept = sorted(rng.sample(range(n_ctx), n_ctx - rng.randint(1, 3)))
+        cases.append(subset(mixed, kept, name=f"mixed-sub{trial}"))
+    seen = set()
+    for ks in cases:
+        d_min = min_defect(ks).d_min
+        assert milp_min_defect(ks) == d_min, ks.name
+        seen.add(d_min)
+    assert seen == {0, 1, 2}

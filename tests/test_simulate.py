@@ -19,7 +19,11 @@ from ksbound import (
     min_defect,
     simulate_model,
 )
-from ksbound.simulate import DEFAULT_CHUNK_ROWS
+
+
+def set_chunk_rows(monkeypatch, ks, rows):
+    """Make ``simulate_model`` hold ``rows`` trials of ``ks`` per chunk."""
+    monkeypatch.setattr("ksbound.simulate.CHUNK_SLOTS", rows * len(ks.contexts) * ks.dimension)
 
 
 # --- full model simulation -------------------------------------------------------
@@ -112,12 +116,13 @@ def test_intact_context_rate_tracks_epsilon_analytic(cabello18):
             assert abs(rate - expect) <= bound
 
 
-def test_model_determinism_and_chunk_invariance(kernaghan20):
+def test_model_determinism_and_chunk_invariance(kernaghan20, monkeypatch):
     base = default_base(kernaghan20)
     model = TrialModel(kernaghan20, base, 0.1, seed=31)
     a = simulate_model(model, 10_000)
     b = simulate_model(model, 10_000)
-    c = simulate_model(model, 10_000, chunk_rows=333)
+    set_chunk_rows(monkeypatch, kernaghan20, 333)
+    c = simulate_model(model, 10_000)
     assert a == b == c
     assert a != simulate_model(TrialModel(kernaghan20, base, 0.1, seed=32), 10_000)
 
@@ -157,7 +162,7 @@ def dense_reference(model, trials):
 @pytest.mark.parametrize(
     "case", ["cabello18", "kernaghan20", "kp36", "two_triads", "random:cabello18", "random:kp36"]
 )
-def test_model_matches_dense_reference(case, rate, request):
+def test_model_matches_dense_reference(case, rate, request, monkeypatch):
     name = case.removeprefix("random:")
     ks = request.getfixturevalue(name)
     if name == case:
@@ -170,13 +175,16 @@ def test_model_matches_dense_reference(case, rate, request):
         rate = critical_rate(st.N, st.M, ks.dimension).r
     model = TrialModel(ks, base, rate, seed=2024)
     expect = dense_reference(model, 700)
-    for chunk_rows in (1, 333, DEFAULT_CHUNK_ROWS):
-        assert simulate_model(model, 700, chunk_rows=chunk_rows) == expect, chunk_rows
+    assert simulate_model(model, 700) == expect
+    for rows in (1, 333):
+        set_chunk_rows(monkeypatch, ks, rows)
+        assert simulate_model(model, 700) == expect, rows
 
 
-def test_zero_rate_repeats_the_base_defect(kp36):
+def test_zero_rate_repeats_the_base_defect(kp36, monkeypatch):
     # r = 0 flips nothing and r = 1 flips every slot: each trial repeats the
     # base, or its complement, whose connections still all agree
+    set_chunk_rows(monkeypatch, kp36, 7)
     rng = random.Random(4)
     for _ in range(5):
         base = {v.id: rng.randint(0, 1) for v in kp36.vectors}
@@ -186,7 +194,7 @@ def test_zero_rate_repeats_the_base_defect(kp36):
                 for ctx in kp36.contexts
             ]
             model = TrialModel(kp36, base, float(flip), seed=1)
-            summary = simulate_model(model, 250, chunk_rows=7)
+            summary = simulate_model(model, 250)
             assert summary.context_error_counts == tuple(250 * b for b in broken), flip
             assert set(summary.connection_mismatch_counts) == {0}
             assert summary.total_defect == 250 * sum(broken)
