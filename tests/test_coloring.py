@@ -1,5 +1,7 @@
 """Validation, coloring search, brute-force oracle, and minimum defect."""
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -143,6 +145,27 @@ def test_search_certificate_deterministic(cabello18):
     assert (a.satisfiable, a.nodes) == (b.satisfiable, b.nodes)
 
 
+# The search's branch order, pinned: node counts on the catalog sets, and a
+# digest of every drop-one and drop-two remainder's (satisfiable, nodes,
+# assignment).  A change in which context is taken next, or in which ray of
+# it takes the zero first, shows here.
+CATALOG_NODES = {"cabello18": 78, "kernaghan20": 101, "kernaghan-peres36": 561}
+REMAINDER_DIGEST = "4690dfd24017f1d2776794c017b2717fa0b2c12a0c1a044b0218a439dcf4a6c6"
+
+
+def test_search_branch_order_is_pinned(catalog_sets):
+    digest = hashlib.sha256()
+    for ks in catalog_sets:
+        assert find_coloring(ks).nodes == CATALOG_NODES[ks.name]
+        n_ctx = len(ks.contexts)
+        for k in (1, 2):
+            for drop in combinations(range(n_ctx), k):
+                res = find_coloring(subset(ks, [i for i in range(n_ctx) if i not in drop]))
+                assignment = None if res.assignment is None else sorted(res.assignment.items())
+                digest.update(repr((ks.name, drop, res.satisfiable, res.nodes, assignment)).encode())
+    assert digest.hexdigest() == REMAINDER_DIGEST
+
+
 # --- brute force oracle -----------------------------------------------------------
 
 
@@ -235,7 +258,7 @@ def test_min_defect_branch_and_bound_on_two_disjoint_copies(cabello18x2):
     # witness exists and the search must go on to drop pairs of contexts.
     rep = min_defect(cabello18x2)
     assert rep.d_min == 2
-    assert rep.nodes > 0
+    assert rep.nodes == 35222
     assert assignment_defect(cabello18x2, rep.witness) == (rep.sum_defects, rep.connection_defects)
     assert rep.sum_defects + rep.connection_defects == 2
 
