@@ -124,11 +124,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"set        {ks.name}")
     print(f"dimension  {ks.dimension}")
     print(f"n          {stats.n}")
+    print(f"N          {stats.N}")
     if ks.m_override is None:
-        print(f"N          {stats.N}")
         print(f"M          {stats.M}")
     else:
-        print(f"N          {stats.N}")
         print(f"M          {stats.M} (declared override; all-pairs count {stats.m_all_pairs})")
     print("multiplicity histogram:")
     for k in sorted(histogram):

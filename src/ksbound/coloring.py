@@ -87,105 +87,70 @@ class ColoringResult:
     solutions: Optional[int] = None
 
 
-def _index_contexts(ks: KsSet) -> tuple[list[str], dict[str, int], list[list[int]]]:
+def _index_contexts(ks: KsSet) -> tuple[list[str], list[list[int]]]:
     order = [v.id for v in ks.vectors]
     pos = {vid: i for i, vid in enumerate(order)}
-    ctxs = [[pos[vid] for vid in ctx.vector_ids] for ctx in ks.contexts]
-    return order, pos, ctxs
+    return order, [[pos[vid] for vid in ctx.vector_ids] for ctx in ks.contexts]
 
 
 def find_coloring(ks: KsSet) -> ColoringResult:
     """Backtracking search for a non-contextual 0/1 coloring.
 
-    Branches on which ray of a context takes the zero, always expanding the
-    most constrained undecided context first (fewest zero candidates,
-    declaration order breaking ties), and propagating forced ones.  The node
-    count makes unsatisfiability certificates reproducible.
+    Each step takes the undecided context with the fewest zero options
+    (declaration order breaking ties) and sets its free rays: one takes the
+    zero, the rest take 1.  A context that already holds its zero has one
+    option, all free rays 1, so it is taken before any real branch.  A context
+    with two zeros, or with no zero left possible, is a conflict: the newest
+    context on the trail moves to its next option, or is undone once it has
+    none left.  Each context taken is one node, and the node count makes
+    unsatisfiability certificates reproducible.
     """
-    order, _, ctxs = _index_contexts(ks)
-    n = len(order)
-    n_ctx = len(ctxs)
-    val: list[Optional[int]] = [None] * n
-    decided = [False] * n_ctx
+    order, ctxs = _index_contexts(ks)
+    val: list[Optional[int]] = [None] * len(order)
+    decided = [False] * len(ctxs)
+    # (context, its free rays when taken, zero options left to try)
+    trail: list[tuple[int, list[int], list[Optional[int]]]] = []
     nodes = 0
-
-    def candidates(ci: int) -> Optional[list[int]]:
-        """Zero-slot options for an undecided context, or None when violated."""
-        zeros = ones = 0
-        free: list[int] = []
-        for vi in ctxs[ci]:
-            if val[vi] is None:
-                free.append(vi)
-            elif val[vi] == 0:
-                zeros += 1
-            else:
-                ones += 1
-        if zeros > 1:
-            return None
-        if zeros == 1:
-            return free  # all remaining must be ones; no branching beyond that
-        if not free:
-            return None  # all ones, no zero possible
-        return free
-
-    def solve() -> bool:
-        nonlocal nodes
-        best_ci = -1
-        best_key: Optional[tuple[int, int]] = None
-        for ci in range(n_ctx):
+    while True:
+        best = None
+        for ci, ctx in enumerate(ctxs):
             if decided[ci]:
                 continue
-            free = candidates(ci)
-            if free is None:
-                return False
-            zeros_known = any(val[vi] == 0 for vi in ctxs[ci])
-            width = 1 if zeros_known else len(free)
-            key = (width, ci)
-            if best_key is None or key < best_key:
-                best_key, best_ci = key, ci
-        if best_ci < 0:
-            return True
-        ci = best_ci
-        nodes += 1
-        free = candidates(ci)
-        assert free is not None
-        decided[ci] = True
-        zeros_known = any(val[vi] == 0 for vi in ctxs[ci])
-        options = [None] if zeros_known else free
-        for zero_at in options:
-            trail: list[int] = []
-            ok = True
-            for vi in ctxs[ci]:
-                want = 0 if vi == zero_at else (val[vi] if val[vi] is not None else 1)
-                if vi == zero_at and val[vi] == 1:
-                    ok = False
-                    break
+            free, zeros = [], 0
+            for vi in ctx:
                 if val[vi] is None:
-                    val[vi] = 0 if vi == zero_at else 1
-                    trail.append(vi)
-                elif val[vi] != want:
-                    ok = False
-                    break
-            if ok and solve():
-                return True
-            for vi in trail:
+                    free.append(vi)
+                elif val[vi] == 0:
+                    zeros += 1
+            if zeros > 1 or not (zeros or free):
+                break  # a conflict
+            options = [None] if zeros else free[::-1]  # popped from the end
+            if best is None or len(options) < len(best[2]):
+                best = (ci, free, options)
+        else:
+            if best is None:  # every context decided; rays outside every context are 1
+                return ColoringResult(True, {vid: int(v != 0) for vid, v in zip(order, val)}, nodes)
+            nodes += 1
+            decided[best[0]] = True
+            trail.append(best)
+        while trail and not trail[-1][2]:  # undo contexts with no option left
+            ci, free, _ = trail.pop()
+            decided[ci] = False
+            for vi in free:
                 val[vi] = None
-        decided[ci] = False
-        return False
-
-    if solve():
-        for i in range(n):
-            if val[i] is None:
-                val[i] = 1  # rays outside every context are unconstrained
-        return ColoringResult(True, {order[i]: int(val[i]) for i in range(n)}, nodes)
-    return ColoringResult(False, None, nodes)
+        if not trail:
+            return ColoringResult(False, None, nodes)
+        _, free, options = trail[-1]  # the newest context takes its next option
+        zero_at = options.pop()
+        for vi in free:
+            val[vi] = int(vi != zero_at)
 
 
 def brute_force_coloring(ks: KsSet) -> ColoringResult:
     """Independent oracle: enumerate all 2^n vector assignments (n <= 25)."""
     import numpy as np
 
-    order, _, ctxs = _index_contexts(ks)
+    order, ctxs = _index_contexts(ks)
     n = len(order)
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"set too large for 2^n enumeration (n={n} > {BRUTE_FORCE_LIMIT})")

@@ -1,7 +1,7 @@
 """Line-oriented text format for KS sets (``ksset 1``), parser and serializer.
 
 Grammar (one directive per line, ``#`` starts a comment, blank lines are
-ignored, UTF-8 with LF or CRLF endings):
+ignored, UTF-8; a line ends at LF, CRLF or CR and nowhere else):
 
     ksset 1                         first non-blank line, format version
     name <identifier>               required, once
@@ -92,7 +92,10 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
     their canonical keys (:func:`ksbound.model.same_ray`), so a duplicate is
     one dict lookup.
     """
-    raw_lines = text.splitlines()
+    # str.splitlines would also end a line at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
+    raw_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not raw_lines[-1]:
+        raw_lines.pop()  # a final line end closes the last line; it opens no new one
     version_seen = False
     name: Optional[str] = None
     dim: Optional[int] = None

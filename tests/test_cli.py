@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, diagnostics, JSON determinism."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -75,6 +76,13 @@ def test_non_decimal_digit_in_directive(tmp_path, capsys):
     p.write_text("ksset 1\nname demo\ndim \u00b2\n", encoding="utf-8")
     assert main(["validate", str(p)]) == 1
     assert capsys.readouterr().err == f"error: {p}:3: dim takes one integer\n"
+
+
+def test_form_feed_in_comment_keeps_line_numbers(tmp_path, capsys):
+    p = tmp_path / "ff.ksset"
+    p.write_bytes(b"ksset 1\n# note\x0cmore\nname x\ndim 2\n")
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {p}:4: dim must be >= 3, got 2\n"
 
 
 def test_huge_radicand_exits_at_once(tmp_path):
@@ -267,6 +275,32 @@ def test_simulate_set_without_contexts(doc, tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["delta_hat"] == result["epsilon_hat"] == []
     assert result["mean_defect"] == 0 and result["inequality"] is None
+
+
+def fan_document(n_triads):
+    """A valid colorable set: triads (a, b, 0), (-b, a, 0), z all sharing z."""
+    pairs = [(a, s - a) for s in range(2, 100) for a in range(1, s) if math.gcd(a, s - a) == 1]
+    lines = ["ksset 1", "name fan", "dim 3", "vec z 0 0 1"]
+    for i, (a, b) in enumerate(pairs[:n_triads]):
+        lines += [f"vec p{i} {a} {b} 0", f"vec q{i} {-b} {a} 0", f"ctx p{i} q{i} z"]
+    return "\n".join(lines) + "\n"
+
+
+def test_large_fan_runs_within_the_default_recursion_limit(tmp_path, capsys):
+    # 1000 contexts, one per search step: deeper than Python's default
+    # recursion limit, so a search that recursed per context fails here.
+    assert sys.getrecursionlimit() <= 1000
+    path = tmp_path / "fan.ksset"
+    path.write_text(fan_document(1000))
+    assert main(["color", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("fan: colorable (1000 search nodes)") and captured.err == ""
+    assert main(["defect", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "\nd_min 0\n" in captured.out and captured.err == ""
+    assert main(["simulate", str(path), "--r", "0.01", "--trials", "100"]) == 0
+    captured = capsys.readouterr()
+    assert "not applicable (set is colorable)" in captured.out and captured.err == ""
 
 
 def test_simulate_json_byte_deterministic(capsys):

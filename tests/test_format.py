@@ -48,6 +48,15 @@ def test_comments_blanks_and_crlf():
     ks = parses(text)
     assert ks.name == "demo"
     assert parses(text.replace("\n", "\r\n")) == ks
+    assert parses(text.replace("\n", "\r")) == ks
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_only_lf_crlf_and_cr_end_a_line(sep):
+    # str.splitlines also breaks here; a comment must run on to the line end
+    rejects(f"ksset 1\n# note{sep}more\nname x\ndim 2\n", "dim must be >= 3", line=4)
+    rejects(f"ksset 1\r\n# note{sep}more\r\nname x\r\n", "missing dim directive", line=3)
+    rejects("ksset 1\n", "missing name directive", line=1)
 
 
 def test_document_locations():
