@@ -159,3 +159,90 @@ def test_connection_pairs_are_ordered(catalog_sets):
             assert 0 <= a < b < st.N
             assert vid in ks.contexts[a].vector_ids
             assert vid in ks.contexts[b].vector_ids
+
+
+PUBLIC_NAMES = """
+    BISECTION_TOLERANCE BRUTE_FORCE_LIMIT ColoringResult Context CriticalRate
+    DefectReport DeltaBound DimensionMismatchError ExactScalar InequalityVerdict
+    KsSet MAX_RADICAND Margin ParseError RayVector RingMismatchError SetDocument
+    SetStats SimSummary TABLE_ROWS TableReport TableRow TrialModel
+    ValidationReport Violation assignment_defect brute_force_coloring
+    build_stats catalog_text critical_rate default_base delta_analytic
+    delta_lower_bound empirical_inequality_check epsilon_analytic find_coloring
+    format_table independent_error_lhs inequality_margin inner_product
+    is_square_free list_catalog load_catalog make_set min_defect orthogonal
+    parse_document parse_set same_ray serialize_set simulate_model table_report
+    validate_orthogonality zero __version__
+""".split()
+
+
+def _summary(**changes):
+    fields = dict(seed=3, trials=10, r=0.25, context_error_counts=(1, 2),
+                  connection_mismatch_counts=(3,), total_defect=6, min_trial_defect=0)
+    return kb.SimSummary(**{**fields, **changes})
+
+
+def test_records_are_immutable_hashable_values(two_triads):
+    ks = two_triads
+    stats = build_stats(ks)
+    records = [  # each record, then its fields
+        kb.ExactScalar.of(1, 2, 2), ("rational", "surd", "radicand"),
+        vec("a", 1, 0, 0), ("id", "components", "key"),
+        ks.contexts[0], ("vector_ids",),
+        ks, ("name", "dimension", "ring_radicand", "vectors", "contexts", "m_override"),
+        stats, ("n", "N", "M", "multiplicities", "connections"),
+        kb.inequality_margin(1, 1, 0.1, 0.1), ("margin", "contradiction"),
+        kb.delta_lower_bound(1, 2, 0), ("value", "vacuous"),
+        kb.critical_rate(9, 18, 4), ("r", "floor4", "bracket_low", "bracket_high", "iterations"),
+        kb.TABLE_ROWS[0], ("name", "d", "n_label", "N", "M"),
+        kb.table_report(kb.TABLE_ROWS[:1]), ("rows",),
+        kb.Violation("duplicate-ray", "m"), ("kind", "message", "context_index", "vector_ids"),
+        kb.validate_orthogonality(ks), ("ok", "violations"),
+        kb.find_coloring(ks), ("satisfiable", "assignment", "nodes", "solutions"),
+        kb.min_defect(ks), ("d_min", "witness", "sum_defects", "connection_defects", "nodes"),
+        kb.parse_document(kb.serialize_set(ks)), ("ks_set", "source", "vec_lines", "ctx_lines"),
+        kb.TrialModel(ks, kb.default_base(ks), 0.1, 1), ("ks_set", "base", "flip_rate", "seed"),
+        _summary(), ("seed", "trials", "r", "context_error_counts",
+                     "connection_mismatch_counts", "total_defect", "min_trial_defect"),
+        kb.InequalityVerdict(True, 1.0, 1, 0.1, 0.1, 1.1), (
+            "holds", "mean_total_defect", "min_trial_defect", "delta_hat_max",
+            "epsilon_hat_max", "implied_lhs"),
+    ]
+    assert len({type(r) for r in records[::2]}) == 18
+    for record, names in zip(records[::2], records[1::2]):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    # equal values compare and hash equal; a different value does not compare equal
+    for make, other in (
+        (lambda: ExactScalar.of(Fraction(1, 2), 3, 2), ExactScalar.of(Fraction(1, 2), 3, 3)),
+        (lambda: vec("a", 2, 4, 0), vec("a", 1, 2, 0)),
+        (lambda: Context(("a", "b", "c")), Context(("a", "c", "b"))),
+        (lambda: make_set("t", 3, [("a", (1, 0, 0))], []),
+         make_set("t", 3, [("a", (1, 0, 0))], [], m_override=0)),
+        (_summary, _summary(total_defect=7)),
+    ):
+        assert make() == make() and hash(make()) == hash(make())
+        assert make() != other
+
+    # keyword and positional construction, with the defaults
+    assert ExactScalar(rational=1, surd=0) == ExactScalar(Fraction(1), Fraction(0), 1)
+    assert ExactScalar(1, 0).radicand == 1
+    comps = (ExactScalar.of(1), ExactScalar.of(0), ExactScalar.of(0))
+    assert RayVector(id="a", components=comps) == RayVector("a", comps)
+    assert Context(vector_ids=("a", "b")) == Context(("a", "b"))
+    same = KsSet(name=ks.name, dimension=3, ring_radicand=1, vectors=ks.vectors,
+                 contexts=ks.contexts)
+    assert same == KsSet(ks.name, 3, 1, ks.vectors, ks.contexts, None) == ks
+    assert same.m_override is None
+    violation = kb.Violation(kind="k", message="m")
+    assert (violation.context_index, violation.vector_ids) == (None, ())
+    assert kb.ColoringResult(True, {}, 0).solutions is None
+    assert kb.TableRow(name="x", d=3, n_label="4", N=5, M=6) == kb.TableRow("x", 3, "4", 5, 6)
+    assert kb.TrialModel(ks_set=ks, base=dict.fromkeys("abcde", 1), flip_rate=0.5, seed=2).seed == 2
+
+    # a scalar is no sequence to repeat
+    with pytest.raises(TypeError):
+        3 * ExactScalar.of(1)
+    assert kb.__all__ == PUBLIC_NAMES
