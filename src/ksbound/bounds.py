@@ -10,9 +10,8 @@ g(r) = M*delta(r) + N*epsilon(r, d) = 1, found here by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -20,8 +19,7 @@ BISECTION_TOLERANCE = 1e-12
 _BRACKET_HIGH = 0.5
 
 
-@dataclass(frozen=True)
-class Margin:
+class Margin(NamedTuple):
     margin: float
     contradiction: bool
 
@@ -40,8 +38,7 @@ def inequality_margin(M: int, N: int, delta: Number, epsilon: Number) -> Margin:
     return Margin(margin, margin > 0)
 
 
-@dataclass(frozen=True)
-class DeltaBound:
+class DeltaBound(NamedTuple):
     value: Number
     vacuous: bool
 
@@ -91,8 +88,7 @@ def independent_error_lhs(r: float, N: int, M: int, d: int) -> float:
     return M * delta_analytic(r) + N * epsilon_analytic(r, d)
 
 
-@dataclass(frozen=True)
-class CriticalRate:
+class CriticalRate(NamedTuple):
     """Root of g(r) = 1 with its bisection certificate."""
 
     r: float
@@ -135,8 +131,7 @@ def critical_rate(N: int, M: int, d: int) -> CriticalRate:
     )
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One published parameter row; n_label keeps the extended(original) form."""
 
     name: str
@@ -158,8 +153,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     rows: tuple[tuple[TableRow, CriticalRate], ...]
 
     def to_json_rows(self) -> list[dict]:

@@ -289,7 +289,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not 0 <= args.seed < 2**64:
         raise CliError("--seed must lie in [0, 2^64)")
     ks = _load_document(args.set).ks_set
-    stats = build_stats(ks)
     report = min_defect(ks)
     colorable = report.d_min == 0
     base = default_base(ks, report)
@@ -298,7 +297,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         summary = simulate_model(model, args.trials)
     except ValueError as exc:  # trials * slots past the int64 position range
         raise CliError(str(exc)) from exc
-    verdict = None if colorable else empirical_inequality_check(summary, stats, report)
+    verdict = None if colorable else empirical_inequality_check(summary, report)
     if args.json:
         doc = {"set": ks.name}
         doc.update(summary.to_json_dict())

@@ -9,25 +9,22 @@ set colorable, and it is >= 1 exactly when the set is KS.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .model import KsSet, build_stats, orthogonal
 
 BRUTE_FORCE_LIMIT = 25
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     message: str
     context_index: Optional[int] = None
     vector_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -72,8 +69,7 @@ def validate_orthogonality(ks: KsSet) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class ColoringResult:
+class ColoringResult(NamedTuple):
     """Outcome of a colorability search.
 
     ``nodes`` is the search certificate: branch nodes expanded by the
@@ -180,8 +176,7 @@ def brute_force_coloring(ks: KsSet) -> ColoringResult:
 SlotAssignment = Mapping[tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """Minimum combined violation count over all contextual slot assignments.
 
     ``witness`` maps every (context, position) slot to 0/1.  It is always a
@@ -258,7 +253,7 @@ def min_defect(ks: KsSet) -> DefectReport:
     for k in range(n_ctx + 1):
         for drop in combinations(range(n_ctx), k):
             kept = tuple(c for i, c in enumerate(ks.contexts) if i not in drop)
-            found = find_coloring(replace(ks, contexts=kept, m_override=None))
+            found = find_coloring(ks._replace(contexts=kept, m_override=None))
             if k >= 2:
                 nodes += found.nodes
             if found.satisfiable:

@@ -17,17 +17,17 @@ p/q + (r/s)*sqrt(k).  Every diagnostic carries the offending line number.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from itertools import combinations
-from typing import Optional
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 from .model import Context, ExactScalar, KsSet, RayVector, check_radicand, orthogonal
 
 _IDENT = re.compile(r"^[A-Za-z0-9_.-]+$")
 _RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 _DIGITS = re.compile(r"[0-9]+")  # str.isdigit would admit '²', which int() refuses
+_CATALOG = Path(__file__).with_name("catalog")
 
 
 class ParseError(ValueError):
@@ -39,14 +39,13 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class SetDocument:
+class SetDocument(NamedTuple):
     """A parsed document: the set plus per-declaration source locations."""
 
     ks_set: KsSet
     source: str
-    vec_lines: dict[str, int] = field(default_factory=dict)
-    ctx_lines: tuple[int, ...] = ()
+    vec_lines: dict[str, int]
+    ctx_lines: tuple[int, ...]
 
 
 def _integer(token: str, line: int) -> int:
@@ -262,20 +261,14 @@ def serialize_set(ks: KsSet) -> str:
 
 def list_catalog() -> tuple[str, ...]:
     """Names of the bundled catalog sets."""
-    root = resources.files(__package__).joinpath("catalog")
-    names = [
-        entry.name[: -len(".ksset")]
-        for entry in root.iterdir()
-        if entry.name.endswith(".ksset")
-    ]
-    return tuple(sorted(names))
+    return tuple(sorted(entry.stem for entry in _CATALOG.glob("*.ksset")))
 
 
 def catalog_text(name: str) -> str:
     """Raw document text of a bundled catalog set."""
     if not _IDENT.match(name):
         raise ValueError(f"unknown catalog set {name!r}")
-    entry = resources.files(__package__).joinpath("catalog", f"{name}.ksset")
+    entry = _CATALOG / f"{name}.ksset"
     if not entry.is_file():
         raise ValueError(
             f"unknown catalog set {name!r}; available: {', '.join(list_catalog())}"

@@ -12,12 +12,12 @@ bound in :mod:`ksbound.bounds`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -55,27 +55,25 @@ def check_radicand(k: int) -> None:
         raise ValueError(f"radicand {k} is not a square-free positive integer")
 
 
-@dataclass(frozen=True)
-class ExactScalar:
+class ExactScalar(namedtuple("ExactScalar", "rational surd radicand")):
     """A number a + b*sqrt(k) with rational a, b and fixed square-free k >= 1.
 
     k = 1 degenerates to the rationals; in that case the surd part must be
     zero.  Ring elements only combine with elements of the same ring.
     """
 
-    rational: Fraction
-    surd: Fraction
-    radicand: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, rational: Rational, surd: Rational, radicand: int = 1) -> ExactScalar:
         # wrap only what is not already a Fraction (a subclass is converted)
-        if type(self.rational) is not Fraction:
-            object.__setattr__(self, "rational", Fraction(self.rational))
-        if type(self.surd) is not Fraction:
-            object.__setattr__(self, "surd", Fraction(self.surd))
-        check_radicand(self.radicand)
-        if self.radicand == 1 and self.surd != 0:
+        if type(rational) is not Fraction:
+            rational = Fraction(rational)
+        if type(surd) is not Fraction:
+            surd = Fraction(surd)
+        check_radicand(radicand)
+        if radicand == 1 and surd != 0:
             raise ValueError("surd part must be zero when the radicand is 1")
+        return super().__new__(cls, rational, surd, radicand)
 
     @classmethod
     def of(cls, rational: Rational, surd: Rational = 0, radicand: int = 1) -> "ExactScalar":
@@ -100,6 +98,10 @@ class ExactScalar:
         self._check(other)
         a, b, c, e = self.rational, self.surd, other.rational, other.surd
         return ExactScalar(a * c + b * e * self.radicand, a * e + b * c, self.radicand)
+
+    def __rmul__(self, other: object) -> NoReturn:  # a tuple's would repeat it
+        other_type = type(other).__name__
+        raise TypeError(f"unsupported operand type(s) for *: {other_type!r} and 'ExactScalar'")
 
     def __neg__(self) -> "ExactScalar":
         return ExactScalar(-self.rational, -self.surd, self.radicand)
@@ -148,27 +150,31 @@ def _ray_key(components: Sequence[ExactScalar], k: int) -> tuple[int, ...]:
     return tuple(t // g for t in key)
 
 
-@dataclass(frozen=True)
-class RayVector:
+class RayVector(namedtuple("RayVector", "id components key")):
     """A named vector; comparisons are projective (see :func:`same_ray`).
 
     ``key`` is the canonical integer ray key (see :func:`_ray_key`), computed
-    once at construction and excluded from equality.
+    once at construction from the components, so it never changes equality.
+    ``_replace`` and ``_make`` skip the checks and the key: call the class.
     """
 
-    id: str
-    components: tuple[ExactScalar, ...]
-    key: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError(f"vector {self.id!r} has no components")
-        radicands = {c.radicand for c in self.components}
+    def __new__(cls, id: str, components: tuple[ExactScalar, ...]) -> RayVector:
+        if not components:
+            raise ValueError(f"vector {id!r} has no components")
+        radicands = {c.radicand for c in components}
         if len(radicands) != 1:
-            raise RingMismatchError(f"vector {self.id!r} mixes ring radicands {sorted(radicands)}")
-        if all(c.is_zero() for c in self.components):
-            raise ValueError(f"vector {self.id!r} is the zero vector")
-        object.__setattr__(self, "key", _ray_key(self.components, self.radicand))
+            raise RingMismatchError(f"vector {id!r} mixes ring radicands {sorted(radicands)}")
+        if all(c.is_zero() for c in components):
+            raise ValueError(f"vector {id!r} is the zero vector")
+        return super().__new__(cls, id, components, _ray_key(components, radicands.pop()))
+
+    def __getnewargs__(self) -> tuple[str, tuple[ExactScalar, ...]]:  # copy and pickle
+        return self.id, self.components
+
+    def __repr__(self) -> str:  # the key is derived, so it is left out
+        return f"RayVector(id={self.id!r}, components={self.components!r})"
 
     @property
     def dimension(self) -> int:
@@ -179,8 +185,7 @@ class RayVector:
         return self.components[0].radicand
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(namedtuple("Context", "vector_ids")):
     """An ordered tuple of d distinct vector ids measured together.
 
     Orthogonality is a set-level property (it needs the vectors) and is
@@ -188,15 +193,15 @@ class Context:
     :func:`ksbound.coloring.validate_orthogonality`.
     """
 
-    vector_ids: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.vector_ids)) != len(self.vector_ids):
-            raise ValueError(f"context repeats a vector id: {self.vector_ids}")
+    def __new__(cls, vector_ids: tuple[str, ...]) -> Context:
+        if len(set(vector_ids)) != len(vector_ids):
+            raise ValueError(f"context repeats a vector id: {vector_ids}")
+        return super().__new__(cls, vector_ids)
 
 
-@dataclass(frozen=True)
-class KsSet:
+class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m_override")):
     """A named set of rays and orthogonal d-tuples, with optional M override.
 
     The constructor enforces referential structure (declared ids, component
@@ -204,60 +209,61 @@ class KsSet:
     inside each context, no two declared vectors on the same ray, no repeated
     context -- are checked by :func:`ksbound.coloring.validate_orthogonality`,
     so that a structurally sound but mathematically broken set can still be
-    built and *reported on* rather than just rejected.
+    built and *reported on* rather than just rejected.  ``_replace`` skips
+    the constructor's checks.
     """
 
-    name: str
-    dimension: int
-    ring_radicand: int
-    vectors: tuple[RayVector, ...]
-    contexts: tuple[Context, ...]
-    m_override: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.dimension < 3:
-            raise ValueError(f"dimension must be >= 3, got {self.dimension}")
-        check_radicand(self.ring_radicand)
-        if self.m_override is not None and self.m_override < 0:
+    def __new__(
+        cls,
+        name: str,
+        dimension: int,
+        ring_radicand: int,
+        vectors: tuple[RayVector, ...],
+        contexts: tuple[Context, ...],
+        m_override: Optional[int] = None,
+    ) -> KsSet:
+        if dimension < 3:
+            raise ValueError(f"dimension must be >= 3, got {dimension}")
+        check_radicand(ring_radicand)
+        if m_override is not None and m_override < 0:
             raise ValueError("m_override must be non-negative")
         seen: set[str] = set()
-        for v in self.vectors:
+        for v in vectors:
             if v.id in seen:
                 raise ValueError(f"duplicate vector id {v.id!r}")
             seen.add(v.id)
-            if v.dimension != self.dimension:
+            if v.dimension != dimension:
                 raise DimensionMismatchError(
-                    f"vector {v.id!r} has {v.dimension} components, expected {self.dimension}"
+                    f"vector {v.id!r} has {v.dimension} components, expected {dimension}"
                 )
-            if v.radicand != self.ring_radicand:
+            if v.radicand != ring_radicand:
                 raise RingMismatchError(
                     f"vector {v.id!r} lives in ring sqrt({v.radicand}), "
-                    f"set declares sqrt({self.ring_radicand})"
+                    f"set declares sqrt({ring_radicand})"
                 )
-        for ctx in self.contexts:
-            if len(ctx.vector_ids) != self.dimension:
+        for ctx in contexts:
+            if len(ctx.vector_ids) != dimension:
                 raise ValueError(
                     f"context {ctx.vector_ids} has {len(ctx.vector_ids)} ids, "
-                    f"expected {self.dimension}"
+                    f"expected {dimension}"
                 )
             for vid in ctx.vector_ids:
                 if vid not in seen:
                     raise ValueError(f"context references undeclared vector id {vid!r}")
+        return super().__new__(cls, name, dimension, ring_radicand, vectors, contexts, m_override)
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot set {name!r}: a KsSet is immutable")
 
     def vector(self, vid: str) -> RayVector:
         return self._by_id[vid]
 
-    @property
+    @cached_property  # kept in the instance dict, outside the tuple's fields
     def _by_id(self) -> Mapping[str, RayVector]:
-        cached = getattr(self, "_by_id_cache", None)
-        if cached is None:
-            cached = {v.id: v for v in self.vectors}
-            object.__setattr__(self, "_by_id_cache", cached)
-        return cached
+        return {v.id: v for v in self.vectors}
 
 
-@dataclass(frozen=True)
-class SetStats:
+class SetStats(NamedTuple):
     """Derived statistics of a KsSet.
 
     n and N are the vector and context counts.  ``connections`` lists every

@@ -16,11 +16,11 @@ does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional
 
 from .coloring import DefectReport, min_defect
-from .model import KsSet, SetStats, build_stats
+from .model import KsSet, build_stats
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,8 +29,7 @@ if TYPE_CHECKING:
 CHUNK_SLOTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class TrialModel:
+class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
     """A hypothetical non-contextual value table plus independent slot noise.
 
     ``base`` assigns an error-free 0/1 value to every vector id; each trial
@@ -40,21 +39,20 @@ class TrialModel:
     point of the exercise.
     """
 
-    ks_set: KsSet
-    base: Mapping[str, int]
-    flip_rate: float
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.flip_rate <= 1:
-            raise ValueError(f"flip rate must lie in [0, 1], got {self.flip_rate}")
-        for v in self.ks_set.vectors:
-            if self.base.get(v.id) not in (0, 1):
+    def __new__(
+        cls, ks_set: KsSet, base: Mapping[str, int], flip_rate: float, seed: int
+    ) -> TrialModel:
+        if not 0 <= flip_rate <= 1:
+            raise ValueError(f"flip rate must lie in [0, 1], got {flip_rate}")
+        for v in ks_set.vectors:
+            if base.get(v.id) not in (0, 1):
                 raise ValueError(f"base assignment must give 0/1 to vector {v.id!r}")
+        return super().__new__(cls, ks_set, base, flip_rate, seed)
 
 
-@dataclass(frozen=True)
-class SimSummary:
+class SimSummary(NamedTuple):
     """Exact counters of one simulation run; all rates derive from them."""
 
     seed: int
@@ -226,8 +224,7 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     )
 
 
-@dataclass(frozen=True)
-class InequalityVerdict:
+class InequalityVerdict(NamedTuple):
     """Empirical restatement of the defect floor on a verified KS set."""
 
     holds: bool
@@ -238,9 +235,7 @@ class InequalityVerdict:
     implied_lhs: float  # M_all_pairs * delta_hat_max + N * epsilon_hat_max
 
 
-def empirical_inequality_check(
-    summary: SimSummary, stats: SetStats, report: DefectReport
-) -> InequalityVerdict:
+def empirical_inequality_check(summary: SimSummary, report: DefectReport) -> InequalityVerdict:
     """Assert the simulated defect floor of an uncolorable set.
 
     ``report`` is the set's ``min_defect`` proof; a set with ``d_min < 1`` is
@@ -248,8 +243,9 @@ def empirical_inequality_check(
     single trial violates at least one of the constraints, so the per-trial
     minimum (and with it the mean total defect) must be >= 1; also reports the
     worst per-event rates and the union-bound form
-    M*max(delta_hat) + N*max(epsilon_hat) >= 1 they imply (using the
-    all-pairs connection count, never an override).
+    M*max(delta_hat) + N*max(epsilon_hat) >= 1 they imply.  N and M are the
+    summary's context and connection counts, so M is the all-pairs count,
+    never an override.
     """
     if report.d_min < 1:
         raise ValueError(
@@ -257,7 +253,8 @@ def empirical_inequality_check(
         )
     delta_max = max(summary.delta_hat, default=0.0)
     epsilon_max = max(summary.epsilon_hat, default=0.0)
-    implied = stats.m_all_pairs * delta_max + stats.N * epsilon_max
+    n_ctx, m_conn = len(summary.context_error_counts), len(summary.connection_mismatch_counts)
+    implied = m_conn * delta_max + n_ctx * epsilon_max
     holds = summary.min_trial_defect >= 1
     return InequalityVerdict(
         holds=holds,

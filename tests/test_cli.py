@@ -384,22 +384,25 @@ def test_table_json(capsys):
     ]
 
 
-def _fresh_python(code, *args):
-    """Run ``code`` with ``args`` in a new interpreter that imports the
-    ksbound under test."""
+def _fresh_python(code, *args, flags=()):
+    """Run ``code`` with ``args`` in a new interpreter, started with
+    ``flags``, that imports the ksbound under test."""
     env = {**os.environ, "PYTHONPATH": str(Path(ksbound.__file__).resolve().parents[1])}
-    argv = [sys.executable, "-c", code, *args]
+    argv = [sys.executable, *flags, "-c", code, *args]
     return subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
 
 
-# numpy costs most of the start-up of every command that does not draw
+# numpy costs most of the start-up of every command that does not draw;
+# dataclasses pulls in inspect, ast, dis and tokenize and generates code per
+# record; importlib.resources is loaded by site here, so only -S shows it
 IMPORT_GUARD = """\
 import json, sys
 before = set(sys.modules)
 import ksbound, ksbound.cli
 added = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(json.dumps(sorted(added - set(sys.stdlib_module_names) - {"ksbound"})))
-print(json.dumps("numpy" in sys.modules))
+heavy = ("numpy", "dataclasses", "inspect", "importlib.resources")
+print(json.dumps([name for name in heavy if name in sys.modules]))
 """
 
 RUN_MAIN = """\
@@ -415,11 +418,12 @@ sys.exit(code)
 
 
 def test_import_loads_only_the_standard_library():
-    done = _fresh_python(IMPORT_GUARD)
-    assert done.returncode == 0, done.stderr
-    outside, numpy_loaded = map(json.loads, done.stdout.splitlines())
-    assert outside == []
-    assert numpy_loaded is False
+    for flags, allowed in (((), ["importlib.resources"]), (("-S",), [])):
+        done = _fresh_python(IMPORT_GUARD, flags=flags)
+        assert done.returncode == 0, done.stderr
+        outside, heavy_loaded = map(json.loads, done.stdout.splitlines())
+        assert outside == []
+        assert [name for name in heavy_loaded if name not in allowed] == []
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,4 +1,6 @@
 """Vectors, contexts, set construction, and derived statistics."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -241,6 +243,10 @@ def test_records_are_immutable_hashable_values(two_triads):
     assert kb.ColoringResult(True, {}, 0).solutions is None
     assert kb.TableRow(name="x", d=3, n_label="4", N=5, M=6) == kb.TableRow("x", 3, "4", 5, 6)
     assert kb.TrialModel(ks_set=ks, base=dict.fromkeys("abcde", 1), flip_rate=0.5, seed=2).seed == 2
+
+    # copies and pickles rebuild through the constructor
+    assert copy.deepcopy(ks) == ks == pickle.loads(pickle.dumps(ks))
+    assert copy.deepcopy(ks).vector("d") == ks.vector("d")
 
     # a scalar is no sequence to repeat
     with pytest.raises(TypeError):

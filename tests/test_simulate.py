@@ -227,14 +227,14 @@ def test_json_payload_schema(cabello18):
 def test_inequality_check_requires_verification(triad):
     summary = simulate_model(TrialModel(triad, default_base(triad), 0.1, seed=1), 100)
     with pytest.raises(ValueError, match="KS-uncolorable set, got d_min 0"):
-        empirical_inequality_check(summary, build_stats(triad), min_defect(triad))
+        empirical_inequality_check(summary, min_defect(triad))
 
 
 def test_inequality_check_reports(cabello18):
     base = default_base(cabello18)
     summary = simulate_model(TrialModel(cabello18, base, 0.0142, seed=1), 10_000)
     st = build_stats(cabello18)
-    verdict = empirical_inequality_check(summary, st, min_defect(cabello18))
+    verdict = empirical_inequality_check(summary, min_defect(cabello18))
     assert verdict.holds
     assert verdict.min_trial_defect >= 1
     assert verdict.mean_total_defect >= 1
@@ -242,6 +242,14 @@ def test_inequality_check_reports(cabello18):
         st.m_all_pairs * verdict.delta_hat_max + st.N * verdict.epsilon_hat_max
     )
     assert verdict.implied_lhs >= 1
+
+
+def test_inequality_check_counts_all_pairs_not_the_override(kp36):
+    summary = simulate_model(TrialModel(kp36, default_base(kp36), 0.01, seed=3), 1000)
+    verdict = empirical_inequality_check(summary, min_defect(kp36))
+    st = build_stats(kp36)
+    assert (st.M, st.m_all_pairs) == (72, 76)
+    assert verdict.implied_lhs == 76 * verdict.delta_hat_max + 11 * verdict.epsilon_hat_max
 
 
 def test_default_base_on_colorable_set(triad):
