@@ -1,4 +1,6 @@
 """Seeded Monte Carlo: analytic agreement, determinism, defect floor."""
+import hashlib
+import json
 import math
 import random
 
@@ -125,6 +127,25 @@ def test_model_determinism_and_chunk_invariance(kernaghan20, monkeypatch):
     c = simulate_model(model, 10_000)
     assert a == b == c
     assert a != simulate_model(TrialModel(kernaghan20, base, 0.1, seed=32), 10_000)
+
+
+#: SHA-256 of the seeded summaries in ``test_seeded_counters_are_pinned``.
+PINNED_SUMMARIES = "3bb4dba1ebf8389a541dda46bcea5bfd772c2c71ccac4e0836fb8dcdd1e0522c"
+
+
+def test_seeded_counters_are_pinned(catalog_sets):
+    # every counter, and so every ``simulate --json`` byte, must match across
+    # commits for a fixed (set, base, r, seed, trials); 40,000 trials span two
+    # chunks of every catalog set
+    summaries = []
+    for i, ks in enumerate(catalog_sets):
+        base = default_base(ks)
+        st = build_stats(ks)
+        for j, rate in enumerate((critical_rate(st.N, st.M, ks.dimension).r, 0.1, 0.5)):
+            model = TrialModel(ks, base, rate, seed=1000 + 10 * i + j)
+            summaries.append(list(simulate_model(model, 40_000)))
+    digest = hashlib.sha256(json.dumps(summaries).encode()).hexdigest()
+    assert digest == PINNED_SUMMARIES
 
 
 def dense_reference(model, trials):
