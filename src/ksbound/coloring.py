@@ -260,6 +260,7 @@ def min_defect(ks: KsSet) -> DefectReport:
                 assert found.assignment is not None
                 witness = _slots_from_vector_assignment(ks, found.assignment)
                 s, c = assignment_defect(ks, witness)
-                assert (s, c) == (k, 0)
+                if (s, c) != (k, 0):  # a raise, not an assert, so it holds under -O
+                    raise AssertionError(f"witness has defect ({s}, {c}), expected ({k}, 0)")
                 return DefectReport(k, witness, s, c, nodes)
     raise AssertionError("unreachable: a set without contexts is colorable")

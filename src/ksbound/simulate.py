@@ -4,7 +4,11 @@ All randomness comes from a counter-based Philox stream keyed by the 64-bit
 seed, and every count is an exact integer.  ``simulate_model`` is the one
 sampler: it draws only where flips land, one stream of geometric gaps over the
 row-major (trial, slot) index of the whole run (the ``philox-geometric``
-stream), and it re-counts only the contexts and connections those flips touch.
+stream).  Two kernels count the same flips: at low rates one re-counts only
+the contexts and connections the flips touch, and at high rates the other
+evaluates a 0/1 table of every slot of the chunk's trials (see
+``simulate_model`` for the rule and its measured crossover).  The stream, the
+chunks and every counter are the same whichever kernel runs.
 One connection (two triads sharing a ray) and one context (a lone triad) are
 sets like any other, so the analytic rates delta(r) and epsilon(r, d) are
 checked on this engine too.  Results are reproducible across runs and chunk
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .coloring import DefectReport, min_defect
 from .model import KsSet, build_stats
@@ -27,6 +31,8 @@ if TYPE_CHECKING:
 
 #: ``simulate_model`` holds at most this many trial-slots per chunk.
 CHUNK_SLOTS = 1 << 20
+#: ``simulate_model`` counts densely from this many flips per (slot + connection).
+DENSE_FLIPS = 64
 
 
 class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
@@ -120,45 +126,40 @@ def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.nd
         yield flips[:cut] - lo
 
 
-def simulate_model(model: TrialModel, trials: int) -> SimSummary:
-    """Run the trial model, counting every violated constraint per trial.
-
-    Per trial: flip each of the N*d slots of the base table independently
-    with probability r, then count contexts whose slot sum differs from d-1
-    and connections (all-pairs list from build_stats) whose two slots
-    disagree.
-
-    Only the flips are drawn (see ``_flip_offsets``) and only what they
-    touch is re-counted, starting from the base defect: the base is a
-    per-vector assignment, so every connection agrees before noise, and a
-    connection mismatches exactly when one of its two slots flipped.
-    A chunk holds one trial or, beyond that, at most CHUNK_SLOTS trial-slots.
-    A set without contexts has no slots: nothing is drawn, and every counter
-    and the per-trial minimum are 0.
-    The counters are exact integers and reproducible from (seed, trials)
-    alone, whatever the chunk size.
-    """
+def _slot_layout(model: TrialModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base value of each slot, context by context, and the left and right
+    slots of each connection, in build_stats' all-pairs order."""
     import numpy as np
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     ks = model.ks_set
-    stats = build_stats(ks)
     d = ks.dimension
-    n_ctx = len(ks.contexts)
-    slots = n_ctx * d
-    if trials * slots >= 2**63:
-        raise ValueError(f"trials * slots must be < 2^63, got {trials} * {slots}")
-    if slots == 0:
-        return SimSummary(model.seed, trials, model.flip_rate, (), (), 0, 0)
-    n_conn = len(stats.connections)
-
     base = np.array(
         [model.base[vid] for ctx in ks.contexts for vid in ctx.vector_ids], dtype=np.int64
     )
     at = [{vid: p for p, vid in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
-    conn_slots = [(a * d + at[a][vid], b * d + at[b][vid]) for vid, (a, b) in stats.connections]
+    conn_slots = [
+        (a * d + at[a][vid], b * d + at[b][vid]) for vid, (a, b) in build_stats(ks).connections
+    ]
     left, right = np.array(conn_slots, dtype=np.intp).reshape(-1, 2).T
+    return base, left, right
+
+
+def _sparse_kernel(
+    base: np.ndarray, left: np.ndarray, right: np.ndarray, d: int, rows: int
+) -> Callable[[np.ndarray, int], tuple]:
+    """The chunk counter that touches only the flips.
+
+    It counts from the base defect and re-counts only the contexts and
+    connections the flips touch: the base is a per-vector assignment, so
+    every connection agrees before noise, and a connection mismatches exactly
+    when one of its two slots flipped.  Its cost grows with the number of
+    flips.  The returned ``count(q, n)`` takes a chunk's flip offsets ``q``
+    over ``n`` trials and gives its per-context errors, per-connection
+    mismatches, total defect and least per-trial defect.
+    """
+    import numpy as np
+
+    slots, n_ctx, n_conn = len(base), len(base) // d, len(left)
     base_ones = base.reshape(n_ctx, d).sum(axis=1)
     base_broken = base_ones != d - 1
     base_defect = int(base_broken.sum())
@@ -169,16 +170,9 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     left_first = np.cumsum(left_count) - left_count
     partner = right[by_left]
     degree = left_count + np.bincount(right, minlength=slots)
-
-    rows = max(1, CHUNK_SLOTS // slots)
     flipped = np.zeros(rows * slots, dtype=bool)
-    ctx_errors = trials * base_broken.astype(np.int64)
-    conn_mismatches = np.zeros(n_conn, dtype=np.int64)
-    total_defect = trials * base_defect
-    min_trial = slots + n_conn + 1
 
-    offsets = _flip_offsets(model.seed, model.flip_rate, trials * slots, rows * slots)
-    for done, q in zip(range(0, trials, rows), offsets):
+    def count(q: np.ndarray, n: int) -> tuple:
         q = q.astype(np.int32)  # offsets stay below rows * slots, far under 2^31
         trial, slot = np.divmod(q, slots)
 
@@ -190,6 +184,7 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
         g_ctx = slot[first] // d
         broken = base_ones[g_ctx] + np.add.reduceat(step[slot], first) != d - 1
         was = base_broken[g_ctx]
+        ctx_errors = n * base_broken.astype(np.int64)
         ctx_errors += np.bincount(g_ctx[broken & ~was], minlength=n_ctx)
         ctx_errors -= np.bincount(g_ctx[was & ~broken], minlength=n_ctx)
 
@@ -202,17 +197,137 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
         both = flipped[(q - slot)[pair] + partner[j]]
         flipped[q] = False
         per_slot = np.bincount(slot, minlength=slots)
-        conn_mismatches += per_slot[left] + per_slot[right]
+        conn_mismatches = per_slot[left] + per_slot[right]
         conn_mismatches -= 2 * np.bincount(by_left[j[both]], minlength=n_conn)
 
         # per flip, the change to its trial's defect; a context's change is
         # counted at its group's first flip
         change = degree[slot] - 2 * np.bincount(pair[both], minlength=len(q))
         change[first] += broken.astype(np.int64) - was
-        total_defect += int(change.sum())
         # float64 weights; the sums are small integers, so exact
-        per_trial = np.bincount(trial, weights=change, minlength=min(rows, trials - done))
-        min_trial = min(min_trial, base_defect + int(per_trial.min()))
+        per_trial = np.bincount(trial, weights=change, minlength=n)
+        total = n * base_defect + int(change.sum())
+        return ctx_errors, conn_mismatches, total, base_defect + int(per_trial.min())
+
+    return count
+
+
+def _dense_kernel(
+    base: np.ndarray, left: np.ndarray, right: np.ndarray, d: int, rows: int
+) -> Callable[[np.ndarray, int], tuple]:
+    """The chunk counter that evaluates every slot of every trial.
+
+    It fills a slot-major 0/1 table, one row of ``n`` trial values per slot:
+    ``base`` repeated over the trials, with 1 XORed in at each flip.  Context
+    sums are d strided row adds, and connections compare rows ``left`` and
+    ``right`` in blocks of at most ``slots`` connections.  Its cost grows with
+    trials * (slots + connections), whatever the flip count.  Its largest
+    arrays are four uint8 buffers of rows * slots <= max(CHUNK_SLOTS, slots)
+    bytes, made once per run and reused by every chunk; every other array
+    that grows with the trials is no larger, and the rest are the counts, 8
+    bytes per context or connection.  ``count`` has the signature and
+    results of ``_sparse_kernel``'s.
+    """
+    import numpy as np
+
+    slots, n_conn = len(base), len(left)
+    base = base.astype(np.uint8)
+    ones_type = np.min_scalar_type(d)  # a context's count of ones fits
+    defect_type = np.min_scalar_type(slots // d + n_conn)  # a trial's defect fits
+    # reused by every chunk: fresh arrays of this size fault in new pages
+    trial_major, slot_major, ends_a, ends_b = np.empty((4, rows * slots), dtype=np.uint8)
+
+    def count(q: np.ndarray, n: int) -> tuple:
+        table = trial_major[: n * slots].reshape(n, slots)
+        table[...] = base
+        trial_major[q] ^= 1
+        value = slot_major[: n * slots].reshape(slots, n)
+        value[...] = table.T
+        ones = value[::d].astype(ones_type)
+        for p in range(1, d):
+            ones += value[p::d]
+        broken = ones != d - 1
+        per_trial = broken.sum(axis=0, dtype=defect_type)
+        conn_mismatches = np.empty(n_conn, dtype=np.int64)
+        for lo in range(0, n_conn, slots):
+            hi = min(lo + slots, n_conn)
+            a = ends_a[: (hi - lo) * n].reshape(hi - lo, n)
+            b = ends_b[: (hi - lo) * n].reshape(hi - lo, n)
+            # every end is a valid slot, so "clip" clips nothing; unlike
+            # "raise", it writes straight into ``out``
+            np.take(value, left[lo:hi], axis=0, out=a, mode="clip")
+            np.take(value, right[lo:hi], axis=0, out=b, mode="clip")
+            a ^= b  # 1 where the connection's two slots disagree
+            conn_mismatches[lo:hi] = a.sum(axis=1)
+            per_trial += a.sum(axis=0, dtype=defect_type)
+        ctx_errors = np.count_nonzero(broken, axis=1)
+        return ctx_errors, conn_mismatches, int(per_trial.sum()), int(per_trial.min())
+
+    return count
+
+
+def _dense_wins(flip_rate: float, slots: int, connections: int) -> bool:
+    """Whether ``_dense_kernel`` is the faster counter for a run: its expected
+    flips per trial, times DENSE_FLIPS, reach its slots plus connections."""
+    return flip_rate * slots * DENSE_FLIPS >= slots + connections
+
+
+def simulate_model(model: TrialModel, trials: int) -> SimSummary:
+    """Run the trial model, counting every violated constraint per trial.
+
+    Per trial: flip each of the N*d slots of the base table independently
+    with probability r, then count contexts whose slot sum differs from d-1
+    and connections (all-pairs list from build_stats) whose two slots
+    disagree.
+
+    Only the flips are drawn (see ``_flip_offsets``), a chunk at a time; a
+    chunk holds one trial or, beyond that, at most CHUNK_SLOTS trial-slots.
+    One of two kernels counts every chunk of a run, chosen once from its
+    rate and set by ``_dense_wins``.  ``_sparse_kernel`` re-counts only the
+    contexts and connections the flips touch, so its cost grows with the
+    flips; ``_dense_kernel`` evaluates a 0/1 table of every slot, so its cost
+    grows with trials * (slots + connections).  On the four benchmark sets
+    they cost the same at 0.017-0.022 flips per slot, about one flip per 85
+    slots and connections.  DENSE_FLIPS = 64 leaves every catalog r* (at
+    most 0.0142) sparse with a 1.6x margin and r = 0.1 dense with a 3.4x
+    one; a set with many connections per slot, such as a fan of 1000 triads
+    on one ray, stays sparse at every rate.  The dense kernel's largest
+    per-chunk array holds at most max(CHUNK_SLOTS, slots) bytes.  Both
+    kernels give the same counters from the same flips, so the kernel
+    changes no counter.
+    A set without contexts has no slots: nothing is drawn, and every counter
+    and the per-trial minimum are 0.
+    The counters are exact integers and reproducible from (seed, trials)
+    alone, whatever the chunk size or kernel.
+    """
+    import numpy as np
+
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    d = model.ks_set.dimension
+    n_ctx = len(model.ks_set.contexts)
+    slots = n_ctx * d
+    if trials * slots >= 2**63:
+        raise ValueError(f"trials * slots must be < 2^63, got {trials} * {slots}")
+    if slots == 0:
+        return SimSummary(model.seed, trials, model.flip_rate, (), (), 0, 0)
+    base, left, right = _slot_layout(model)
+    n_conn = len(left)
+
+    rows = max(1, CHUNK_SLOTS // slots)
+    kernel = _dense_kernel if _dense_wins(model.flip_rate, slots, n_conn) else _sparse_kernel
+    count = kernel(base, left, right, d, rows)
+    ctx_errors = np.zeros(n_ctx, dtype=np.int64)
+    conn_mismatches = np.zeros(n_conn, dtype=np.int64)
+    total_defect = 0
+    min_trial = slots + n_conn + 1
+    offsets = _flip_offsets(model.seed, model.flip_rate, trials * slots, rows * slots)
+    for done, q in zip(range(0, trials, rows), offsets):
+        ctx, conn, total, least = count(q, min(rows, trials - done))
+        ctx_errors += ctx
+        conn_mismatches += conn
+        total_defect += total
+        min_trial = min(min_trial, least)
     return SimSummary(
         seed=model.seed,
         trials=trials,

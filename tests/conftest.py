@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import ksbound as kb
@@ -48,3 +50,15 @@ def two_triads():
         ],
         [("a", "b", "c"), ("a", "d", "e")],
     )
+
+
+@pytest.fixture(scope="session")
+def fan50():
+    # 50 triads (a, b, 0), (-b, a, 0), z all sharing z: 1225 connections on
+    # 150 slots, so connections outnumber slots
+    pairs = [(a, s - a) for s in range(2, 20) for a in range(1, s) if math.gcd(a, s - a) == 1]
+    vectors, contexts = [("z", (0, 0, 1))], []
+    for i, (a, b) in enumerate(pairs[:50]):
+        vectors += [(f"p{i}", (a, b, 0)), (f"q{i}", (-b, a, 0))]
+        contexts.append((f"p{i}", f"q{i}", "z"))
+    return kb.make_set("fan50", 3, vectors, contexts)

@@ -272,6 +272,13 @@ def test_min_defect_witness_is_total(cabello18):
     assert all(v in (0, 1) for v in rep.witness.values())
 
 
+def test_min_defect_refuses_a_wrong_witness(cabello18, monkeypatch):
+    # the witness check is an explicit raise, so it also runs under python -O
+    monkeypatch.setattr("ksbound.coloring.assignment_defect", lambda ks, slots: (1, 1))
+    with pytest.raises(AssertionError, match=r"witness has defect \(1, 1\), expected \(1, 0\)"):
+        min_defect(cabello18)
+
+
 def test_random_slot_assignments_never_beat_min_defect(cabello18):
     rng = random.Random(7)
     d = cabello18.dimension

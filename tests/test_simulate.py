@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ksbound as kb
+import ksbound.simulate as sim
 from ksbound import (
     SimSummary,
     TrialModel,
@@ -179,11 +180,10 @@ def dense_reference(model, trials):
     )
 
 
-@pytest.mark.parametrize("rate", [1e-3, "r*", 0.1, 0.5, 1.0])
-@pytest.mark.parametrize(
-    "case", ["cabello18", "kernaghan20", "kp36", "two_triads", "random:cabello18", "random:kp36"]
-)
-def test_model_matches_dense_reference(case, rate, request, monkeypatch):
+def case_model(case, rate, seed, request):
+    """The model a parametrized case names: the fixture set ``case`` with its
+    default base, or ``random:<set>`` with a seeded random base; ``"r*"``
+    is the set's critical rate."""
     name = case.removeprefix("random:")
     ks = request.getfixturevalue(name)
     if name == case:
@@ -194,12 +194,51 @@ def test_model_matches_dense_reference(case, rate, request, monkeypatch):
     if rate == "r*":
         st = build_stats(ks)
         rate = critical_rate(st.N, st.M, ks.dimension).r
-    model = TrialModel(ks, base, rate, seed=2024)
+    return TrialModel(ks, base, rate, seed)
+
+
+@pytest.mark.parametrize("rate", [1e-3, "r*", 0.1, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "case", ["cabello18", "kernaghan20", "kp36", "two_triads", "random:cabello18", "random:kp36"]
+)
+def test_model_matches_dense_reference(case, rate, request, monkeypatch):
+    model = case_model(case, rate, 2024, request)
     expect = dense_reference(model, 700)
     assert simulate_model(model, 700) == expect
     for rows in (1, 333):
-        set_chunk_rows(monkeypatch, ks, rows)
+        set_chunk_rows(monkeypatch, model.ks_set, rows)
         assert simulate_model(model, 700) == expect, rows
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-3, "r*", 0.1, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "case", ["cabello18", "kp36", "two_triads", "fan50", "random:cabello18", "random:fan50"]
+)
+def test_kernels_agree_on_the_same_flips(case, rate, request):
+    # the two chunk counters must give equal partial counters from the same
+    # _flip_offsets chunks, whichever one simulate_model would pick
+    model = case_model(case, rate, 5, request)
+    layout = sim._slot_layout(model)
+    slots, d, rate, trials = len(layout[0]), model.ks_set.dimension, model.flip_rate, 60
+    for rows in (1, 7, sim.CHUNK_SLOTS // slots):
+        sparse = sim._sparse_kernel(*layout, d, rows)
+        dense = sim._dense_kernel(*layout, d, rows)
+        chunks = sim._flip_offsets(5, rate, trials * slots, rows * slots)
+        for done, q in zip(range(0, trials, rows), chunks):
+            n = min(rows, trials - done)
+            got, want = dense(q, n), sparse(q, n)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (rows, done)
+
+
+def test_kernel_rule_is_sparse_at_r_star_and_dense_at_0_1(catalog_sets):
+    for ks in catalog_sets:
+        st = build_stats(ks)
+        slots = st.N * ks.dimension
+        r_star = critical_rate(st.N, st.M, ks.dimension).r
+        assert not sim._dense_wins(r_star, slots, st.m_all_pairs), ks.name
+        assert sim._dense_wins(0.1, slots, st.m_all_pairs), ks.name
+    # many connections per slot keep a set sparse: the 1000-triad fan at any rate
+    assert not sim._dense_wins(1.0, 3 * 1000, 1000 * 999 // 2)
 
 
 def test_zero_rate_repeats_the_base_defect(kp36, monkeypatch):
