@@ -12,8 +12,10 @@ chunks and every counter are the same whichever kernel runs.
 One connection (two triads sharing a ray) and one context (a lone triad) are
 sets like any other, so the analytic rates delta(r) and epsilon(r, d) are
 checked on this engine too.  Results are reproducible across runs and chunk
-sizes.  numpy's geometric sampler calls ``log``, so bit-identity across
-platforms rests on their libm agreeing.  numpy is imported inside the
+sizes.  The gaps equal numpy's ``Generator.geometric`` (a test holds them to
+it): below r = 1/3 they are its inversion done in bulk into a reused buffer,
+from 1/3 up its own search.  The draws call libm (``log1p``), so bit-identity
+across platforms rests on their libm agreeing.  numpy is imported inside the
 functions that draw, so importing this module (and so ``ksbound`` and its CLI)
 does not load it.
 """
@@ -93,37 +95,70 @@ class SimSummary(NamedTuple):
         }
 
 
-def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.ndarray]:
-    """The flipped positions of a run of ``total`` slots, one chunk of
-    ``width`` positions at a time, each as sorted offsets from the chunk start.
+def _geometric_gaps(gen: np.random.Generator, r: float, ahead: int, out: np.ndarray) -> None:
+    """Fill int64 ``out`` with ``min(gen.geometric(r, len(out)), ahead)`` for
+    0 < r <= 1 and ``ahead`` < 2^63, leaving ``gen`` as that call would.  Below
+    1/3 numpy inverts, ceil(E / -log1p(-r)) for E standard exponential,
+    saturated at 2^63 - 1; this does so in ``out``'s memory as float64, with
+    log1p(-r) computed once.  From 1/3 up numpy searches; this calls it."""
+    import numpy as np
 
-    One Philox(key=seed) stream of geometric(r) gaps places flip k at
-    p_k = p_{k-1} + g_k with p_0 = -1.  Positions drawn past a chunk's end
-    carry into the next chunk, so the flips do not depend on ``width``.
+    if r >= 0.333333333333333333333333:  # numpy's own switch, its literal
+        np.minimum(gen.geometric(r, len(out)), ahead, out=out)
+        return
+    z = out.view(np.float64)
+    gen.standard_exponential(out=z)
+    with np.errstate(over="ignore"):  # to inf for tiny r, as in numpy
+        z /= -math.log1p(-r)
+    cap = float(ahead)  # the largest float <= ahead, so the cast never overflows
+    if cap > ahead:
+        cap = math.nextafter(cap, 0)
+    past = z > cap if cap < ahead else None  # gaps past cap reach ahead
+    np.minimum(z, cap, out=z)  # cap is whole, so ceil commutes with it
+    np.ceil(z, out=z)
+    out[...] = z  # element by element, so in place
+    if past is not None:
+        out[past] = ahead
+
+
+def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.ndarray]:
+    """The flipped positions of a run of ``total`` < 2^63 - 1 slots, one chunk
+    of ``width`` positions at a time, each as sorted offsets from the chunk
+    start.  A chunk is a view of a buffer reused by the next one.
+
+    One Philox(key=seed) stream of geometric(r) gaps (``_geometric_gaps``)
+    places flip k at p_k = p_{k-1} + g_k with p_0 = -1.  Positions drawn past
+    a chunk's end carry into the next chunk, so the flips do not depend on
+    ``width``.
     """
     import numpy as np
 
     gen = np.random.Generator(np.random.Philox(key=seed))
     last = -1  # the last position drawn
-    carry = np.empty(0, dtype=np.int64)
+    held = np.empty(0, dtype=np.int64)  # offsets from lo of the carried and drawn flips
+    m = 0  # how many of ``held`` are in use
     for lo in range(0, total, width):
         hi = min(lo + width, total)
-        parts = [carry]
         while r > 0 and last < hi - 1:
             ahead = total - last  # a gap this long lands past the run
             mean = r * (hi - 1 - last)
             # about 4 sigma past the mean count, so one draw usually reaches
-            # hi; numpy clamps gaps at 2^63 - 1 for tiny r, so clip each to
+            # hi; numpy saturates gaps at 2^63 - 1 for tiny r, so clip each to
             # ``ahead`` and draw few enough that the cumulative sum fits int64
             n = min(int(mean + 4 * math.sqrt(mean)) + 16, (2**63 - 1 - last) // ahead)
-            pos = np.cumsum(np.minimum(gen.geometric(r, n), ahead))
-            pos += last
-            last = int(pos[-1])
-            parts.append(pos)
-        flips = np.concatenate(parts)
-        cut = int(np.searchsorted(flips, hi))
-        carry = flips[cut:]
-        yield flips[:cut] - lo
+            if len(held) < m + n:
+                # an eighth spare, so the next chunk's carry and draw fit too
+                held = np.concatenate((held[:m], np.empty(n + n // 8, dtype=np.int64)))
+            gaps = held[m : m + n]
+            _geometric_gaps(gen, r, ahead, gaps)
+            gaps[0] += last - lo
+            np.cumsum(gaps, out=gaps)
+            last = lo + int(gaps[-1])
+            m += n
+        cut = int(np.searchsorted(held[:m], hi - lo))
+        yield held[:cut]
+        m -= cut
+        held[:m] = held[cut : cut + m] - width  # the carry, from the next lo
 
 
 def _slot_layout(model: TrialModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,8 +342,8 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     d = model.ks_set.dimension
     n_ctx = len(model.ks_set.contexts)
     slots = n_ctx * d
-    if trials * slots >= 2**63:
-        raise ValueError(f"trials * slots must be < 2^63, got {trials} * {slots}")
+    if trials * slots >= 2**63 - 1:  # so a gap to the run's end fits int64
+        raise ValueError(f"trials * slots must be < 2^63 - 1, got {trials} * {slots}")
     if slots == 0:
         return SimSummary(model.seed, trials, model.flip_rate, (), (), 0, 0)
     base, left, right = _slot_layout(model)

@@ -345,6 +345,19 @@ def test_simulate_rejects_run_past_int64_positions(capsys):
     assert "trials * slots must be < 2^63" in capsys.readouterr().err
 
 
+def test_simulate_rejects_run_of_2_63_minus_1_slots(tmp_path, capsys):
+    # 7 slots * 1317624576693539401 trials is 2^63 - 1: a gap to the run's
+    # end would not fit int64
+    p = tmp_path / "e7.ksset"
+    vecs = "".join(f"vec e{i} {' '.join('1' if j == i else '0' for j in range(7))}\n" for i in range(7))
+    p.write_text(f"ksset 1\nname e7\ndim 7\n{vecs}ctx {' '.join(f'e{i}' for i in range(7))}\n")
+    argv = ["simulate", str(p), "--r", "1e-300", "--trials", str((2**63 - 1) // 7)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "trials * slots must be < 2^63" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["defect", "catalog:cabello18", "--json"],
     ["simulate", "catalog:cabello18", "--r", "0.0142", "--trials", "100", "--json"],

@@ -130,6 +130,69 @@ def test_model_determinism_and_chunk_invariance(kernaghan20, monkeypatch):
     assert a != simulate_model(TrialModel(kernaghan20, base, 0.1, seed=32), 10_000)
 
 
+def reference_flip_offsets(seed, r, total, width):
+    """``_flip_offsets`` as it was before its gaps were drawn into reused
+    buffers: fresh arrays from ``Generator.geometric`` for every draw."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    last = -1  # the last position drawn
+    carry = np.empty(0, dtype=np.int64)
+    for lo in range(0, total, width):
+        hi = min(lo + width, total)
+        parts = [carry]
+        while r > 0 and last < hi - 1:
+            ahead = total - last  # a gap this long lands past the run
+            mean = r * (hi - 1 - last)
+            # about 4 sigma past the mean count, so one draw usually reaches
+            # hi; numpy clamps gaps at 2^63 - 1 for tiny r, so clip each to
+            # ``ahead`` and draw few enough that the cumulative sum fits int64
+            n = min(int(mean + 4 * math.sqrt(mean)) + 16, (2**63 - 1 - last) // ahead)
+            pos = np.cumsum(np.minimum(gen.geometric(r, n), ahead))
+            pos += last
+            last = int(pos[-1])
+            parts.append(pos)
+        flips = np.concatenate(parts)
+        cut = int(np.searchsorted(flips, hi))
+        carry = flips[cut:]
+        yield flips[:cut] - lo
+
+
+#: rates either side of numpy's geometric switch at 1/3, and two (5e-324 and
+#: 1e-300) whose gaps saturate at 2^63 - 1
+STREAM_RATES = [
+    0.0, 5e-324, 1e-300, 1e-18, 1e-9, 0.0032, 0.0142, 0.1, 0.3,
+    math.nextafter(1 / 3, 0), 1 / 3, 0.5, 1.0,
+]
+
+
+@pytest.mark.parametrize("rate", STREAM_RATES)
+def test_flip_offsets_match_reference(rate):
+    big = 2 * sim.CHUNK_SLOTS + 3
+    runs = [(300, 1), (300, 7), (300, 300), (big, sim.CHUNK_SLOTS), (big, big)]
+    if rate < 1e-17:  # a run near 2^63 slots in one chunk, where gaps reach ahead
+        runs.append((2**63 - 2, 2**63 - 2))
+    for total, width in runs:
+        for seed in (0, 5):
+            got = [q.copy() for q in sim._flip_offsets(seed, rate, total, width)]
+            want = list(reference_flip_offsets(seed, rate, total, width))
+            assert len(got) == len(want), (total, width, seed)
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (total, width, seed, i)
+
+
+@pytest.mark.parametrize("rate", [r for r in STREAM_RATES if r > 0])
+def test_geometric_gaps_match_numpy(rate):
+    # the draw helper is numpy's geometric sampler, state and all: if numpy
+    # changes how it draws, this fails before the stream test does
+    n = 5000
+    out = np.empty(n, dtype=np.int64)
+    for seed in (0, 1, 2**64 - 1):
+        ours = np.random.Generator(np.random.Philox(key=seed))
+        numpys = np.random.Generator(np.random.Philox(key=seed))
+        sim._geometric_gaps(ours, rate, 2**63 - 1, out)
+        assert np.array_equal(out, numpys.geometric(rate, n)), seed
+        assert np.array_equal(ours.geometric(rate, 1000), numpys.geometric(rate, 1000)), seed
+
+
 #: SHA-256 of the seeded summaries in ``test_seeded_counters_are_pinned``.
 PINNED_SUMMARIES = "3bb4dba1ebf8389a541dda46bcea5bfd772c2c71ccac4e0836fb8dcdd1e0522c"
 
