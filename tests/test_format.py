@@ -1,4 +1,7 @@
 """The ``ksset 1`` text format: grammar, diagnostics, round-trips, catalog."""
+import hashlib
+import json
+import random
 import sys
 from fractions import Fraction
 
@@ -248,6 +251,82 @@ def test_catalog_serialization_matches_source_tokens(catalog_sets):
         ]
         ser_tokens = [line.split() for line in serialize_set(ks).splitlines()]
         assert src_tokens == ser_tokens
+
+
+# --- pinned outcomes -----------------------------------------------------------
+
+SURD_SET = """\
+ksset 1
+name surds
+dim 3
+field sqrt 2
+vec a 1 0:1 0
+vec b 0:-1 1 0
+vec c 0 0 1
+vec d 1 0:-1 0
+vec e 0:1 1 0
+vec g 0:1 0:1 0
+vec h 1 -1 0:1
+vec k 0:1/2 0:-1/2 -1
+ctx a b c
+ctx d e c
+ctx g h k
+"""
+
+#: SHA-256 of the outcomes in ``test_parse_outcomes_are_pinned``.
+PINNED_OUTCOMES = "8c096cd7583203a02d61e27dc9c42d624b159eb0204100e118bc2fb099cdb354"
+
+
+def single_token_mutants(text, rng):
+    """Every single-token edit of ``text``'s code tokens that changes them:
+    at each token, replace it, delete it, duplicate it and insert before it,
+    the replacement and the insertion drawn from a junk list by ``rng``."""
+    junk = ["0", "1", "-1", "2", "0:1", "0:-1", "1/2", "99", "x9", "v1", "1/0",
+            "1:1", "1:1:1", "1.5", "\u00b2", "7" * 4301, "vec", "ctx", "dim", "q!"]
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        before = line.split("#", 1)[0].split()
+        for j in range(len(before)):
+            edits = (
+                before[:j] + [rng.choice(junk)] + before[j + 1:],
+                before[:j] + before[j + 1:],
+                before[:j] + [before[j]] + before[j:],
+                before[:j] + [rng.choice(junk)] + before[j:],
+            )
+            for tokens in edits:
+                if tokens != before:
+                    yield "\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1:]) + "\n"
+
+
+def parse_outcome(text):
+    """What parsing ``text`` gives: the canonical document, every ray key and
+    every source line, or the error's type, message and line."""
+    try:
+        doc = parse_document(text)
+    except Exception as exc:  # any type is an outcome to pin
+        return [type(exc).__name__, str(exc), getattr(exc, "line", None)]
+    ks = doc.ks_set
+    return [
+        serialize_set(ks),
+        [list(v.key) for v in ks.vectors],
+        sorted(doc.vec_lines.items()),
+        list(doc.ctx_lines),
+    ]
+
+
+def test_parse_outcomes_are_pinned():
+    # every message, line, key and canonical document over the catalog, a
+    # small Q(sqrt 2) set and all their single-token mutants must match across
+    # commits
+    rng = random.Random(1313)
+    texts = [kb.catalog_text(name) for name in kb.list_catalog()] + [SURD_SET]
+    outcomes = [
+        parse_outcome(doc)
+        for text in texts
+        for doc in (text, *single_token_mutants(text, rng))
+    ]
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == PINNED_OUTCOMES
 
 
 # --- catalog access ------------------------------------------------------------
