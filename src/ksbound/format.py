@@ -89,7 +89,9 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
     ray, repeated contexts, references to undeclared ids, and contexts that
     are not pairwise orthogonal (checked exactly).  Rays are compared through
     their canonical keys (:func:`ksbound.model.same_ray`), so a duplicate is
-    one dict lookup.
+    one dict lookup.  Each distinct component token is parsed once per
+    document and its scalar shared by every vector that repeats it: ``field``
+    precedes every ``vec``, so a token always means the same scalar.
     """
     # str.splitlines would also end a line at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
     raw_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -102,6 +104,7 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
     field_line: Optional[int] = None
     m_override: Optional[int] = None
     vectors: dict[str, RayVector] = {}
+    scalars: dict[str, ExactScalar] = {}  # each distinct component token, parsed once
     ray_ids: dict[tuple[int, ...], str] = {}
     vec_lines: dict[str, int] = {}
     contexts: list[Context] = []
@@ -163,11 +166,12 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
                 )
             if vid in vec_lines:
                 raise ParseError(f"duplicate vector id {vid!r}", lineno)
+            for c in comps:  # a bad token raises at its first occurrence
+                if c not in scalars:
+                    scalars[c] = _parse_component(c, radicand, lineno)
             try:
-                vec = RayVector(vid, tuple(_parse_component(c, radicand, lineno) for c in comps))
-            except ValueError as exc:
-                if isinstance(exc, ParseError):
-                    raise
+                vec = RayVector(vid, tuple(map(scalars.__getitem__, comps)))
+            except ValueError as exc:  # the zero vector
                 raise ParseError(str(exc), lineno) from exc
             known = ray_ids.setdefault(vec.key, vid)
             if known != vid:

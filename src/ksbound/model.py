@@ -125,8 +125,9 @@ def zero(radicand: int = 1) -> ExactScalar:
     return ExactScalar(Fraction(0), Fraction(0), radicand)
 
 
-def _ray_key(components: Sequence[ExactScalar], k: int) -> tuple[int, ...]:
-    """Canonical integer key of the ray through a nonzero vector over Q(sqrt(k)).
+def _ray_key(components: Sequence[ExactScalar], k: int) -> Optional[tuple[int, ...]]:
+    """Canonical integer key of the ray through a vector over Q(sqrt(k)), or
+    None for the zero vector.
 
     The key lists A_0, B_0, A_1, B_1, ... for components A_i + B_i*sqrt(k):
     the vector cleared of denominators, multiplied by the conjugate a - b*sqrt(k)
@@ -136,13 +137,13 @@ def _ray_key(components: Sequence[ExactScalar], k: int) -> tuple[int, ...]:
     vectors on the same ray differ by a rational factor after the conjugate
     step, so they share one primitive, positively signed key.
     """
-    scale = math.lcm(*(x.denominator for c in components for x in (c.rational, c.surd)))
-    pairs = [
-        (c.rational.numerator * (scale // c.rational.denominator),
-         c.surd.numerator * (scale // c.surd.denominator))
-        for c in components
-    ]
-    a, b = next(p for p in pairs if p != (0, 0))
+    ratios = [(c.rational.as_integer_ratio(), c.surd.as_integer_ratio()) for c in components]
+    scale = math.lcm(*(q for pair in ratios for _, q in pair))
+    pairs = [(p * (scale // q), r * (scale // s)) for (p, q), (r, s) in ratios]
+    first = next((p for p in pairs if p != (0, 0)), None)
+    if first is None:
+        return None
+    a, b = first
     key = [t for x, y in pairs for t in (x * a - k * y * b, y * a - x * b)]
     g = math.gcd(*key)
     if a * a < k * b * b:  # the first entry a^2 - k*b^2 is negative: 1 + sqrt 2 has norm -1
@@ -154,7 +155,8 @@ class RayVector(namedtuple("RayVector", "id components key")):
     """A named vector; comparisons are projective (see :func:`same_ray`).
 
     ``key`` is the canonical integer ray key (see :func:`_ray_key`), computed
-    once at construction from the components, so it never changes equality.
+    once at construction from the components, so it never changes equality;
+    the zero vector, which has no key, is refused.
     ``_replace`` and ``_make`` skip the checks and the key: call the class.
     """
 
@@ -166,9 +168,10 @@ class RayVector(namedtuple("RayVector", "id components key")):
         radicands = {c.radicand for c in components}
         if len(radicands) != 1:
             raise RingMismatchError(f"vector {id!r} mixes ring radicands {sorted(radicands)}")
-        if all(c.is_zero() for c in components):
+        key = _ray_key(components, radicands.pop())
+        if key is None:
             raise ValueError(f"vector {id!r} is the zero vector")
-        return super().__new__(cls, id, components, _ray_key(components, radicands.pop()))
+        return super().__new__(cls, id, components, key)
 
     def __getnewargs__(self) -> tuple[str, tuple[ExactScalar, ...]]:  # copy and pickle
         return self.id, self.components

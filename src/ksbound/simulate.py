@@ -121,10 +121,11 @@ def _geometric_gaps(gen: np.random.Generator, r: float, ahead: int, out: np.ndar
         out[past] = ahead
 
 
-def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.ndarray]:
+def _live_flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.ndarray]:
     """The flipped positions of a run of ``total`` < 2^63 - 1 slots, one chunk
     of ``width`` positions at a time, each as sorted offsets from the chunk
-    start.  A chunk is a view of a buffer reused by the next one.
+    start, until no flip is left in the run.  A chunk is a view of a buffer
+    reused by the next one.
 
     One Philox(key=seed) stream of geometric(r) gaps (``_geometric_gaps``)
     places flip k at p_k = p_{k-1} + g_k with p_0 = -1.  Positions drawn past
@@ -134,12 +135,12 @@ def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.nd
     import numpy as np
 
     gen = np.random.Generator(np.random.Philox(key=seed))
-    last = -1  # the last position drawn
+    last = -1 if r > 0 else total  # the last position drawn; at r = 0 none lands in the run
     held = np.empty(0, dtype=np.int64)  # offsets from lo of the carried and drawn flips
     m = 0  # how many of ``held`` are in use
     for lo in range(0, total, width):
         hi = min(lo + width, total)
-        while r > 0 and last < hi - 1:
+        while last < hi - 1:
             ahead = total - last  # a gap this long lands past the run
             mean = r * (hi - 1 - last)
             # about 4 sigma past the mean count, so one draw usually reaches
@@ -159,6 +160,16 @@ def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.nd
         yield held[:cut]
         m -= cut
         held[:m] = held[cut : cut + m] - width  # the carry, from the next lo
+        if last >= total - 1 and (m == 0 or held[0] >= total - lo - width):
+            return  # drawn past the run, and nothing carried lands in it
+
+
+def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.ndarray]:
+    """Every chunk of the run: ``_live_flip_offsets``'s, then empty ones."""
+    import numpy as np
+
+    live, empty = _live_flip_offsets(seed, r, total, width), np.empty(0, dtype=np.int64)
+    return (next(live, empty) for _ in range(0, total, width))
 
 
 def _slot_layout(model: TrialModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,8 +326,10 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     and connections (all-pairs list from build_stats) whose two slots
     disagree.
 
-    Only the flips are drawn (see ``_flip_offsets``), a chunk at a time; a
-    chunk holds one trial or, beyond that, at most CHUNK_SLOTS trial-slots.
+    Only the flips are drawn (see ``_live_flip_offsets``), a chunk at a
+    time; a chunk holds one trial or, beyond that, at most CHUNK_SLOTS
+    trial-slots.  Once the stream has no flip left in the run, the trials
+    left are counted at once, as copies of one trial without flips.
     One of two kernels counts every chunk of a run, chosen once from its
     rate and set by ``_dense_wins``.  ``_sparse_kernel`` re-counts only the
     contexts and connections the flips touch, so its cost grows with the
@@ -356,12 +369,19 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     conn_mismatches = np.zeros(n_conn, dtype=np.int64)
     total_defect = 0
     min_trial = slots + n_conn + 1
-    offsets = _flip_offsets(model.seed, model.flip_rate, trials * slots, rows * slots)
-    for done, q in zip(range(0, trials, rows), offsets):
+    done = 0
+    for q in _live_flip_offsets(model.seed, model.flip_rate, trials * slots, rows * slots):
         ctx, conn, total, least = count(q, min(rows, trials - done))
         ctx_errors += ctx
         conn_mismatches += conn
         total_defect += total
+        min_trial = min(min_trial, least)
+        done += rows
+    if done < trials:  # the stream has ended: each trial left is one without flips
+        ctx, conn, total, least = count(np.empty(0, dtype=np.int64), 1)
+        ctx_errors += (trials - done) * ctx
+        conn_mismatches += (trials - done) * conn
+        total_defect += (trials - done) * total
         min_trial = min(min_trial, least)
     return SimSummary(
         seed=model.seed,

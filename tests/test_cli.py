@@ -339,6 +339,23 @@ def test_simulate_tiny_rate_exits_at_once(rate):
     assert "min per-trial defect 1" in done.stdout
 
 
+@pytest.mark.parametrize("target, rate, trials", [
+    ("catalog:cabello18", "0", 10**12),
+    ("e7", "1e-300", (2**63 - 1) // 7 - 1),
+])
+def test_simulate_counts_trials_after_the_last_flip_at_once(tmp_path, target, rate, trials):
+    # no flip lands in these runs, whose 149,796-trial chunks number up to 8.8e12
+    if target == "e7":
+        target = tmp_path / "e7.ksset"
+        vecs = "".join(f"vec e{i} {' '.join('1' if j == i else '0' for j in range(7))}\n" for i in range(7))
+        target.write_text(f"ksset 1\nname e7\ndim 7\n{vecs}ctx {' '.join(f'e{i}' for i in range(7))}\n")
+    argv = [sys.executable, "-m", "ksbound", "simulate", str(target), "--r", rate, "--trials", str(trials)]
+    env = {**os.environ, "PYTHONPATH": str(Path(ksbound.__file__).resolve().parents[1])}
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=5, env=env)
+    assert done.returncode == 0, done.stderr
+    assert f"{trials} trials" in done.stdout
+
+
 def test_simulate_rejects_run_past_int64_positions(capsys):
     argv = ["simulate", "catalog:cabello18", "--r", "0.1", "--trials", str(10**18)]
     assert main(argv) == 1

@@ -191,6 +191,21 @@ def test_component_errors():
         rejects(base + f"vec a 1/{digit} 0 0\n", "malformed rational", line=4)
 
 
+def test_repeated_tokens_parse_as_fresh_ones():
+    # a bad token is reported where it first occurs, even when it recurs
+    base = "ksset 1\nname x\ndim 3\nvec a 1 0 0\n"
+    rejects(base + "vec b 0 1/0 1\nvec c 0 0 1\nvec d 1/0 1 1\n", "zero denominator", line=5)
+    rejects(base + "vec b 0 1 1\nvec c 0 1 -1\nvec z 0 0 0\n", "zero vector", line=7)
+    # vectors that share component tokens get the keys of fresh components
+    rows = [("a", (1, 0, 0)), ("b", (0, 1, 1)), ("c", (0, 1, -1)), ("d", (Fraction(1, 2), -1, 1)),
+            ("e", (0, Fraction(1, 2), 1))]
+    text = "".join(f"vec {vid} " + " ".join(map(str, comps)) + "\n" for vid, comps in rows)
+    ks = parses("ksset 1\nname x\ndim 3\n" + text)
+    fresh = kb.make_set("x", 3, rows, [])
+    assert [v.key for v in ks.vectors] == [v.key for v in fresh.vectors]
+    assert ks.vectors == fresh.vectors
+
+
 def test_ctx_directive_errors():
     base = "ksset 1\nname x\ndim 3\nvec a 1 0 0\nvec b 0 1 0\nvec c 0 0 1\n"
     rejects(base + "ctx a b\n", "context has 2 ids, expected 3", line=7)

@@ -68,6 +68,8 @@ def test_ray_vector_validation():
         RayVector("e", ())
     with pytest.raises(RingMismatchError):
         RayVector("m", (ExactScalar.of(1, 0, 2), ExactScalar.of(1, 0, 3)))
+    with pytest.raises(RingMismatchError):  # the ring check comes before the zero check
+        RayVector("m0", (ExactScalar.of(0, 0, 2), ExactScalar.of(0, 0, 3), ExactScalar.of(0, 0, 2)))
 
 
 def test_context_rejects_repeats():

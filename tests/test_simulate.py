@@ -324,6 +324,31 @@ def test_zero_rate_repeats_the_base_defect(kp36, monkeypatch):
             assert summary.min_trial_defect == sum(broken)
 
 
+def test_trials_after_the_stream_ends_are_counted_at_once(kp36):
+    # at r = 0 the stream ends within the first chunk, so 10^15 trials cost
+    # one chunk and one trial without flips, and repeat the base exactly
+    model = TrialModel(kp36, default_base(kp36), 0.0, seed=3)
+    one = simulate_model(model, 1)
+    trials = 10**15
+    many = simulate_model(model, trials)
+    assert many.context_error_counts == tuple(trials * c for c in one.context_error_counts)
+    assert many.connection_mismatch_counts == tuple(
+        trials * c for c in one.connection_mismatch_counts
+    )
+    assert many.total_defect == trials * one.total_defect
+    assert many.min_trial_defect == one.min_trial_defect >= 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stream_ending_mid_run_matches_dense_reference(kp36, seed, monkeypatch):
+    # at most one flip in 99,000 trial-slots: for seeds 0, 1 and 4 the stream
+    # ends after a flip in chunk 5, 327 or 1 of 429, and the rest is counted at once
+    model = TrialModel(kp36, default_base(kp36), 5e-6, seed)
+    expect = dense_reference(model, 3000)
+    set_chunk_rows(monkeypatch, kp36, 7)
+    assert simulate_model(model, 3000) == expect
+
+
 def test_defect_monotone_in_noise(kernaghan20):
     base = default_base(kernaghan20)
     low = simulate_model(TrialModel(kernaghan20, base, 0.01, seed=8), 50_000)
