@@ -1,8 +1,30 @@
 import math
+from itertools import combinations
 
 import pytest
 
 import ksbound as kb
+
+
+def all_pairs_connections(ks):
+    """Every connection of ``ks`` as (vector id, (a, b)) with contexts a < b:
+    each unordered pair of contexts that share the vector, so a vector in k
+    contexts gives C(k, 2) of them.  Vectors come in declaration order and
+    each vector's pairs in lexicographic order.  This is the tests' reference
+    for the all-pairs M and for the connection order of ``simulate_model``."""
+    appears = {v.id: [] for v in ks.vectors}
+    for ci, ctx in enumerate(ks.contexts):
+        for vid in ctx.vector_ids:
+            appears[vid].append(ci)
+    return [(vid, pair) for vid, cis in appears.items() for pair in combinations(cis, 2)]
+
+
+def connection_slots(ks):
+    """The (left, right) slots of each connection in ``all_pairs_connections``
+    order, where slot ci*d + p is position p of context ci."""
+    d = ks.dimension
+    at = [{vid: p for p, vid in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
+    return [(a * d + at[a][vid], b * d + at[b][vid]) for vid, (a, b) in all_pairs_connections(ks)]
 
 
 @pytest.fixture(scope="session")

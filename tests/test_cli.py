@@ -301,6 +301,10 @@ def test_large_fan_runs_within_the_default_recursion_limit(tmp_path, capsys):
     assert main(["simulate", str(path), "--r", "0.01", "--trials", "100"]) == 0
     captured = capsys.readouterr()
     assert "not applicable (set is colorable)" in captured.out and captured.err == ""
+    assert main(["stats", str(path), "--json"]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["M"] == doc["m_all_pairs"] == 1000 * 999 // 2 and captured.err == ""
 
 
 def test_simulate_json_byte_deterministic(capsys):

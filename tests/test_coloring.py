@@ -6,11 +6,11 @@ from itertools import combinations
 import pytest
 
 import ksbound as kb
+from conftest import connection_slots
 from ksbound import (
     KsSet,
     assignment_defect,
     brute_force_coloring,
-    build_stats,
     find_coloring,
     make_set,
     min_defect,
@@ -291,6 +291,38 @@ def test_random_slot_assignments_never_beat_min_defect(cabello18):
         assert s + c >= 1
 
 
+def reference_assignment_defect(ks, slots):
+    """``assignment_defect`` from the all-pairs connection list: the contexts
+    whose sum is not d-1, and the connections whose two slots differ."""
+    d = ks.dimension
+    sums = sum(sum(slots[(ci, p)] for p in range(d)) != d - 1 for ci in range(len(ks.contexts)))
+    split = sum(slots[divmod(a, d)] != slots[divmod(b, d)] for a, b in connection_slots(ks))
+    return sums, split
+
+
+def test_assignment_defect_matches_the_all_pairs_reference(catalog_sets, fan50, cabello18x2):
+    # seeded slot assignments that split rays: uniform bits, a per-vector
+    # value with a few slots flipped, and one with every slot flipped at 0.2
+    rng = random.Random(14)
+    for ks in (*catalog_sets, fan50, cabello18x2):
+        layout = [(ci, p, vid) for ci, ctx in enumerate(ks.contexts) for p, vid in enumerate(ctx.vector_ids)]
+        splits = set()
+        for trial in range(30):
+            value = {v.id: rng.randint(0, 1) for v in ks.vectors}
+            slots = {(ci, p): value[vid] for ci, p, vid in layout}
+            if trial % 3 == 0:
+                slots = {slot: rng.randint(0, 1) for slot in slots}
+            elif trial % 3 == 1:
+                for slot in rng.sample(sorted(slots), rng.randint(1, 3)):
+                    slots[slot] ^= 1
+            else:
+                slots = {slot: x ^ (rng.random() < 0.2) for slot, x in slots.items()}
+            got = assignment_defect(ks, slots)
+            assert got == reference_assignment_defect(ks, slots), (ks.name, trial)
+            splits.add(got[1])
+        assert len(splits) > 2, ks.name  # rays were split, and in more than one way
+
+
 def test_bulk_random_assignments_defect_floor(cabello18):
     # simulate_model at r=1/2 XORs the base with uniform random bits, so its
     # per-trial minimum sweeps 10^5 uniformly random slot assignments.
@@ -368,8 +400,7 @@ def milp_min_defect(ks):
     scipy_optimize = pytest.importorskip("scipy.optimize")
     d = ks.dimension
     n_ctx = len(ks.contexts)
-    at = [{vid: p for p, vid in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
-    pairs = [(a * d + at[a][vid], b * d + at[b][vid]) for vid, (a, b) in build_stats(ks).connections]
+    pairs = connection_slots(ks)
     n_slots = n_ctx * d
     size = n_slots + n_ctx + len(pairs)
     rows, lower, upper = [], [], []

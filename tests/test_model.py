@@ -1,7 +1,10 @@
 """Vectors, contexts, set construction, and derived statistics."""
 import copy
+import importlib
 import pickle
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +257,14 @@ def test_records_are_immutable_hashable_values(two_triads):
     with pytest.raises(TypeError):
         3 * ExactScalar.of(1)
     assert kb.__all__ == PUBLIC_NAMES
+
+
+def test_bench_traces_only_functions_that_exist():
+    # bench/spans.py looks these up by name only when a run is traced, so a
+    # renamed or removed function would otherwise break traced runs alone
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "spans.py"))
+    names = spans["SPANNED"] + spans["COUNTED"]
+    assert ("model", "build_stats") in names
+    for module, function in names:
+        assert callable(getattr(importlib.import_module(f"ksbound.{module}"), function, None)), (
+            module, function)

@@ -9,6 +9,7 @@ import pytest
 
 import ksbound as kb
 import ksbound.simulate as sim
+from conftest import connection_slots
 from ksbound import (
     SimSummary,
     TrialModel,
@@ -131,7 +132,7 @@ def test_model_determinism_and_chunk_invariance(kernaghan20, monkeypatch):
 
 
 def reference_flip_offsets(seed, r, total, width):
-    """``_flip_offsets`` as it was before its gaps were drawn into reused
+    """``flip_offsets`` as it was before its gaps were drawn into reused
     buffers: fresh arrays from ``Generator.geometric`` for every draw."""
     gen = np.random.Generator(np.random.Philox(key=seed))
     last = -1  # the last position drawn
@@ -156,6 +157,12 @@ def reference_flip_offsets(seed, r, total, width):
         yield flips[:cut] - lo
 
 
+def flip_offsets(seed, r, total, width):
+    """Every chunk of the run: ``_live_flip_offsets``'s, then empty ones."""
+    live, empty = sim._live_flip_offsets(seed, r, total, width), np.empty(0, dtype=np.int64)
+    return (next(live, empty) for _ in range(0, total, width))
+
+
 #: rates either side of numpy's geometric switch at 1/3, and two (5e-324 and
 #: 1e-300) whose gaps saturate at 2^63 - 1
 STREAM_RATES = [
@@ -172,7 +179,7 @@ def test_flip_offsets_match_reference(rate):
         runs.append((2**63 - 2, 2**63 - 2))
     for total, width in runs:
         for seed in (0, 5):
-            got = [q.copy() for q in sim._flip_offsets(seed, rate, total, width)]
+            got = [q.copy() for q in flip_offsets(seed, rate, total, width)]
             want = list(reference_flip_offsets(seed, rate, total, width))
             assert len(got) == len(want), (total, width, seed)
             for i, (a, b) in enumerate(zip(got, want)):
@@ -216,7 +223,6 @@ def dense_reference(model, trials):
     """The counters of ``simulate_model`` from the whole (trial, slot) flip
     matrix: the same geometric gaps, evaluated densely."""
     ks, r = model.ks_set, model.flip_rate
-    st = build_stats(ks)
     d, n_ctx = ks.dimension, len(ks.contexts)
     slots = n_ctx * d
     flips = np.zeros(trials * slots, dtype=bool)
@@ -225,9 +231,7 @@ def dense_reference(model, trials):
         pos = np.cumsum(gaps) - 1
         flips[pos[pos < trials * slots]] = True
     base = np.array([model.base[v] for ctx in ks.contexts for v in ctx.vector_ids], dtype=bool)
-    at = [{v: p for p, v in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
-    left = [a * d + at[a][v] for v, (a, b) in st.connections]
-    right = [b * d + at[b][v] for v, (a, b) in st.connections]
+    left, right = np.array(connection_slots(ks), dtype=np.intp).reshape(-1, 2).T
     values = flips.reshape(trials, slots) ^ base
     bad_ctx = values.reshape(trials, n_ctx, d).sum(axis=2) != d - 1
     mism = values[:, left] != values[:, right]
@@ -279,18 +283,29 @@ def test_model_matches_dense_reference(case, rate, request, monkeypatch):
 )
 def test_kernels_agree_on_the_same_flips(case, rate, request):
     # the two chunk counters must give equal partial counters from the same
-    # _flip_offsets chunks, whichever one simulate_model would pick
+    # flip_offsets chunks, whichever one simulate_model would pick
     model = case_model(case, rate, 5, request)
     layout = sim._slot_layout(model)
     slots, d, rate, trials = len(layout[0]), model.ks_set.dimension, model.flip_rate, 60
     for rows in (1, 7, sim.CHUNK_SLOTS // slots):
         sparse = sim._sparse_kernel(*layout, d, rows)
         dense = sim._dense_kernel(*layout, d, rows)
-        chunks = sim._flip_offsets(5, rate, trials * slots, rows * slots)
+        chunks = flip_offsets(5, rate, trials * slots, rows * slots)
         for done, q in zip(range(0, trials, rows), chunks):
             n = min(rows, trials - done)
             got, want = dense(q, n), sparse(q, n)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), (rows, done)
+
+
+@pytest.mark.parametrize("name", ["cabello18", "kernaghan20", "kp36", "fan50"])
+def test_slot_layout_lists_connections_in_all_pairs_order(name, request):
+    # the order of connection_mismatch_counts, and so of delta_hat, is the
+    # all-pairs order: rays in declaration order, context pairs lexicographic
+    ks = request.getfixturevalue(name)
+    base, left, right = sim._slot_layout(TrialModel(ks, default_base(ks), 0.1, seed=0))
+    want = connection_slots(ks)
+    assert left.tolist() == [a for a, _ in want] and right.tolist() == [b for _, b in want]
+    assert len(base) == len(ks.contexts) * ks.dimension
 
 
 def test_kernel_rule_is_sparse_at_r_star_and_dense_at_0_1(catalog_sets):
