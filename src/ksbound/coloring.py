@@ -9,10 +9,12 @@ set colorable, and it is >= 1 exactly when the set is KS.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from itertools import combinations
 from typing import Mapping, NamedTuple, Optional
 
-from .model import KsSet, build_stats, orthogonal
+from .model import KsSet, orthogonal
 
 BRUTE_FORCE_LIMIT = 25
 
@@ -196,21 +198,24 @@ class DefectReport(NamedTuple):
 def assignment_defect(ks: KsSet, slots: SlotAssignment) -> tuple[int, int]:
     """(wrong-sum contexts, disagreeing connections) of a total slot assignment.
 
-    Connections are the all-pairs list from build_stats; an m_override never
-    changes which agreements are counted.
+    Connections are all pairs of a ray's slots, so a ray in k contexts whose
+    slots hold value x c_x times has C(k, 2) - Sum_x C(c_x, 2) disagreeing
+    ones (zeros times ones for 0/1 values); an m_override never changes
+    which agreements are counted.
     """
-    stats = build_stats(ks)
     d = ks.dimension
     sum_defects = 0
+    held: dict[str, list[int]] = {}
     for ci, ctx in enumerate(ks.contexts):
-        s = sum(slots[(ci, p)] for p in range(d))
-        if s != d - 1:
+        values = [slots[(ci, p)] for p in range(d)]
+        if sum(values) != d - 1:
             sum_defects += 1
-    pos_in_ctx = [{vid: p for p, vid in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
-    connection_defects = 0
-    for vid, (a, b) in stats.connections:
-        if slots[(a, pos_in_ctx[a][vid])] != slots[(b, pos_in_ctx[b][vid])]:
-            connection_defects += 1
+        for vid, x in zip(ctx.vector_ids, values):
+            held.setdefault(vid, []).append(x)
+    connection_defects = sum(
+        math.comb(len(xs), 2) - sum(math.comb(c, 2) for c in Counter(xs).values())
+        for xs in held.values()
+    )
     return sum_defects, connection_defects
 
 

@@ -15,7 +15,6 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
 
@@ -269,23 +268,19 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
 class SetStats(NamedTuple):
     """Derived statistics of a KsSet.
 
-    n and N are the vector and context counts.  ``connections`` lists every
-    unordered pair of contexts sharing a vector, one entry per shared vector,
-    so a vector appearing in k contexts contributes C(k, 2) entries.  M equals
-    the length of that list unless the set carries an explicit override (used
-    when a published connection count follows a different convention); the
-    connection list itself always stays the all-pairs default.
+    n and N are the vector and context counts, and ``multiplicities`` gives
+    each vector's number k_v of contexts.  A connection is an unordered pair
+    of contexts sharing a vector, one per shared vector, so ``m_all_pairs``
+    is Sum_v C(k_v, 2).  M equals it unless the set carries an explicit
+    override (used when a published connection count follows a different
+    convention); ``m_all_pairs`` always stays the all-pairs count.
     """
 
     n: int
     N: int
     M: int
     multiplicities: Mapping[str, int]
-    connections: tuple[tuple[str, tuple[int, int]], ...]
-
-    @property
-    def m_all_pairs(self) -> int:
-        return len(self.connections)
+    m_all_pairs: int
 
 
 def _check_pair(u: RayVector, v: RayVector) -> None:
@@ -335,29 +330,23 @@ def orthogonal(u: RayVector, v: RayVector) -> bool:
 
 
 def build_stats(ks: KsSet) -> SetStats:
-    """Derive n, N, M, per-vector multiplicities, and the connection list.
+    """Derive n, N, M and the per-vector multiplicities.
 
     The default M counts all unordered context pairs per shared vector,
-    Sum_v C(k_v, 2); an m_override on the set replaces the reported M but the
-    connection list keeps the default pairs.
+    Sum_v C(k_v, 2); an m_override on the set replaces the reported M but
+    not ``m_all_pairs``.
     """
     mult: dict[str, int] = {v.id: 0 for v in ks.vectors}
-    appears: dict[str, list[int]] = {v.id: [] for v in ks.vectors}
-    for ci, ctx in enumerate(ks.contexts):
+    for ctx in ks.contexts:
         for vid in ctx.vector_ids:
             mult[vid] += 1
-            appears[vid].append(ci)
-    connections: list[tuple[str, tuple[int, int]]] = []
-    for v in ks.vectors:
-        for a, b in combinations(appears[v.id], 2):
-            connections.append((v.id, (a, b)))
-    m = ks.m_override if ks.m_override is not None else len(connections)
+    m_all_pairs = sum(math.comb(k, 2) for k in mult.values())
     return SetStats(
         n=len(ks.vectors),
         N=len(ks.contexts),
-        M=m,
+        M=ks.m_override if ks.m_override is not None else m_all_pairs,
         multiplicities=mult,
-        connections=tuple(connections),
+        m_all_pairs=m_all_pairs,
     )
 
 

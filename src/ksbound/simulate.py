@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .coloring import DefectReport, min_defect
-from .model import KsSet, build_stats
+from .model import KsSet
 
 if TYPE_CHECKING:
     import numpy as np
@@ -164,17 +165,10 @@ def _live_flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[
             return  # drawn past the run, and nothing carried lands in it
 
 
-def _flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.ndarray]:
-    """Every chunk of the run: ``_live_flip_offsets``'s, then empty ones."""
-    import numpy as np
-
-    live, empty = _live_flip_offsets(seed, r, total, width), np.empty(0, dtype=np.int64)
-    return (next(live, empty) for _ in range(0, total, width))
-
-
 def _slot_layout(model: TrialModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The base value of each slot, context by context, and the left and right
-    slots of each connection, in build_stats' all-pairs order."""
+    slots of each connection: every pair of a ray's slots, rays in declaration
+    order and each ray's slots in context order."""
     import numpy as np
 
     ks = model.ks_set
@@ -182,11 +176,12 @@ def _slot_layout(model: TrialModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     base = np.array(
         [model.base[vid] for ctx in ks.contexts for vid in ctx.vector_ids], dtype=np.int64
     )
-    at = [{vid: p for p, vid in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
-    conn_slots = [
-        (a * d + at[a][vid], b * d + at[b][vid]) for vid, (a, b) in build_stats(ks).connections
-    ]
-    left, right = np.array(conn_slots, dtype=np.intp).reshape(-1, 2).T
+    held: dict[str, list[int]] = {v.id: [] for v in ks.vectors}
+    for ci, ctx in enumerate(ks.contexts):
+        for p, vid in enumerate(ctx.vector_ids):
+            held[vid].append(ci * d + p)
+    pairs = chain.from_iterable(combinations(at, 2) for at in held.values())
+    left, right = np.fromiter(chain.from_iterable(pairs), dtype=np.intp).reshape(-1, 2).T
     return base, left, right
 
 
@@ -323,8 +318,8 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
 
     Per trial: flip each of the N*d slots of the base table independently
     with probability r, then count contexts whose slot sum differs from d-1
-    and connections (all-pairs list from build_stats) whose two slots
-    disagree.
+    and connections (every pair of a ray's slots, see ``_slot_layout``)
+    whose two slots disagree.
 
     Only the flips are drawn (see ``_live_flip_offsets``), a chunk at a
     time; a chunk holds one trial or, beyond that, at most CHUNK_SLOTS

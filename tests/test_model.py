@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ksbound as kb
+from conftest import all_pairs_connections
 from ksbound import (
     Context,
     DimensionMismatchError,
@@ -107,14 +108,15 @@ def test_vector_lookup(triad):
 def test_stats_single_triad(triad):
     st = build_stats(triad)
     assert (st.n, st.N, st.M) == (3, 1, 0)
-    assert st.connections == ()
+    assert st.m_all_pairs == 0
     assert st.multiplicities == {"a": 1, "b": 1, "c": 1}
 
 
 def test_stats_shared_vector(two_triads):
     st = build_stats(two_triads)
     assert (st.n, st.N, st.M) == (5, 2, 1)
-    assert st.connections == (("a", (0, 1)),)
+    assert st.m_all_pairs == 1
+    assert all_pairs_connections(two_triads) == [("a", (0, 1))]
     assert st.multiplicities["a"] == 2
 
 
@@ -130,7 +132,7 @@ def test_stats_override_keeps_connections(two_triads):
     st = build_stats(ks)
     assert st.M == 7
     assert st.m_all_pairs == 1
-    assert st.connections == (("a", (0, 1)),)
+    assert all_pairs_connections(ks) == [("a", (0, 1))]
 
 
 def test_stats_slot_count_identity(catalog_sets):
@@ -159,10 +161,12 @@ def test_kp36_override_structure(kp36):
     assert mults.count(2) == 28 and mults.count(4) == 8
 
 
-def test_connection_pairs_are_ordered(catalog_sets):
-    for ks in catalog_sets:
+def test_connection_pairs_are_ordered(catalog_sets, fan50):
+    for ks in (*catalog_sets, fan50):
         st = build_stats(ks)
-        for vid, (a, b) in st.connections:
+        connections = all_pairs_connections(ks)
+        assert len(connections) == st.m_all_pairs
+        for vid, (a, b) in connections:
             assert 0 <= a < b < st.N
             assert vid in ks.contexts[a].vector_ids
             assert vid in ks.contexts[b].vector_ids
@@ -197,7 +201,7 @@ def test_records_are_immutable_hashable_values(two_triads):
         vec("a", 1, 0, 0), ("id", "components", "key"),
         ks.contexts[0], ("vector_ids",),
         ks, ("name", "dimension", "ring_radicand", "vectors", "contexts", "m_override"),
-        stats, ("n", "N", "M", "multiplicities", "connections"),
+        stats, ("n", "N", "M", "multiplicities", "m_all_pairs"),
         kb.inequality_margin(1, 1, 0.1, 0.1), ("margin", "contradiction"),
         kb.delta_lower_bound(1, 2, 0), ("value", "vacuous"),
         kb.critical_rate(9, 18, 4), ("r", "floor4", "bracket_low", "bracket_high", "iterations"),
