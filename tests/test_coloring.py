@@ -305,7 +305,9 @@ def test_assignment_defect_matches_the_all_pairs_reference(catalog_sets, fan50, 
     # value with a few slots flipped, and one with every slot flipped at 0.2
     rng = random.Random(14)
     for ks in (*catalog_sets, fan50, cabello18x2):
-        layout = [(ci, p, vid) for ci, ctx in enumerate(ks.contexts) for p, vid in enumerate(ctx.vector_ids)]
+        layout = [
+            (ci, p, vid) for ci, ctx in enumerate(ks.contexts) for p, vid in enumerate(ctx.vector_ids)
+        ]
         splits = set()
         for trial in range(30):
             value = {v.id: rng.randint(0, 1) for v in ks.vectors}
