@@ -22,7 +22,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .model import Context, ExactScalar, KsSet, RayVector, check_radicand, orthogonal
+from .model import Context, ExactScalar, KsSet, RayVector, _keys_orthogonal, check_radicand
 
 _IDENT = re.compile(r"^[A-Za-z0-9_.-]+$")
 _RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -87,11 +87,12 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
     Beyond the grammar itself, the parser enforces the set invariants that a
     document can break: duplicate vector ids, two declarations of the same
     ray, repeated contexts, references to undeclared ids, and contexts that
-    are not pairwise orthogonal (checked exactly).  Rays are compared through
-    their canonical keys (:func:`ksbound.model.same_ray`), so a duplicate is
-    one dict lookup.  Each distinct component token is parsed once per
-    document and its scalar shared by every vector that repeats it: ``field``
-    precedes every ``vec``, so a token always means the same scalar.
+    are not pairwise orthogonal (checked exactly, on the ray keys).  Rays are
+    compared through their canonical keys (:func:`ksbound.model.same_ray`),
+    so a duplicate is one dict lookup.  Each distinct component token is
+    parsed once per document and its scalar shared by every vector that
+    repeats it: ``field`` precedes every ``vec``, so a token always means the
+    same scalar.
     """
     # str.splitlines would also end a line at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
     raw_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -196,8 +197,10 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
                 raise ParseError(
                     f"duplicate context (same vectors as line {ctx_key_seen[key]})", lineno
                 )
+            # every vector has dim components over the field's ring, so only
+            # the keys are tested
             for a, b in combinations(ids, 2):
-                if not orthogonal(vectors[a], vectors[b]):
+                if not _keys_orthogonal(vectors[a].key, vectors[b].key, radicand):
                     raise ParseError(f"context not orthogonal ({a}·{b} != 0)", lineno)
             ctx_key_seen[key] = lineno
             contexts.append(Context(tuple(ids)))

@@ -315,16 +315,24 @@ def same_ray(u: RayVector, v: RayVector) -> bool:
 
 
 def orthogonal(u: RayVector, v: RayVector) -> bool:
-    """True iff the inner product of u and v is exactly zero.
+    """True iff the inner product of u and v is exactly zero (see
+    :func:`_keys_orthogonal`)."""
+    _check_pair(u, v)
+    return _keys_orthogonal(u.key, v.key, u.radicand)
+
+
+def _keys_orthogonal(x: tuple[int, ...], y: tuple[int, ...], k: int) -> bool:
+    """True iff two vectors over Q(sqrt(k)) with ray keys x and y, of one
+    dimension, are orthogonal.
 
     Each key is its vector times a nonzero field element, so the keys'
     product sum(A*C + k*B*D) + sum(A*D + B*C)*sqrt(k) vanishes exactly when
-    the vectors' does; both parts are integers.
+    the vectors' does; both parts are integers.  The caller vouches for the
+    dimension and the ring, as ``orthogonal`` and the parser do.
     """
-    _check_pair(u, v)
-    a, b, c, d = u.key[::2], u.key[1::2], v.key[::2], v.key[1::2]
+    a, b, c, d = x[::2], x[1::2], y[::2], y[1::2]
     return (
-        sum(map(mul, a, c)) + u.radicand * sum(map(mul, b, d)) == 0
+        sum(map(mul, a, c)) + k * sum(map(mul, b, d)) == 0
         and sum(map(mul, a, d)) + sum(map(mul, b, c)) == 0
     )
 

@@ -4,10 +4,11 @@ All randomness comes from a counter-based Philox stream keyed by the 64-bit
 seed, and every count is an exact integer.  ``simulate_model`` is the one
 sampler: it draws only where flips land, one stream of geometric gaps over the
 row-major (trial, slot) index of the whole run (the ``philox-geometric``
-stream).  Two kernels count the same flips: at low rates one re-counts only
-the contexts and connections the flips touch, and at high rates the other
-evaluates a 0/1 table of every slot of the chunk's trials (see
-``simulate_model`` for the rule and its measured crossover).  The stream, the
+stream).  Two kernels count the same flips: at low rates one counts each
+flip as if it were alone in its trial and corrects only where flips share
+one, and at high rates the other evaluates a 0/1 table of every slot of the
+chunk's trials (see ``simulate_model`` for the rule and its measured
+crossover).  The stream, the
 chunks and every counter are the same whichever kernel runs.
 One connection (two triads sharing a ray) and one context (a lone triad) are
 sets like any other, so the analytic rates delta(r) and epsilon(r, d) are
@@ -190,65 +191,97 @@ def _sparse_kernel(
 ) -> Callable[[np.ndarray, int], tuple]:
     """The chunk counter that touches only the flips.
 
-    It counts from the base defect and re-counts only the contexts and
-    connections the flips touch: the base is a per-vector assignment, so
-    every connection agrees before noise, and a connection mismatches exactly
-    when one of its two slots flipped.  Its cost grows with the number of
-    flips.  The returned ``count(q, n)`` takes a chunk's flip offsets ``q``
-    over ``n`` trials and gives its per-context errors, per-connection
-    mismatches, total defect and least per-trial defect.
+    It counts every flip as if it were alone in its trial, then corrects
+    only where flips share a trial.  The base is a per-vector assignment, so
+    every connection agrees before noise.  A lone flip changes its context's
+    verdict by its slot's ``solo_delta`` and mismatches each of the slot's
+    ``degree`` connections, so the chunk's counters follow from its flips per
+    slot and two per-slot tables made once per run.  Where flips share a
+    trial, a (trial, context) with two or more flips adds its actual change
+    less its flips' solo ones, and a connection whose ends both flipped
+    agrees, which takes 2 off its count and its trial's defect.  Its cost
+    grows with the flips, and the corrections' with the flips that share a
+    trial: at r* most flips are alone in theirs.  The returned
+    ``count(q, n)`` takes a chunk's flip offsets ``q`` over ``n`` trials and
+    gives its per-context errors, per-connection mismatches, total defect
+    and least per-trial defect.
     """
     import numpy as np
 
     slots, n_ctx, n_conn = len(base), len(base) // d, len(left)
     base_ones = base.reshape(n_ctx, d).sum(axis=1)
-    base_broken = base_ones != d - 1
+    base_broken = (base_ones != d - 1).astype(np.int64)
     base_defect = int(base_broken.sum())
     step = 1 - 2 * base  # a flip's change to its context's count of ones
+    ctx_of = np.arange(slots) // d
+    solo_delta = (base_ones[ctx_of] + step != d - 1) - base_broken[ctx_of]
     # connections sorted by left end; slot a's run starts at left_first[a]
     by_left = np.argsort(left, kind="stable")
     left_count = np.bincount(left, minlength=slots)
     left_first = np.cumsum(left_count) - left_count
     partner = right[by_left]
     degree = left_count + np.bincount(right, minlength=slots)
+    solo_change = degree + solo_delta  # a lone flip's change to its trial's defect
     flipped = np.zeros(rows * slots, dtype=bool)
 
     def count(q: np.ndarray, n: int) -> tuple:
         q = q.astype(np.int32)  # offsets stay below rows * slots, far under 2^31
-        trial, slot = np.divmod(q, slots)
-
-        # contexts: the net change of each touched (trial, context) count
-        key = q // d  # trial * n_ctx + context, sorted because q is
-        group = np.ones(len(q), dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=group[1:])
-        first = np.flatnonzero(group)
-        g_ctx = slot[first] // d
-        broken = base_ones[g_ctx] + np.add.reduceat(step[slot], first) != d - 1
-        was = base_broken[g_ctx]
-        ctx_errors = n * base_broken.astype(np.int64)
-        ctx_errors += np.bincount(g_ctx[broken & ~was], minlength=n_ctx)
-        ctx_errors -= np.bincount(g_ctx[was & ~broken], minlength=n_ctx)
-
-        # connections: flips at either end, less twice the trials where both
-        # flipped; each flip looks up the right ends of its left-end run
-        ends = left_count[slot]
-        pair = np.repeat(np.arange(len(q)), ends)
-        j = (left_first[slot] - (np.cumsum(ends) - ends))[pair] + np.arange(len(pair))
-        flipped[q] = True
-        both = flipped[(q - slot)[pair] + partner[j]]
-        flipped[q] = False
+        trial = q // slots
+        slot = q - trial * slots  # not divmod, which is several times slower
         per_slot = np.bincount(slot, minlength=slots)
-        conn_mismatches = per_slot[left] + per_slot[right]
-        conn_mismatches -= 2 * np.bincount(by_left[j[both]], minlength=n_conn)
+        ctx_errors = n * base_broken + (per_slot * solo_delta).reshape(n_ctx, d).sum(axis=1)
+        total = n * base_defect + int(per_slot @ solo_change)
 
-        # per flip, the change to its trial's defect; a context's change is
-        # counted at its group's first flip
-        change = degree[slot] - 2 * np.bincount(pair[both], minlength=len(q))
-        change[first] += broken.astype(np.int64) - was
-        # float64 weights; the sums are small integers, so exact
-        per_trial = np.bincount(trial, weights=change, minlength=n)
-        total = n * base_defect + int(change.sum())
-        return ctx_errors, conn_mismatches, total, base_defect + int(per_trial.min())
+        start = np.ones(len(q) + 1, dtype=bool)  # flip i starts a trial; one past the end
+        np.not_equal(trial[1:], trial[:-1], out=start[1:-1])
+        alone = start[:-1] & start[1:]
+        # the least change to a trial's defect; take, not fancy indexing, is faster
+        least = solo_change.take(slot[alone]).min(initial=n_ctx + n_conn)
+        shared = np.flatnonzero(~alone)
+        both_ends = 0  # per connection, the trials where both its ends flipped
+        if len(shared):
+            qs, ss = q[shared], slot[shared]
+            fix = np.zeros(len(qs), dtype=np.int64)  # each shared flip's correction
+
+            # contexts with two or more flips in one trial, fixed at the first
+            key = qs // d  # trial * n_ctx + context, sorted because q is
+            same = np.flatnonzero(key[1:] == key[:-1])  # flips i, i + 1 share one
+            if len(same):
+                member = np.zeros(len(qs), dtype=bool)
+                member[same] = member[same + 1] = True
+                at = np.flatnonzero(member)
+                group = np.ones(len(at), dtype=bool)
+                np.not_equal(key[at[1:]], key[at[:-1]], out=group[1:])
+                first = np.flatnonzero(group)
+                s_at, g_ctx = ss[at], ss[at[first]] // d
+                broken = base_ones[g_ctx] + np.add.reduceat(step[s_at], first) != d - 1
+                g_fix = broken - base_broken[g_ctx] - np.add.reduceat(solo_delta[s_at], first)
+                fix[at[first]] = g_fix
+                # float64 weights; the sums are small integers, so exact
+                ctx_errors += np.bincount(g_ctx, weights=g_fix, minlength=n_ctx).astype(np.int64)
+
+            # connections with both ends flipped: each shared flip looks up the
+            # right ends of its left-end run; a lone flip's partners did not flip
+            ends = left_count.take(ss)
+            pair = np.repeat(np.arange(len(qs)), ends)
+            j = np.arange(len(pair))  # in place: these grow with the pairs
+            j += (left_first.take(ss) - (np.cumsum(ends) - ends)).take(pair)
+            other = partner.take(j)
+            other += (qs - ss).take(pair)
+            flipped[qs] = True
+            both = flipped[other]
+            flipped[qs] = False
+            both_ends = np.bincount(by_left[j[both]], minlength=n_conn)
+            fix -= 2 * np.bincount(pair[both], minlength=len(qs))
+
+            # the change of each trial with two or more flips
+            per_trial = np.add.reduceat(solo_change.take(ss) + fix, np.flatnonzero(start[shared]))
+            least = min(least, per_trial.min())
+            total += int(fix.sum())
+        if np.count_nonzero(start[:-1]) < n:  # a trial without flips keeps the base defect
+            least = min(least, 0)
+        conn_mismatches = per_slot[left] + per_slot[right] - 2 * both_ends
+        return ctx_errors, conn_mismatches, total, base_defect + int(least)
 
     return count
 
@@ -326,15 +359,16 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     trial-slots.  Once the stream has no flip left in the run, the trials
     left are counted at once, as copies of one trial without flips.
     One of two kernels counts every chunk of a run, chosen once from its
-    rate and set by ``_dense_wins``.  ``_sparse_kernel`` re-counts only the
-    contexts and connections the flips touch, so its cost grows with the
-    flips; ``_dense_kernel`` evaluates a 0/1 table of every slot, so its cost
-    grows with trials * (slots + connections).  On the four benchmark sets
-    they cost the same at 0.017-0.022 flips per slot, about one flip per 85
-    slots and connections.  DENSE_FLIPS = 64 leaves every catalog r* (at
-    most 0.0142) sparse with a 1.6x margin and r = 0.1 dense with a 3.4x
-    one; a set with many connections per slot, such as a fan of 1000 triads
-    on one ray, stays sparse at every rate.  The dense kernel's largest
+    rate and set by ``_dense_wins``.  ``_sparse_kernel`` counts each flip as
+    if it were alone in its trial and corrects where flips share one, so its
+    cost grows with the flips; ``_dense_kernel`` evaluates a 0/1 table of
+    every slot, so its cost grows with trials * (slots + connections).
+    Timed in process on the same chunks of the four benchmark sets, they
+    cost the same at 0.025-0.032 flips per slot, one flip per 47-76 slots
+    and connections, a range that DENSE_FLIPS = 64 lies in.  The rule leaves
+    every catalog r* (at most 0.0142) sparse with a 1.6x margin and r = 0.1
+    dense with a 3.4x one; a set with many connections per slot, such as a
+    fan of 1000 triads on one ray, stays sparse at every rate.  The dense kernel's largest
     per-chunk array holds at most max(CHUNK_SLOTS, slots) bytes.  Both
     kernels give the same counters from the same flips, so the kernel
     changes no counter.

@@ -277,24 +277,51 @@ def test_model_matches_dense_reference(case, rate, request, monkeypatch):
         assert simulate_model(model, 700) == expect, rows
 
 
-@pytest.mark.parametrize("rate", [0.0, 1e-3, "r*", 0.1, 0.5, 1.0])
+def hand_built_chunks(base, left, right, d, n):
+    """Chunks of ``n`` trials, as sorted flip offsets, that each take one
+    path of the sparse kernel: no flip at all; two flips in one (trial,
+    context) that cancel; three flips in one context; the two ends of one
+    connection in one trial, then in two; a flip on a ray in one context
+    only, beside another flip; and a flip in every trial, so that no trial
+    keeps the base defect.  A chunk the set cannot make is left out."""
+    slots = len(base)
+    values = base.reshape(-1, d)
+    chunks = [[], [(0, p) for p in range(3)]]
+    mixed = np.flatnonzero(values.min(axis=1) < values.max(axis=1))
+    if len(mixed):  # a 0 and a 1 flipped leave the context's count of ones
+        c = mixed[0]
+        chunks.append([(0, c * d + values[c].argmin()), (0, c * d + values[c].argmax())])
+    if len(left):
+        chunks += [[(0, left[0]), (0, right[0])], [(0, left[0]), (n - 1, right[0])]]
+    lone = np.flatnonzero(np.bincount(np.concatenate((left, right)), minlength=slots) == 0)
+    if len(lone):
+        chunks.append([(0, lone[0]), (0, (lone[0] + d) % slots)])
+    chunks.append([(t, t % slots) for t in range(n)] + [(0, d % slots)])
+    return [np.array(sorted({t * slots + s for t, s in c}), dtype=np.int64) for c in chunks]
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-3, "r*", 0.1, 0.5, 1.0, "hand"])
 @pytest.mark.parametrize(
     "case", ["cabello18", "kp36", "two_triads", "fan50", "random:cabello18", "random:fan50"]
 )
 def test_kernels_agree_on_the_same_flips(case, rate, request):
     # the two chunk counters must give equal partial counters from the same
-    # flip_offsets chunks, whichever one simulate_model would pick
-    model = case_model(case, rate, 5, request)
+    # flip_offsets chunks, whichever one simulate_model would pick; "hand"
+    # gives them hand_built_chunks instead
+    model = case_model(case, 0.0 if rate == "hand" else rate, 5, request)
     layout = sim._slot_layout(model)
-    slots, d, rate, trials = len(layout[0]), model.ks_set.dimension, model.flip_rate, 60
+    slots, d, trials = len(layout[0]), model.ks_set.dimension, 60
     for rows in (1, 7, sim.CHUNK_SLOTS // slots):
         sparse = sim._sparse_kernel(*layout, d, rows)
         dense = sim._dense_kernel(*layout, d, rows)
-        chunks = flip_offsets(5, rate, trials * slots, rows * slots)
-        for done, q in zip(range(0, trials, rows), chunks):
-            n = min(rows, trials - done)
+        if rate == "hand":
+            chunks = [(q, rows) for q in hand_built_chunks(*layout, d, rows)]
+        else:  # each chunk is counted before the stream reuses its buffer
+            stream = flip_offsets(5, model.flip_rate, trials * slots, rows * slots)
+            chunks = ((q, min(rows, trials - t)) for t, q in zip(range(0, trials, rows), stream))
+        for i, (q, n) in enumerate(chunks):
             got, want = dense(q, n), sparse(q, n)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (rows, done)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (rows, i)
 
 
 @pytest.mark.parametrize("name", ["cabello18", "kernaghan20", "kp36", "fan50"])
