@@ -4,12 +4,13 @@ All randomness comes from a counter-based Philox stream keyed by the 64-bit
 seed, and every count is an exact integer.  ``simulate_model`` is the one
 sampler: it draws only where flips land, one stream of geometric gaps over the
 row-major (trial, slot) index of the whole run (the ``philox-geometric``
-stream).  Two kernels count the same flips: at low rates one counts each
+stream).  Two kernels count the same flips.  At low rates one counts each
 flip as if it were alone in its trial and corrects only where flips share
-one, and at high rates the other evaluates a 0/1 table of every slot of the
-chunk's trials (see ``simulate_model`` for the rule and its measured
-crossover).  The stream, the
-chunks and every counter are the same whichever kernel runs.
+one, pairing the flips that share a ray in one sort.  At high rates the
+other evaluates a slot-major 0/1 table of every slot of the chunk's trials,
+its rows padded to whole 8-byte words so that bit counts sum them (see
+``simulate_model`` for the rule and its measured crossover).  The stream,
+the chunks and every counter are the same whichever kernel runs.
 One connection (two triads sharing a ray) and one context (a lone triad) are
 sets like any other, so the analytic rates delta(r) and epsilon(r, d) are
 checked on this engine too.  Results are reproducible across runs and chunk
@@ -36,7 +37,7 @@ if TYPE_CHECKING:
 #: ``simulate_model`` holds at most this many trial-slots per chunk.
 CHUNK_SLOTS = 1 << 20
 #: ``simulate_model`` counts densely from this many flips per (slot + connection).
-DENSE_FLIPS = 64
+DENSE_FLIPS = 96
 
 
 class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
@@ -182,8 +183,35 @@ def _slot_layout(model: TrialModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         for p, vid in enumerate(ctx.vector_ids):
             held[vid].append(ci * d + p)
     pairs = chain.from_iterable(combinations(at, 2) for at in held.values())
-    left, right = np.fromiter(chain.from_iterable(pairs), dtype=np.intp).reshape(-1, 2).T
+    # copied row by row: gathers by a strided index array are far slower
+    left, right = np.fromiter(chain.from_iterable(pairs), dtype=np.intp).reshape(-1, 2).T.copy()
     return base, left, right
+
+
+def _ray_ranks(
+    left: np.ndarray, right: np.ndarray, slots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per slot, from ``_slot_layout``'s connections: its rank among its
+    ray's slots, its ray's rank-0 slot, and ``to_conn``, such that the
+    connection of the ray's slots s_i and s_j of ranks i < j is
+    ``to_conn[s_i] + j``.
+
+    A slot of rank j is the right end of j connections, and the rank-0 slot
+    is the left end of one with each other slot of its ray.  A ray's pairs
+    are in ``combinations`` order, so the connections of one left end s_i
+    are a run, and (s_i, s_j) lies j - i - 1 past the run's start.
+    """
+    import numpy as np
+
+    rank = np.bincount(right, minlength=slots)
+    root = np.arange(slots)
+    first = rank[left] == 0  # the connections of each ray's rank-0 slot
+    root[right[first]] = left[first]
+    run = np.flatnonzero(np.diff(left, prepend=-1))  # where each left end's run starts
+    to_conn = np.zeros(slots, dtype=np.intp)
+    to_conn[left[run]] = run
+    to_conn -= rank + 1
+    return rank, root, to_conn
 
 
 def _sparse_kernel(
@@ -198,10 +226,14 @@ def _sparse_kernel(
     ``degree`` connections, so the chunk's counters follow from its flips per
     slot and two per-slot tables made once per run.  Where flips share a
     trial, a (trial, context) with two or more flips adds its actual change
-    less its flips' solo ones, and a connection whose ends both flipped
-    agrees, which takes 2 off its count and its trial's defect.  Its cost
-    grows with the flips, and the corrections' with the flips that share a
-    trial: at r* most flips are alone in theirs.  The returned
+    less its flips' solo ones.  Two flips on one ray in one trial are the
+    two ends of one connection, which then agrees: that takes 2 off its
+    count and its trial's defect.  The shared flips are grouped by (trial,
+    ray) with one stable sort, and each group's pairs are listed; a pair's
+    connection follows from its slots' ranks among the ray's slots (see
+    ``_ray_ranks``).  So its cost grows with the flips, and the
+    corrections' with the flips that share a trial and the pairs that share
+    a ray: at r* most flips are alone in their trial.  The returned
     ``count(q, n)`` takes a chunk's flip offsets ``q`` over ``n`` trials and
     gives its per-context errors, per-connection mismatches, total defect
     and least per-trial defect.
@@ -215,14 +247,9 @@ def _sparse_kernel(
     step = 1 - 2 * base  # a flip's change to its context's count of ones
     ctx_of = np.arange(slots) // d
     solo_delta = (base_ones[ctx_of] + step != d - 1) - base_broken[ctx_of]
-    # connections sorted by left end; slot a's run starts at left_first[a]
-    by_left = np.argsort(left, kind="stable")
-    left_count = np.bincount(left, minlength=slots)
-    left_first = np.cumsum(left_count) - left_count
-    partner = right[by_left]
-    degree = left_count + np.bincount(right, minlength=slots)
+    rank, root, to_conn = _ray_ranks(left, right, slots)
+    degree = np.bincount(left, minlength=slots) + rank
     solo_change = degree + solo_delta  # a lone flip's change to its trial's defect
-    flipped = np.zeros(rows * slots, dtype=bool)
 
     def count(q: np.ndarray, n: int) -> tuple:
         q = q.astype(np.int32)  # offsets stay below rows * slots, far under 2^31
@@ -234,13 +261,14 @@ def _sparse_kernel(
 
         start = np.ones(len(q) + 1, dtype=bool)  # flip i starts a trial; one past the end
         np.not_equal(trial[1:], trial[:-1], out=start[1:-1])
-        alone = start[:-1] & start[1:]
-        # the least change to a trial's defect; take, not fancy indexing, is faster
-        least = solo_change.take(slot[alone]).min(initial=n_ctx + n_conn)
-        shared = np.flatnonzero(~alone)
-        both_ends = 0  # per connection, the trials where both its ends flipped
+        shared = np.flatnonzero(~(start[:-1] & start[1:]))
+        alone = per_slot  # per slot, the flips alone in their trial
+        least = n_ctx + n_conn  # the least change to a trial's defect
+        conn_mismatches = per_slot.take(left)
+        conn_mismatches += per_slot.take(right)
         if len(shared):
             qs, ss = q[shared], slot[shared]
+            alone = per_slot - np.bincount(ss, minlength=slots)
             fix = np.zeros(len(qs), dtype=np.int64)  # each shared flip's correction
 
             # contexts with two or more flips in one trial, fixed at the first
@@ -260,27 +288,34 @@ def _sparse_kernel(
                 # float64 weights; the sums are small integers, so exact
                 ctx_errors += np.bincount(g_ctx, weights=g_fix, minlength=n_ctx).astype(np.int64)
 
-            # connections with both ends flipped: each shared flip looks up the
-            # right ends of its left-end run; a lone flip's partners did not flip
-            ends = left_count.take(ss)
-            pair = np.repeat(np.arange(len(qs)), ends)
-            j = np.arange(len(pair))  # in place: these grow with the pairs
-            j += (left_first.take(ss) - (np.cumsum(ends) - ends)).take(pair)
-            other = partner.take(j)
-            other += (qs - ss).take(pair)
-            flipped[qs] = True
-            both = flipped[other]
-            flipped[qs] = False
-            both_ends = np.bincount(by_left[j[both]], minlength=n_conn)
-            fix -= 2 * np.bincount(pair[both], minlength=len(qs))
+            # flips on one ray in one trial: keyed by trial * slots + root and
+            # sorted stably, so that each ray's flips keep their slot order
+            key = qs - ss + root.take(ss)
+            order = np.argsort(key, kind="stable")
+            key = key.take(order)
+            new = np.ones(len(qs) + 1, dtype=bool)  # sorted flip i starts a group; one past
+            np.not_equal(key[1:], key[:-1], out=new[1:-1])
+            bounds = np.flatnonzero(new)
+            # sorted flip i pairs with the ``later[i]`` flips after it in its
+            # group; each pair takes 2 off its trial's defect, here at flip i
+            after = np.arange(1, len(qs) + 1)
+            later = np.repeat(bounds[1:], np.diff(bounds)) - after
+            fix[order] -= 2 * later
+            # pair p of flip i is (i, i + 1 + p - the first pair of i)
+            j = np.repeat(after - (np.cumsum(later) - later), later)
+            j += np.arange(len(j))  # in place: these grow with the pairs
+            s_sorted = ss.take(order)
+            conn = np.repeat(to_conn.take(s_sorted), later)
+            conn += rank.take(s_sorted).take(j)
+            np.subtract.at(conn_mismatches, conn, 2)  # its ends agree
 
             # the change of each trial with two or more flips
             per_trial = np.add.reduceat(solo_change.take(ss) + fix, np.flatnonzero(start[shared]))
-            least = min(least, per_trial.min())
+            least = per_trial.min()
             total += int(fix.sum())
+        least = solo_change[alone > 0].min(initial=least)  # or of a trial with one flip
         if np.count_nonzero(start[:-1]) < n:  # a trial without flips keeps the base defect
             least = min(least, 0)
-        conn_mismatches = per_slot[left] + per_slot[right] - 2 * both_ends
         return ctx_errors, conn_mismatches, total, base_defect + int(least)
 
     return count
@@ -291,50 +326,66 @@ def _dense_kernel(
 ) -> Callable[[np.ndarray, int], tuple]:
     """The chunk counter that evaluates every slot of every trial.
 
-    It fills a slot-major 0/1 table, one row of ``n`` trial values per slot:
-    ``base`` repeated over the trials, with 1 XORed in at each flip.  Context
-    sums are d strided row adds, and connections compare rows ``left`` and
-    ``right`` in blocks of at most ``slots`` connections.  Its cost grows with
-    trials * (slots + connections), whatever the flip count.  Its largest
-    arrays are four uint8 buffers of rows * slots <= max(CHUNK_SLOTS, slots)
-    bytes, made once per run and reused by every chunk; every other array
-    that grows with the trials is no larger, and the rest are the counts, 8
-    bytes per context or connection.  ``count`` has the signature and
-    results of ``_sparse_kernel``'s.
+    It fills a slot-major 0/1 table, one row of trials per slot: 0 at
+    first, 1 at each flip's (slot, trial), worked out from its offset in
+    blocks of at most 2^17 flips, and then ``base`` XORed into every row.
+    Each row is ``width`` trials, ``rows`` rounded up to whole 8-byte words,
+    so a bit count of a row's words sums its 0/1 bytes.  Past ``n``, and so
+    in the pad, the table holds the base alone: connections agree there,
+    and its broken contexts are taken off their counts.  Context sums are
+    d strided row adds, and connections compare rows ``left`` and ``right``
+    in blocks of at most ``slots`` connections.  Its cost grows with trials
+    * (slots + connections), whatever the flip count.  Its largest arrays
+    are three uint8 buffers of slots * width bytes, made once per run and
+    reused by every chunk, and a block's 2^20 bytes of table offsets; every
+    other array it makes is no larger, beside the counts, 8 bytes per
+    context or connection.  ``count`` has the signature and results of
+    ``_sparse_kernel``'s.
     """
     import numpy as np
 
     slots, n_conn = len(base), len(left)
+    width = -(-rows // 8) * 8
     base = base.astype(np.uint8)
+    base_broken = base.reshape(-1, d).sum(axis=1) != d - 1
     ones_type = np.min_scalar_type(d)  # a context's count of ones fits
     defect_type = np.min_scalar_type(slots // d + n_conn)  # a trial's defect fits
     # reused by every chunk: fresh arrays of this size fault in new pages
-    trial_major, slot_major, ends_a, ends_b = np.empty((4, rows * slots), dtype=np.uint8)
+    flat, ends_a, ends_b = np.empty((3, slots * width), dtype=np.uint8)
+    value = flat.reshape(slots, width)
+
+    def row_sums(rows01: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(rows01.view(np.uint64)).sum(axis=1, dtype=np.int64)
 
     def count(q: np.ndarray, n: int) -> tuple:
-        table = trial_major[: n * slots].reshape(n, slots)
-        table[...] = base
-        trial_major[q] ^= 1
-        value = slot_major[: n * slots].reshape(slots, n)
-        value[...] = table.T
+        flat[...] = 0
+        for lo in range(0, len(q), 1 << 17):
+            block = q[lo : lo + (1 << 17)]
+            trial = block // slots
+            at = block * width
+            trial *= slots * width - 1
+            at -= trial  # slot * width + trial
+            flat[at] = 1
+        np.bitwise_xor(value, base[:, None], out=value)
         ones = value[::d].astype(ones_type)
         for p in range(1, d):
             ones += value[p::d]
         broken = ones != d - 1
         per_trial = broken.sum(axis=0, dtype=defect_type)
+        ctx_errors = row_sums(broken) - (width - n) * base_broken
         conn_mismatches = np.empty(n_conn, dtype=np.int64)
         for lo in range(0, n_conn, slots):
             hi = min(lo + slots, n_conn)
-            a = ends_a[: (hi - lo) * n].reshape(hi - lo, n)
-            b = ends_b[: (hi - lo) * n].reshape(hi - lo, n)
+            a = ends_a[: (hi - lo) * width].reshape(hi - lo, width)
+            b = ends_b[: (hi - lo) * width].reshape(hi - lo, width)
             # every end is a valid slot, so "clip" clips nothing; unlike
             # "raise", it writes straight into ``out``
             np.take(value, left[lo:hi], axis=0, out=a, mode="clip")
             np.take(value, right[lo:hi], axis=0, out=b, mode="clip")
             a ^= b  # 1 where the connection's two slots disagree
-            conn_mismatches[lo:hi] = a.sum(axis=1)
+            conn_mismatches[lo:hi] = row_sums(a)
             per_trial += a.sum(axis=0, dtype=defect_type)
-        ctx_errors = np.count_nonzero(broken, axis=1)
+        per_trial = per_trial[:n]
         return ctx_errors, conn_mismatches, int(per_trial.sum()), int(per_trial.min())
 
     return count
@@ -364,14 +415,15 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     cost grows with the flips; ``_dense_kernel`` evaluates a 0/1 table of
     every slot, so its cost grows with trials * (slots + connections).
     Timed in process on the same chunks of the four benchmark sets, they
-    cost the same at 0.025-0.032 flips per slot, one flip per 47-76 slots
-    and connections, a range that DENSE_FLIPS = 64 lies in.  The rule leaves
-    every catalog r* (at most 0.0142) sparse with a 1.6x margin and r = 0.1
-    dense with a 3.4x one; a set with many connections per slot, such as a
-    fan of 1000 triads on one ray, stays sparse at every rate.  The dense kernel's largest
-    per-chunk array holds at most max(CHUNK_SLOTS, slots) bytes.  Both
-    kernels give the same counters from the same flips, so the kernel
-    changes no counter.
+    cost the same at 0.015-0.020 flips per slot, one flip per 74-122 slots
+    and connections, a range that DENSE_FLIPS = 96 lies in.  The rule leaves
+    every catalog r* (at most 0.0142) sparse with a 1.1x margin and r = 0.1
+    dense with a 5.1x one; a set with many connections per slot, such as a
+    fan of 1000 triads on one ray, stays sparse at every rate.  A chunk of
+    more than 8 trials holds a multiple of 8, so no array the dense kernel
+    makes holds more than max(CHUNK_SLOTS, 8 * slots) bytes.  Both kernels
+    give the same counters from the same flips, so the kernel changes no
+    counter.
     A set without contexts has no slots: nothing is drawn, and every counter
     and the per-trial minimum are 0.
     The counters are exact integers and reproducible from (seed, trials)
@@ -392,6 +444,8 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     n_conn = len(left)
 
     rows = max(1, CHUNK_SLOTS // slots)
+    if rows > 8:  # whole 8-byte words of trials, so _dense_kernel pads no row
+        rows -= rows % 8
     kernel = _dense_kernel if _dense_wins(model.flip_rate, slots, n_conn) else _sparse_kernel
     count = kernel(base, left, right, d, rows)
     ctx_errors = np.zeros(n_ctx, dtype=np.int64)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -281,9 +282,12 @@ def hand_built_chunks(base, left, right, d, n):
     """Chunks of ``n`` trials, as sorted flip offsets, that each take one
     path of the sparse kernel: no flip at all; two flips in one (trial,
     context) that cancel; three flips in one context; the two ends of one
-    connection in one trial, then in two; a flip on a ray in one context
-    only, beside another flip; and a flip in every trial, so that no trial
-    keeps the base defect.  A chunk the set cannot make is left out."""
+    connection in one trial, then in two; every slot of the ray with the
+    most slots, if it has three or more, in one trial; the two ends of the
+    first and of the last connection, on two rays, in one trial; a flip on
+    a ray in one context only, beside another flip; and a flip in every
+    trial, so that no trial keeps the base defect.  A chunk the set cannot
+    make is left out."""
     slots = len(base)
     values = base.reshape(-1, d)
     chunks = [[], [(0, p) for p in range(3)]]
@@ -293,6 +297,13 @@ def hand_built_chunks(base, left, right, d, n):
         chunks.append([(0, c * d + values[c].argmin()), (0, c * d + values[c].argmax())])
     if len(left):
         chunks += [[(0, left[0]), (0, right[0])], [(0, left[0]), (n - 1, right[0])]]
+        # a slot that is the right end of k connections has k slots before it on its ray
+        top = np.bincount(right, minlength=slots).argmax()
+        ray = [*left[right == top], top]
+        if len(ray) >= 3:
+            chunks.append([(n - 1, s) for s in ray])
+        if left[-1] not in [left[0], *right[left == left[0]]]:  # not on the first ray
+            chunks.append([(0, left[0]), (0, right[0]), (0, left[-1]), (0, right[-1])])
     lone = np.flatnonzero(np.bincount(np.concatenate((left, right)), minlength=slots) == 0)
     if len(lone):
         chunks.append([(0, lone[0]), (0, (lone[0] + d) % slots)])
@@ -311,7 +322,7 @@ def test_kernels_agree_on_the_same_flips(case, rate, request):
     model = case_model(case, 0.0 if rate == "hand" else rate, 5, request)
     layout = sim._slot_layout(model)
     slots, d, trials = len(layout[0]), model.ks_set.dimension, 60
-    for rows in (1, 7, sim.CHUNK_SLOTS // slots):
+    for rows in (1, 7, 8, 9, sim.CHUNK_SLOTS // slots):
         sparse = sim._sparse_kernel(*layout, d, rows)
         dense = sim._dense_kernel(*layout, d, rows)
         if rate == "hand":
@@ -333,6 +344,29 @@ def test_slot_layout_lists_connections_in_all_pairs_order(name, request):
     want = connection_slots(ks)
     assert left.tolist() == [a for a, _ in want] and right.tolist() == [b for _, b in want]
     assert len(base) == len(ks.contexts) * ks.dimension
+
+
+@pytest.mark.parametrize("name", ["cabello18", "kernaghan20", "kp36", "fan50"])
+def test_ray_ranks_give_each_pair_its_connection(name, request):
+    # the sparse kernel finds the connection of two flips on one ray from
+    # their slots' ranks: every pair of a ray's slots must land on its own
+    # (left, right) entry; kp36 carries an m-override, which the layout ignores
+    ks = request.getfixturevalue(name)
+    base, left, right = sim._slot_layout(TrialModel(ks, default_base(ks), 0.1, seed=0))
+    rank, root, to_conn = sim._ray_ranks(left, right, len(base))
+    held = {v.id: [] for v in ks.vectors}
+    for ci, ctx in enumerate(ks.contexts):
+        for p, vid in enumerate(ctx.vector_ids):
+            held[vid].append(ci * ks.dimension + p)
+    seen = []
+    for at in held.values():
+        assert [rank[s] for s in at] == list(range(len(at)))
+        assert all(root[s] == at[0] for s in at)
+        for a, b in combinations(at, 2):
+            c = to_conn[a] + rank[b]
+            assert (left[c], right[c]) == (a, b)
+            seen.append(c)
+    assert sorted(seen) == list(range(len(left)))
 
 
 def test_kernel_rule_is_sparse_at_r_star_and_dense_at_0_1(catalog_sets):
