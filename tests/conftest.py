@@ -27,6 +27,26 @@ def connection_slots(ks):
     return [(a * d + at[a][vid], b * d + at[b][vid]) for vid, (a, b) in all_pairs_connections(ks)]
 
 
+#: A small valid set over Q(sqrt 2): ``a:b`` is a + b*sqrt(2).
+SURD_SET = """\
+ksset 1
+name surds
+dim 3
+field sqrt 2
+vec a 1 0:1 0
+vec b 0:-1 1 0
+vec c 0 0 1
+vec d 1 0:-1 0
+vec e 0:1 1 0
+vec g 0:1 0:1 0
+vec h 1 -1 0:1
+vec k 0:1/2 0:-1/2 -1
+ctx a b c
+ctx d e c
+ctx g h k
+"""
+
+
 @pytest.fixture(scope="session")
 def cabello18():
     return kb.load_catalog("cabello18")

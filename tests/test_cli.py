@@ -1,7 +1,9 @@
 """CLI behavior: commands, exit codes, diagnostics, JSON determinism."""
+import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import ksbound
+from conftest import SURD_SET
+from ksbound import build_stats, critical_rate, parse_set, serialize_set
 from ksbound.cli import main
 
 GOOD = """\
@@ -309,7 +313,7 @@ def test_large_fan_runs_within_the_default_recursion_limit(tmp_path, capsys):
 
 def test_simulate_json_byte_deterministic(capsys):
     argv = ["simulate", "catalog:kernaghan20", "--r", "0.1",
-            "--trials", "3000", "--seed", "11", "--json"]
+            "--trials", "30000", "--seed", "11", "--json"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
@@ -400,6 +404,55 @@ def test_command_searches_the_full_set_once(argv, cabello18, monkeypatch, capsys
     assert main(argv) == 0
     assert len(full_searches) == 1
     assert json.loads(capsys.readouterr().out)["set"] == "cabello18"
+
+
+#: SHA-256 of every (argv, exit code, stdout, stderr) in ``test_cli_outputs_are_pinned``.
+PINNED_CLI = "59fb4f90656511a9763e5f6cf04de3580664141663e913505bd8290c743d5257"
+
+#: The flip rates ``test_cli_outputs_are_pinned`` simulates at; "r*" is the set's critical rate.
+PINNED_RATES = (0.0, 1e-3, "r*", 0.02, 0.1, 0.5, 1.0)
+
+
+def test_cli_outputs_are_pinned(two_triads, tmp_path, monkeypatch, capsys):
+    # every byte and exit code of every command, in text and --json, on the
+    # catalog, peres57, a Q(sqrt 2) set, a colorable set and a set without
+    # contexts must match across commits; file names are bare, so the digest
+    # holds wherever the suite runs
+    monkeypatch.chdir(tmp_path)
+    peres = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "peres57.py"))
+    files = {
+        "peres57.ksset": peres["peres57_document"](),
+        "surds.ksset": SURD_SET,
+        "two-triads.ksset": serialize_set(two_triads),
+        "lonely.ksset": "ksset 1\nname lonely\ndim 3\nvec a 1 0 0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    sources = {f"catalog:{name}": ksbound.catalog_text(name) for name in ksbound.list_catalog()}
+    sources.update(files)
+    runs = [["table"], ["critical-r", "--N", "40", "--M", "96", "--d", "3"]]
+    for source, text in sources.items():
+        ks = parse_set(text)
+        runs += [[cmd, source] for cmd in ("validate", "stats", "color", "defect", "critical-r")]
+        runs += [["bounds", source], ["bounds", source, "--delta", "0.005", "--epsilon", "0.01"]]
+        st = build_stats(ks)
+        for rate in PINNED_RATES:
+            if rate == "r*":
+                if not st.N or not st.M:  # a set without contexts has no r*
+                    continue
+                rate = critical_rate(st.N, st.M, ks.dimension).r
+            simulate = ["simulate", source, "--r", str(rate), "--trials", "30000"]
+            runs += [simulate + ["--seed", seed] for seed in ("7", "123")]
+        # the flips end within the first chunk: the rest is counted without them
+        runs.append(["simulate", source, "--r", "0", "--trials", str(10**12)])
+    outcomes = []
+    for argv in runs:
+        for args in (argv, argv + ["--json"]):
+            code = main(args)
+            captured = capsys.readouterr()
+            outcomes.append([args, code, captured.out, captured.err])
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == PINNED_CLI
 
 
 def test_table_text(capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import ksbound as kb
+from conftest import SURD_SET
 from ksbound import ParseError, parse_document, parse_set, serialize_set
 
 GOOD = """\
@@ -269,24 +270,6 @@ def test_catalog_serialization_matches_source_tokens(catalog_sets):
 
 
 # --- pinned outcomes -----------------------------------------------------------
-
-SURD_SET = """\
-ksset 1
-name surds
-dim 3
-field sqrt 2
-vec a 1 0:1 0
-vec b 0:-1 1 0
-vec c 0 0 1
-vec d 1 0:-1 0
-vec e 0:1 1 0
-vec g 0:1 0:1 0
-vec h 1 -1 0:1
-vec k 0:1/2 0:-1/2 -1
-ctx a b c
-ctx d e c
-ctx g h k
-"""
 
 #: SHA-256 of the outcomes in ``test_parse_outcomes_are_pinned``.
 PINNED_OUTCOMES = "8c096cd7583203a02d61e27dc9c42d624b159eb0204100e118bc2fb099cdb354"
