@@ -286,8 +286,11 @@ def catalog_text(name: str) -> str:
 def load_catalog(name: str) -> KsSet:
     """Load and fully validate a bundled set.
 
-    A validation failure here is a packaging defect, not a user error, so it
-    raises RuntimeError rather than returning a report.
+    A broken bundled file is a packaging defect, not a user error, so it
+    raises rather than returning a report.  The parser checks every context
+    for orthogonality, so any defect, that one included, raises
+    :class:`ParseError` before ``validate_orthogonality`` runs; that second
+    check stays, and raises RuntimeError.
     """
     from .coloring import validate_orthogonality
 

@@ -9,8 +9,10 @@ flip as if it were alone in its trial and corrects only where flips share
 one, pairing the flips that share a ray in one sort.  At high rates the
 other evaluates a slot-major 0/1 table of every slot of the chunk's trials,
 its rows padded to whole 8-byte words so that bit counts sum them (see
-``simulate_model`` for the rule and its measured crossover).  The stream,
-the chunks and every counter are the same whichever kernel runs.
+``simulate_model`` for the rule and its measured crossover).  Each gives
+a chunk's per-context errors, per-connection mismatches and least trial
+defect; the total defect is the sum of the two counters.  The stream, the
+chunks and every counter are the same whichever kernel runs.
 One connection (two triads sharing a ray) and one context (a lone triad) are
 sets like any other, so the analytic rates delta(r) and epsilon(r, d) are
 checked on this engine too.  Results are reproducible across runs and chunk
@@ -124,11 +126,14 @@ def _geometric_gaps(gen: np.random.Generator, r: float, ahead: int, out: np.ndar
         out[past] = ahead
 
 
-def _live_flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[np.ndarray]:
+def _live_flip_offsets(
+    seed: int, r: float, total: int, width: int
+) -> Iterator[tuple[np.ndarray, int]]:
     """The flipped positions of a run of ``total`` < 2^63 - 1 slots, one chunk
     of ``width`` positions at a time, each as sorted offsets from the chunk
-    start, until no flip is left in the run.  A chunk is a view of a buffer
-    reused by the next one.
+    start and the chunk's length, until no flip is left in the run; the rest
+    of the run, if any, then comes as one chunk without flips.  A chunk's
+    offsets are a view of a buffer reused by the next one.
 
     One Philox(key=seed) stream of geometric(r) gaps (``_geometric_gaps``)
     places flip k at p_k = p_{k-1} + g_k with p_0 = -1.  Positions drawn past
@@ -160,11 +165,13 @@ def _live_flip_offsets(seed: int, r: float, total: int, width: int) -> Iterator[
             last = lo + int(gaps[-1])
             m += n
         cut = int(np.searchsorted(held[:m], hi - lo))
-        yield held[:cut]
+        yield held[:cut], hi - lo
         m -= cut
         held[:m] = held[cut : cut + m] - width  # the carry, from the next lo
         if last >= total - 1 and (m == 0 or held[0] >= total - lo - width):
-            return  # drawn past the run, and nothing carried lands in it
+            if hi < total:  # drawn past the run, and nothing carried lands in it
+                yield held[:0], total - hi
+            return
 
 
 def _slot_layout(model: TrialModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,7 +222,7 @@ def _ray_ranks(
 
 
 def _sparse_kernel(
-    base: np.ndarray, left: np.ndarray, right: np.ndarray, d: int, rows: int
+    base: np.ndarray, left: np.ndarray, right: np.ndarray, d: int
 ) -> Callable[[np.ndarray, int], tuple]:
     """The chunk counter that touches only the flips.
 
@@ -235,8 +242,8 @@ def _sparse_kernel(
     corrections' with the flips that share a trial and the pairs that share
     a ray: at r* most flips are alone in their trial.  The returned
     ``count(q, n)`` takes a chunk's flip offsets ``q`` over ``n`` trials and
-    gives its per-context errors, per-connection mismatches, total defect
-    and least per-trial defect.
+    gives its per-context errors, per-connection mismatches and least
+    per-trial defect.  A chunk without flips may span any ``n`` trials.
     """
     import numpy as np
 
@@ -252,12 +259,11 @@ def _sparse_kernel(
     solo_change = degree + solo_delta  # a lone flip's change to its trial's defect
 
     def count(q: np.ndarray, n: int) -> tuple:
-        q = q.astype(np.int32)  # offsets stay below rows * slots, far under 2^31
+        q = q.astype(np.int32)  # offsets stay below a chunk's width, far under 2^31
         trial = q // slots
         slot = q - trial * slots  # not divmod, which is several times slower
         per_slot = np.bincount(slot, minlength=slots)
         ctx_errors = n * base_broken + (per_slot * solo_delta).reshape(n_ctx, d).sum(axis=1)
-        total = n * base_defect + int(per_slot @ solo_change)
 
         start = np.ones(len(q) + 1, dtype=bool)  # flip i starts a trial; one past the end
         np.not_equal(trial[1:], trial[:-1], out=start[1:-1])
@@ -312,11 +318,10 @@ def _sparse_kernel(
             # the change of each trial with two or more flips
             per_trial = np.add.reduceat(solo_change.take(ss) + fix, np.flatnonzero(start[shared]))
             least = per_trial.min()
-            total += int(fix.sum())
         least = solo_change[alone > 0].min(initial=least)  # or of a trial with one flip
         if np.count_nonzero(start[:-1]) < n:  # a trial without flips keeps the base defect
             least = min(least, 0)
-        return ctx_errors, conn_mismatches, total, base_defect + int(least)
+        return ctx_errors, conn_mismatches, base_defect + int(least)
 
     return count
 
@@ -332,7 +337,9 @@ def _dense_kernel(
     Each row is ``width`` trials, ``rows`` rounded up to whole 8-byte words,
     so a bit count of a row's words sums its 0/1 bytes.  Past ``n``, and so
     in the pad, the table holds the base alone: connections agree there,
-    and its broken contexts are taken off their counts.  Context sums are
+    and its broken contexts are taken off their counts.  A chunk without
+    flips is the base in every trial, so its ``n`` may pass ``width``: the
+    same term then adds the trials the table lacks.  Context sums are
     d strided row adds, and connections compare rows ``left`` and ``right``
     in blocks of at most ``slots`` connections.  Its cost grows with trials
     * (slots + connections), whatever the flip count.  Its largest arrays
@@ -385,8 +392,7 @@ def _dense_kernel(
             a ^= b  # 1 where the connection's two slots disagree
             conn_mismatches[lo:hi] = row_sums(a)
             per_trial += a.sum(axis=0, dtype=defect_type)
-        per_trial = per_trial[:n]
-        return ctx_errors, conn_mismatches, int(per_trial.sum()), int(per_trial.min())
+        return ctx_errors, conn_mismatches, int(per_trial[:n].min())
 
     return count
 
@@ -408,7 +414,9 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     Only the flips are drawn (see ``_live_flip_offsets``), a chunk at a
     time; a chunk holds one trial or, beyond that, at most CHUNK_SLOTS
     trial-slots.  Once the stream has no flip left in the run, the trials
-    left are counted at once, as copies of one trial without flips.
+    left form one last chunk, without flips.  A trial's defect is its broken
+    contexts plus its mismatched connections, so the total defect is the sum
+    of both counters, taken in Python ints, exact past int64.
     One of two kernels counts every chunk of a run, chosen once from its
     rate and set by ``_dense_wins``.  ``_sparse_kernel`` counts each flip as
     if it were alone in its trial and corrects where flips share one, so its
@@ -446,35 +454,22 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     rows = max(1, CHUNK_SLOTS // slots)
     if rows > 8:  # whole 8-byte words of trials, so _dense_kernel pads no row
         rows -= rows % 8
-    kernel = _dense_kernel if _dense_wins(model.flip_rate, slots, n_conn) else _sparse_kernel
-    count = kernel(base, left, right, d, rows)
+    if _dense_wins(model.flip_rate, slots, n_conn):
+        count = _dense_kernel(base, left, right, d, rows)
+    else:
+        count = _sparse_kernel(base, left, right, d)
     ctx_errors = np.zeros(n_ctx, dtype=np.int64)
     conn_mismatches = np.zeros(n_conn, dtype=np.int64)
-    total_defect = 0
     min_trial = slots + n_conn + 1
-    done = 0
-    for q in _live_flip_offsets(model.seed, model.flip_rate, trials * slots, rows * slots):
-        ctx, conn, total, least = count(q, min(rows, trials - done))
+    for q, span in _live_flip_offsets(model.seed, model.flip_rate, trials * slots, rows * slots):
+        ctx, conn, least = count(q, span // slots)
         ctx_errors += ctx
         conn_mismatches += conn
-        total_defect += total
         min_trial = min(min_trial, least)
-        done += rows
-    if done < trials:  # the stream has ended: each trial left is one without flips
-        ctx, conn, total, least = count(np.empty(0, dtype=np.int64), 1)
-        ctx_errors += (trials - done) * ctx
-        conn_mismatches += (trials - done) * conn
-        total_defect += (trials - done) * total
-        min_trial = min(min_trial, least)
-    return SimSummary(
-        seed=model.seed,
-        trials=trials,
-        r=model.flip_rate,
-        context_error_counts=tuple(int(c) for c in ctx_errors),
-        connection_mismatch_counts=tuple(int(c) for c in conn_mismatches),
-        total_defect=total_defect,
-        min_trial_defect=min_trial,
-    )
+    ctx_counts = tuple(int(c) for c in ctx_errors)
+    conn_counts = tuple(int(c) for c in conn_mismatches)
+    total = sum(ctx_counts) + sum(conn_counts)
+    return SimSummary(model.seed, trials, model.flip_rate, ctx_counts, conn_counts, total, min_trial)
 
 
 class InequalityVerdict(NamedTuple):

@@ -341,6 +341,16 @@ def test_catalog_text_unknown_name():
         kb.catalog_text("../format")
 
 
+def test_load_catalog_raises_parse_error_on_a_broken_bundled_file(monkeypatch):
+    # the parser meets a non-orthogonal context before validate_orthogonality
+    # does, so a broken bundled file raises at the context's line
+    bad = GOOD.replace("vec b 0 1 0", "vec b 1 1 0")
+    monkeypatch.setattr("ksbound.format.catalog_text", lambda name: bad)
+    with pytest.raises(ParseError) as ei:
+        kb.load_catalog("cabello18")
+    assert ei.value.line == 7 and "context not orthogonal" in ei.value.message
+
+
 def test_load_catalog_sets_are_annotated():
     for name in kb.list_catalog():
         text = kb.catalog_text(name)

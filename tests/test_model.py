@@ -3,6 +3,8 @@ import copy
 import importlib
 import pickle
 import runpy
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -272,3 +274,13 @@ def test_bench_traces_only_functions_that_exist():
     for module, function in names:
         assert callable(getattr(importlib.import_module(f"ksbound.{module}"), function, None)), (
             module, function)
+
+
+def test_bench_selftest_passes():
+    # the benchmark reads records and functions of the library by name; its
+    # self-tests fail here, in the suite, when one of them changes
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "-B", "bench/selftest.py"]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.rstrip().endswith("OK")

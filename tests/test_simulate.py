@@ -159,9 +159,15 @@ def reference_flip_offsets(seed, r, total, width):
 
 
 def flip_offsets(seed, r, total, width):
-    """Every chunk of the run: ``_live_flip_offsets``'s, then empty ones."""
-    live, empty = sim._live_flip_offsets(seed, r, total, width), np.empty(0, dtype=np.int64)
-    return (next(live, empty) for _ in range(0, total, width))
+    """Every chunk of the run: ``_live_flip_offsets``'s, with the rest of the
+    run, which it gives as one chunk without flips, cut into empty ones.
+    Each live chunk must span ``width`` positions or the run's last ones."""
+    lo = 0
+    for q, span in sim._live_flip_offsets(seed, r, total, width):
+        assert span == min(width, total - lo) or len(q) == 0 and lo + span == total
+        lo += span
+        yield from (q for _ in range(0, span, width))
+    assert lo == total
 
 
 #: rates either side of numpy's geometric switch at 1/3, and two (5e-324 and
@@ -323,7 +329,7 @@ def test_kernels_agree_on_the_same_flips(case, rate, request):
     layout = sim._slot_layout(model)
     slots, d, trials = len(layout[0]), model.ks_set.dimension, 60
     for rows in (1, 7, 8, 9, sim.CHUNK_SLOTS // slots):
-        sparse = sim._sparse_kernel(*layout, d, rows)
+        sparse = sim._sparse_kernel(*layout, d)
         dense = sim._dense_kernel(*layout, d, rows)
         if rate == "hand":
             chunks = [(q, rows) for q in hand_built_chunks(*layout, d, rows)]
@@ -333,6 +339,31 @@ def test_kernels_agree_on_the_same_flips(case, rate, request):
         for i, (q, n) in enumerate(chunks):
             got, want = dense(q, n), sparse(q, n)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), (rows, i)
+
+
+@pytest.mark.parametrize(
+    "case", ["cabello18", "kernaghan20", "kp36", "fan50", "random:kp36", "random:fan50"]
+)
+def test_kernels_count_a_chunk_without_flips_as_copies_of_the_base(case, request):
+    # simulate_model counts the trials after the last flip in one kernel
+    # call, which the dense kernel, at its rates, meets in practice only
+    # here: n copies of the base's broken contexts, no mismatch, and the
+    # base's defect as the least trial defect
+    model = case_model(case, 0.0, 5, request)
+    base, left, right = sim._slot_layout(model)
+    d = model.ks_set.dimension
+    broken = (base.reshape(-1, d).sum(axis=1) != d - 1).astype(np.int64)
+    rows = sim.CHUNK_SLOTS // len(base)
+    rows -= rows % 8
+    empty = np.empty(0, dtype=np.int64)
+    sparse = sim._sparse_kernel(base, left, right, d)
+    dense = sim._dense_kernel(base, left, right, d, rows)
+    for count in (sparse, dense):
+        for n in (1, rows - 1, rows, rows + 1, 10**12):
+            ctx, conn, least = count(empty, n)
+            assert ctx.tolist() == (n * broken).tolist(), n
+            assert conn.tolist() == [0] * len(left), n
+            assert least == broken.sum(), n
 
 
 @pytest.mark.parametrize("name", ["cabello18", "kernaghan20", "kp36", "fan50"])
@@ -402,7 +433,7 @@ def test_zero_rate_repeats_the_base_defect(kp36, monkeypatch):
 
 def test_trials_after_the_stream_ends_are_counted_at_once(kp36):
     # at r = 0 the stream ends within the first chunk, so 10^15 trials cost
-    # one chunk and one trial without flips, and repeat the base exactly
+    # that chunk and one more without flips, and repeat the base exactly
     model = TrialModel(kp36, default_base(kp36), 0.0, seed=3)
     one = simulate_model(model, 1)
     trials = 10**15
