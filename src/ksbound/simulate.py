@@ -36,8 +36,10 @@ from .model import KsSet
 if TYPE_CHECKING:
     import numpy as np
 
-#: ``simulate_model`` holds at most this many trial-slots per chunk.
+#: ``_dense_kernel`` holds at most this many trial-slots per chunk.
 CHUNK_SLOTS = 1 << 20
+#: ``_sparse_kernel`` takes about this many expected flips and flip pairs per chunk.
+SPARSE_WORK = 1 << 16
 #: ``simulate_model`` counts densely from this many flips per (slot + connection).
 DENSE_FLIPS = 96
 
@@ -236,12 +238,18 @@ def _sparse_kernel(
     less its flips' solo ones.  Two flips on one ray in one trial are the
     two ends of one connection, which then agrees: that takes 2 off its
     count and its trial's defect.  The shared flips are grouped by (trial,
-    ray) with one stable sort, and each group's pairs are listed; a pair's
-    connection follows from its slots' ranks among the ray's slots (see
-    ``_ray_ranks``).  So its cost grows with the flips, and the
-    corrections' with the flips that share a trial and the pairs that share
-    a ray: at r* most flips are alone in their trial.  The returned
-    ``count(q, n)`` takes a chunk's flip offsets ``q`` over ``n`` trials and
+    ray) with one stable sort, and the pairs of each group of two or more
+    are listed; a pair's connection follows from its slots' ranks among the
+    ray's slots (see ``_ray_ranks``).  So its cost grows with the flips, and
+    the corrections' with the flips that share a trial and the pairs that
+    share a ray: at r* most flips are alone in their trial.  Its arrays hold
+    a few entries per flip and per pair, beside per-slot tables and the
+    per-connection counts.  So where the dense kernel's chunks hold at most
+    CHUNK_SLOTS trial-slots, its chunks are sized by their expected flips
+    and pairs (``_chunk_rows``): about max(SPARSE_WORK, slots + connections)
+    of them, which bounds a chunk's memory at any rate, and at most 2^30
+    trial-slots.  The returned ``count(q, n)`` takes a chunk's flip offsets
+    ``q``, all below 2^31 so that int32 holds them, over ``n`` trials and
     gives its per-context errors, per-connection mismatches and least
     per-trial defect.  A chunk without flips may span any ``n`` trials.
     """
@@ -255,38 +263,58 @@ def _sparse_kernel(
     ctx_of = np.arange(slots) // d
     solo_delta = (base_ones[ctx_of] + step != d - 1) - base_broken[ctx_of]
     rank, root, to_conn = _ray_ranks(left, right, slots)
+    root = root.astype(np.int32)  # so the ray keys stay int32 like the offsets
     degree = np.bincount(left, minlength=slots) + rank
-    solo_change = degree + solo_delta  # a lone flip's change to its trial's defect
+    solo_change = (degree + solo_delta).astype(np.int32)  # a lone flip's change to its trial's defect
 
-    def count(q: np.ndarray, n: int) -> tuple:
-        q = q.astype(np.int32)  # offsets stay below a chunk's width, far under 2^31
-        trial = q // slots
-        slot = q - trial * slots  # not divmod, which is several times slower
-        per_slot = np.bincount(slot, minlength=slots)
-        ctx_errors = n * base_broken + (per_slot * solo_delta).reshape(n_ctx, d).sum(axis=1)
+    def repeats(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For a sorted ``key``: where the entries whose key repeats lie, and
+        the bounds of each key's run among them, one past the last included."""
+        same = np.flatnonzero(key[1:] == key[:-1])  # entries i, i + 1 share a key
+        member = np.zeros(len(key), dtype=bool)
+        member[same] = member[same + 1] = True
+        at = np.flatnonzero(member)
+        new = np.ones(len(at) + 1, dtype=bool)
+        np.not_equal(key[at[1:]], key[at[:-1]], out=new[1:-1])
+        return at, np.flatnonzero(new)
 
+    def split(q: np.ndarray) -> tuple:
+        """A chunk's flips per slot, its trials with a flip, and for the
+        flips that share their trial: trial * slots, slot, and where each
+        trial's run of them starts.  Its arrays as long as all the flips
+        are freed when it returns, before the corrections make theirs."""
+        slot = q.astype(np.int32)  # offsets stay below a chunk's width, at most 2^30
+        trial = slot // slots
         start = np.ones(len(q) + 1, dtype=bool)  # flip i starts a trial; one past the end
         np.not_equal(trial[1:], trial[:-1], out=start[1:-1])
         shared = np.flatnonzero(~(start[:-1] & start[1:]))
+        trial *= slots
+        ts = trial.take(shared)
+        slot -= trial  # in place; not divmod, which is several times slower
+        del trial  # frees 4 bytes per flip before the arrays below
+        per_slot = np.zeros(slots, dtype=np.intp)
+        for lo in range(0, len(slot), 1 << 14):  # bincount copies int32 to intp: in blocks
+            per_slot += np.bincount(slot[lo : lo + (1 << 14)], minlength=slots)
+        start = start[:-1]
+        return per_slot, np.count_nonzero(start), ts, slot.take(shared), np.flatnonzero(start[shared])
+
+    def count(q: np.ndarray, n: int) -> tuple:
+        per_slot, busy, ts, ss, runs = split(q)
+        ctx_errors = n * base_broken + (per_slot * solo_delta).reshape(n_ctx, d).sum(axis=1)
+
         alone = per_slot  # per slot, the flips alone in their trial
         least = n_ctx + n_conn  # the least change to a trial's defect
         conn_mismatches = per_slot.take(left)
         conn_mismatches += per_slot.take(right)
-        if len(shared):
-            qs, ss = q[shared], slot[shared]
+        if len(ss):
             alone = per_slot - np.bincount(ss, minlength=slots)
-            fix = np.zeros(len(qs), dtype=np.int64)  # each shared flip's correction
+            fix = np.zeros(len(ss), dtype=np.int32)  # each shared flip's correction
 
-            # contexts with two or more flips in one trial, fixed at the first
-            key = qs // d  # trial * n_ctx + context, sorted because q is
-            same = np.flatnonzero(key[1:] == key[:-1])  # flips i, i + 1 share one
-            if len(same):
-                member = np.zeros(len(qs), dtype=bool)
-                member[same] = member[same + 1] = True
-                at = np.flatnonzero(member)
-                group = np.ones(len(at), dtype=bool)
-                np.not_equal(key[at[1:]], key[at[:-1]], out=group[1:])
-                first = np.flatnonzero(group)
+            # contexts with two or more flips in one trial, fixed at the first;
+            # the key is trial * n_ctx + context, sorted because q is
+            at, bounds = repeats((ts + ss) // d)
+            if len(at):
+                first = bounds[:-1]
                 s_at, g_ctx = ss[at], ss[at[first]] // d
                 broken = base_ones[g_ctx] + np.add.reduceat(step[s_at], first) != d - 1
                 g_fix = broken - base_broken[g_ctx] - np.add.reduceat(solo_delta[s_at], first)
@@ -296,30 +324,29 @@ def _sparse_kernel(
 
             # flips on one ray in one trial: keyed by trial * slots + root and
             # sorted stably, so that each ray's flips keep their slot order
-            key = qs - ss + root.take(ss)
-            order = np.argsort(key, kind="stable")
-            key = key.take(order)
-            new = np.ones(len(qs) + 1, dtype=bool)  # sorted flip i starts a group; one past
-            np.not_equal(key[1:], key[:-1], out=new[1:-1])
-            bounds = np.flatnonzero(new)
-            # sorted flip i pairs with the ``later[i]`` flips after it in its
-            # group; each pair takes 2 off its trial's defect, here at flip i
-            after = np.arange(1, len(qs) + 1)
-            later = np.repeat(bounds[1:], np.diff(bounds)) - after
-            fix[order] -= 2 * later
-            # pair p of flip i is (i, i + 1 + p - the first pair of i)
-            j = np.repeat(after - (np.cumsum(later) - later), later)
-            j += np.arange(len(j))  # in place: these grow with the pairs
-            s_sorted = ss.take(order)
-            conn = np.repeat(to_conn.take(s_sorted), later)
-            conn += rank.take(s_sorted).take(j)
-            np.subtract.at(conn_mismatches, conn, 2)  # its ends agree
+            ts += root.take(ss)  # ts is not needed again
+            order = np.argsort(ts, kind="stable")
+            at, bounds = repeats(ts.take(order))
+            if len(at):
+                order = order.take(at)  # the flips in groups of two or more, grouped
+                # grouped flip i pairs with the ``later[i]`` flips after it in
+                # its group; each pair takes 2 off its trial's defect, here at i
+                after = np.arange(1, len(at) + 1)
+                later = np.repeat(bounds[1:], bounds[1:] - bounds[:-1]) - after
+                fix[order] -= 2 * later
+                # pair p of flip i is (i, i + 1 + p - the first pair of i)
+                j = np.repeat(after - (np.cumsum(later) - later), later)
+                j += np.arange(len(j))  # in place: these grow with the pairs
+                s_grouped = ss.take(order)
+                conn = np.repeat(to_conn.take(s_grouped), later)
+                conn += rank.take(s_grouped).take(j)
+                np.subtract.at(conn_mismatches, conn, 2)  # its ends agree
 
             # the change of each trial with two or more flips
-            per_trial = np.add.reduceat(solo_change.take(ss) + fix, np.flatnonzero(start[shared]))
+            per_trial = np.add.reduceat(solo_change.take(ss) + fix, runs)
             least = per_trial.min()
         least = solo_change[alone > 0].min(initial=least)  # or of a trial with one flip
-        if np.count_nonzero(start[:-1]) < n:  # a trial without flips keeps the base defect
+        if busy < n:  # a trial without flips keeps the base defect
             least = min(least, 0)
         return ctx_errors, conn_mismatches, base_defect + int(least)
 
@@ -403,6 +430,27 @@ def _dense_wins(flip_rate: float, slots: int, connections: int) -> bool:
     return flip_rate * slots * DENSE_FLIPS >= slots + connections
 
 
+def _chunk_rows(flip_rate: float, slots: int, connections: int, dense: bool) -> int:
+    """Trials per chunk of a run, for the dense kernel or the sparse one.
+
+    The dense kernel's table has one byte per trial-slot, so its chunk holds
+    one trial or at most CHUNK_SLOTS trial-slots, and beyond 8 trials a
+    multiple of 8.  The sparse kernel's work and memory grow with the flips
+    and the pairs of flips on one connection, r * slots + r^2 * connections
+    expected per trial, and each of its chunks also pays once per slot and
+    connection.  So its chunk takes about max(SPARSE_WORK, slots +
+    connections) of that expected work, which keeps the per-chunk cost paid
+    back; and at most 2^30 trial-slots, so that its int32 offsets hold.
+    """
+    if dense:
+        rows = max(1, CHUNK_SLOTS // slots)
+        return rows - rows % 8 if rows > 8 else rows  # whole 8-byte words: no row padded
+    work = flip_rate * slots + flip_rate**2 * connections
+    budget = max(SPARSE_WORK, slots + connections)
+    most = max(1, (1 << 30) // slots)
+    return most if work * most <= budget else max(1, int(budget / work))
+
+
 def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     """Run the trial model, counting every violated constraint per trial.
 
@@ -412,24 +460,29 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     whose two slots disagree.
 
     Only the flips are drawn (see ``_live_flip_offsets``), a chunk at a
-    time; a chunk holds one trial or, beyond that, at most CHUNK_SLOTS
-    trial-slots.  Once the stream has no flip left in the run, the trials
-    left form one last chunk, without flips.  A trial's defect is its broken
-    contexts plus its mismatched connections, so the total defect is the sum
-    of both counters, taken in Python ints, exact past int64.
+    time, with as many trials as ``_chunk_rows`` gives the kernel that runs.
+    A dense chunk holds one trial or at most CHUNK_SLOTS trial-slots; a
+    sparse chunk holds about max(SPARSE_WORK, slots + connections) expected
+    flips plus flip pairs and at most 2^30 trial-slots.  Once the stream has
+    no flip left in the run, the trials left form one last chunk, without
+    flips.  A trial's defect is its broken contexts plus its mismatched
+    connections, so the total defect is the sum of both counters, taken in
+    Python ints, exact past int64.
     One of two kernels counts every chunk of a run, chosen once from its
     rate and set by ``_dense_wins``.  ``_sparse_kernel`` counts each flip as
     if it were alone in its trial and corrects where flips share one, so its
     cost grows with the flips; ``_dense_kernel`` evaluates a 0/1 table of
     every slot, so its cost grows with trials * (slots + connections).
-    Timed in process on the same chunks of the four benchmark sets, they
-    cost the same at 0.015-0.020 flips per slot, one flip per 74-122 slots
-    and connections, a range that DENSE_FLIPS = 96 lies in.  The rule leaves
-    every catalog r* (at most 0.0142) sparse with a 1.1x margin and r = 0.1
-    dense with a 5.1x one; a set with many connections per slot, such as a
-    fan of 1000 triads on one ray, stays sparse at every rate.  A chunk of
-    more than 8 trials holds a multiple of 8, so no array the dense kernel
-    makes holds more than max(CHUNK_SLOTS, 8 * slots) bytes.  Both kernels
+    Timed in process, each on its own chunks of one run of the four
+    benchmark sets, they cost the same at 0.017-0.022 flips per slot, one
+    flip per 69-107 slots and connections, a range that DENSE_FLIPS = 96
+    lies in.  The rule leaves every catalog r* (at most 0.0142) sparse with
+    a 1.1x margin and r = 0.1 dense with a 5.1x one; a set with many
+    connections per slot, such as a fan of 1000 triads on one ray, stays
+    sparse at every rate.  Memory per chunk is bounded either way: no array
+    the dense kernel makes holds more than max(CHUNK_SLOTS, 8 * slots)
+    bytes, and the sparse kernel's arrays hold a few entries per expected
+    flip and pair, beside per-slot and per-connection counts.  Both kernels
     give the same counters from the same flips, so the kernel changes no
     counter.
     A set without contexts has no slots: nothing is drawn, and every counter
@@ -451,10 +504,9 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     base, left, right = _slot_layout(model)
     n_conn = len(left)
 
-    rows = max(1, CHUNK_SLOTS // slots)
-    if rows > 8:  # whole 8-byte words of trials, so _dense_kernel pads no row
-        rows -= rows % 8
-    if _dense_wins(model.flip_rate, slots, n_conn):
+    dense = _dense_wins(model.flip_rate, slots, n_conn)
+    rows = _chunk_rows(model.flip_rate, slots, n_conn, dense)
+    if dense:
         count = _dense_kernel(base, left, right, d, rows)
     else:
         count = _sparse_kernel(base, left, right, d)
@@ -466,8 +518,8 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
         ctx_errors += ctx
         conn_mismatches += conn
         min_trial = min(min_trial, least)
-    ctx_counts = tuple(int(c) for c in ctx_errors)
-    conn_counts = tuple(int(c) for c in conn_mismatches)
+    ctx_counts = tuple(ctx_errors.tolist())
+    conn_counts = tuple(conn_mismatches.tolist())
     total = sum(ctx_counts) + sum(conn_counts)
     return SimSummary(model.seed, trials, model.flip_rate, ctx_counts, conn_counts, total, min_trial)
 

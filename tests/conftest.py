@@ -27,6 +27,15 @@ def connection_slots(ks):
     return [(a * d + at[a][vid], b * d + at[b][vid]) for vid, (a, b) in all_pairs_connections(ks)]
 
 
+def fan_document(n_triads):
+    """A valid colorable set: triads (a, b, 0), (-b, a, 0), z all sharing z."""
+    pairs = [(a, s - a) for s in range(2, 100) for a in range(1, s) if math.gcd(a, s - a) == 1]
+    lines = ["ksset 1", "name fan", "dim 3", "vec z 0 0 1"]
+    for i, (a, b) in enumerate(pairs[:n_triads]):
+        lines += [f"vec p{i} {a} {b} 0", f"vec q{i} {-b} {a} 0", f"ctx p{i} q{i} z"]
+    return "\n".join(lines) + "\n"
+
+
 #: A small valid set over Q(sqrt 2): ``a:b`` is a + b*sqrt(2).
 SURD_SET = """\
 ksset 1

@@ -1,7 +1,6 @@
 """CLI behavior: commands, exit codes, diagnostics, JSON determinism."""
 import hashlib
 import json
-import math
 import os
 import runpy
 import subprocess
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ksbound
-from conftest import SURD_SET
+from conftest import SURD_SET, fan_document
 from ksbound import build_stats, critical_rate, parse_set, serialize_set
 from ksbound.cli import main
 
@@ -281,15 +280,6 @@ def test_simulate_set_without_contexts(doc, tmp_path, capsys):
     assert result["mean_defect"] == 0 and result["inequality"] is None
 
 
-def fan_document(n_triads):
-    """A valid colorable set: triads (a, b, 0), (-b, a, 0), z all sharing z."""
-    pairs = [(a, s - a) for s in range(2, 100) for a in range(1, s) if math.gcd(a, s - a) == 1]
-    lines = ["ksset 1", "name fan", "dim 3", "vec z 0 0 1"]
-    for i, (a, b) in enumerate(pairs[:n_triads]):
-        lines += [f"vec p{i} {a} {b} 0", f"vec q{i} {-b} {a} 0", f"ctx p{i} q{i} z"]
-    return "\n".join(lines) + "\n"
-
-
 def test_large_fan_runs_within_the_default_recursion_limit(tmp_path, capsys):
     # 1000 contexts, one per search step: deeper than Python's default
     # recursion limit, so a search that recursed per context fails here.
@@ -352,7 +342,7 @@ def test_simulate_tiny_rate_exits_at_once(rate):
     ("e7", "1e-300", (2**63 - 1) // 7 - 1),
 ])
 def test_simulate_counts_trials_after_the_last_flip_at_once(tmp_path, target, rate, trials):
-    # no flip lands in these runs, whose 149,796-trial chunks number up to 8.8e12
+    # no flip lands in these runs, whose chunks of 2^30 trial-slots number up to 8.6e9
     if target == "e7":
         target = tmp_path / "e7.ksset"
         vecs = "".join(f"vec e{i} {' '.join('1' if j == i else '0' for j in range(7))}\n" for i in range(7))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import ksbound as kb
 import ksbound.simulate as sim
-from conftest import connection_slots
+from conftest import connection_slots, fan_document
 from ksbound import (
     SimSummary,
     TrialModel,
@@ -26,9 +27,26 @@ from ksbound import (
 )
 
 
-def set_chunk_rows(monkeypatch, ks, rows):
-    """Make ``simulate_model`` hold ``rows`` trials of ``ks`` per chunk."""
-    monkeypatch.setattr("ksbound.simulate.CHUNK_SLOTS", rows * len(ks.contexts) * ks.dimension)
+def record_chunks(monkeypatch):
+    """A list that ``simulate_model`` then fills with each chunk it counts,
+    as (flips, trial-slots)."""
+    chunks = []
+    live = sim._live_flip_offsets
+
+    def recorded(*args):
+        for q, span in live(*args):
+            chunks.append((len(q), span))
+            yield q, span
+
+    monkeypatch.setattr(sim, "_live_flip_offsets", recorded)
+    return chunks
+
+
+def set_chunk_rows(monkeypatch, rows):
+    """Make ``simulate_model`` hold ``rows`` trials per chunk, whichever
+    kernel it runs, and return ``record_chunks``'s list."""
+    monkeypatch.setattr(sim, "_chunk_rows", lambda *args: rows)
+    return record_chunks(monkeypatch)
 
 
 # --- full model simulation -------------------------------------------------------
@@ -126,7 +144,7 @@ def test_model_determinism_and_chunk_invariance(kernaghan20, monkeypatch):
     model = TrialModel(kernaghan20, base, 0.1, seed=31)
     a = simulate_model(model, 10_000)
     b = simulate_model(model, 10_000)
-    set_chunk_rows(monkeypatch, kernaghan20, 333)
+    set_chunk_rows(monkeypatch, 333)
     c = simulate_model(model, 10_000)
     assert a == b == c
     assert a != simulate_model(TrialModel(kernaghan20, base, 0.1, seed=32), 10_000)
@@ -213,8 +231,8 @@ PINNED_SUMMARIES = "3bb4dba1ebf8389a541dda46bcea5bfd772c2c71ccac4e0836fb8dcdd1e0
 
 def test_seeded_counters_are_pinned(catalog_sets):
     # every counter, and so every ``simulate --json`` byte, must match across
-    # commits for a fixed (set, base, r, seed, trials); 40,000 trials span two
-    # chunks of every catalog set
+    # commits for a fixed (set, base, r, seed, trials); 40,000 trials span one
+    # sparse chunk at r* and two or more dense chunks at 0.1 and 0.5
     summaries = []
     for i, ks in enumerate(catalog_sets):
         base = default_base(ks)
@@ -279,9 +297,11 @@ def test_model_matches_dense_reference(case, rate, request, monkeypatch):
     model = case_model(case, rate, 2024, request)
     expect = dense_reference(model, 700)
     assert simulate_model(model, 700) == expect
+    slots = len(model.ks_set.contexts) * model.ks_set.dimension
     for rows in (1, 333):
-        set_chunk_rows(monkeypatch, model.ks_set, rows)
+        chunks = set_chunk_rows(monkeypatch, rows)
         assert simulate_model(model, 700) == expect, rows
+        assert chunks[0][1] == rows * slots, rows
 
 
 def hand_built_chunks(base, left, right, d, n):
@@ -289,11 +309,12 @@ def hand_built_chunks(base, left, right, d, n):
     path of the sparse kernel: no flip at all; two flips in one (trial,
     context) that cancel; three flips in one context; the two ends of one
     connection in one trial, then in two; every slot of the ray with the
-    most slots, if it has three or more, in one trial; the two ends of the
-    first and of the last connection, on two rays, in one trial; a flip on
-    a ray in one context only, beside another flip; and a flip in every
-    trial, so that no trial keeps the base defect.  A chunk the set cannot
-    make is left out."""
+    most slots, if it has three or more, in one trial; two flips on two
+    rays in every trial, and in the last also three on that ray; the two
+    ends of the first and of the last connection, on two rays, in one
+    trial; a flip on a ray in one context only, beside another flip; and a
+    flip in every trial, so that no trial keeps the base defect.  A chunk
+    the set cannot make is left out."""
     slots = len(base)
     values = base.reshape(-1, d)
     chunks = [[], [(0, p) for p in range(3)]]
@@ -308,6 +329,13 @@ def hand_built_chunks(base, left, right, d, n):
         ray = [*left[right == top], top]
         if len(ray) >= 3:
             chunks.append([(n - 1, s) for s in ray])
+            # flips that share a trial but no ray, which the pair step skips,
+            # beside a group of three on one ray, which it must not cut short
+            root = sim._ray_ranks(left, right, slots)[1]
+            rays = np.unique(root[root != root[top]])
+            if len(rays) >= 2:
+                pairs = [(t, rays[(t + i) % len(rays)]) for t in range(n) for i in (0, 1)]
+                chunks.append(pairs + [(n - 1, s) for s in ray[:3]])
         if left[-1] not in [left[0], *right[left == left[0]]]:  # not on the first ray
             chunks.append([(0, left[0]), (0, right[0]), (0, left[-1]), (0, right[-1])])
     lone = np.flatnonzero(np.bincount(np.concatenate((left, right)), minlength=slots) == 0)
@@ -414,7 +442,7 @@ def test_kernel_rule_is_sparse_at_r_star_and_dense_at_0_1(catalog_sets):
 def test_zero_rate_repeats_the_base_defect(kp36, monkeypatch):
     # r = 0 flips nothing and r = 1 flips every slot: each trial repeats the
     # base, or its complement, whose connections still all agree
-    set_chunk_rows(monkeypatch, kp36, 7)
+    set_chunk_rows(monkeypatch, 7)
     rng = random.Random(4)
     for _ in range(5):
         base = {v.id: rng.randint(0, 1) for v in kp36.vectors}
@@ -446,14 +474,45 @@ def test_trials_after_the_stream_ends_are_counted_at_once(kp36):
     assert many.min_trial_defect == one.min_trial_defect >= 1
 
 
+def test_sparse_chunks_keep_their_offsets_in_int32(kp36, monkeypatch):
+    # at r = 1e-8 the sparse rule would give a chunk far more trial-slots than
+    # int32 offsets hold; it stops at 2^30, so a run of 2.6e9 takes three
+    # chunks and counts what chunks of 300,000 trials count
+    model = TrialModel(kp36, default_base(kp36), 1e-8, seed=0)
+    chunks = record_chunks(monkeypatch)
+    got = simulate_model(model, 30_000_000)
+    assert [span for _, span in chunks] == [2**30 // 88 * 88] * 2 + [492_516_464]
+    assert all(flips for flips, _ in chunks)
+    set_chunk_rows(monkeypatch, 300_000)
+    assert simulate_model(model, 30_000_000) == got
+
+
+def test_sparse_chunks_bound_the_flip_pairs_on_a_shared_ray():
+    # the 1000-triad fan at r = 0.5 has about 125,000 flip pairs on its shared
+    # ray per trial: 48 trials in one chunk list 6 million and peak above
+    # 150 MiB; chunks sized by their pairs hold a few trials each
+    fan = kb.parse_document(fan_document(1000)).ks_set
+    model = TrialModel(fan, {v.id: 0 for v in fan.vectors}, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        simulate_model(model, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_stream_ending_mid_run_matches_dense_reference(kp36, seed, monkeypatch):
-    # at most one flip in 99,000 trial-slots: for seeds 0, 1 and 4 the stream
-    # ends after a flip in chunk 5, 327 or 1 of 429, and the rest is counted at once
+    # one flip in 200,000 trial-slots, 7 trials of 88 slots a chunk: for seeds
+    # 0, 1, 2 and 4 the stream ends after a flip in chunk 308, 123, 255 or 281
+    # of 429, for seeds 3 and 5 (no flip) in chunk 1, and the rest is one chunk
     model = TrialModel(kp36, default_base(kp36), 5e-6, seed)
     expect = dense_reference(model, 3000)
-    set_chunk_rows(monkeypatch, kp36, 7)
+    chunks = set_chunk_rows(monkeypatch, 7)
     assert simulate_model(model, 3000) == expect
+    assert len(chunks) == [309, 124, 256, 2, 282, 2][seed]
+    assert chunks[-1] == (0, 3000 * 88 - (len(chunks) - 1) * 7 * 88)
 
 
 def test_defect_monotone_in_noise(kernaghan20):
