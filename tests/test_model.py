@@ -1,4 +1,5 @@
 """Vectors, contexts, set construction, and derived statistics."""
+import ast
 import copy
 import importlib
 import pickle
@@ -72,9 +73,10 @@ def test_ray_vector_validation():
         vec("z", 0, 0, 0)
     with pytest.raises(ValueError, match="no components"):
         RayVector("e", ())
-    with pytest.raises(RingMismatchError):
+    with pytest.raises(RingMismatchError, match=r"mixes ring radicands \[2, 3\]"):
         RayVector("m", (ExactScalar.of(1, 0, 2), ExactScalar.of(1, 0, 3)))
-    with pytest.raises(RingMismatchError):  # the ring check comes before the zero check
+    # the ring check comes before the zero check
+    with pytest.raises(RingMismatchError, match=r"mixes ring radicands \[2, 3\]"):
         RayVector("m0", (ExactScalar.of(0, 0, 2), ExactScalar.of(0, 0, 3), ExactScalar.of(0, 0, 2)))
 
 
@@ -284,3 +286,15 @@ def test_bench_selftest_passes():
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr.rstrip().endswith("OK")
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml promises Python 3.10; syntax added later would fail only there
+    root = Path(__file__).resolve().parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text()
+    with pytest.raises(SyntaxError):  # the check bites on this interpreter
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    sources = sorted((root / "src" / "ksbound").glob("*.py"))
+    assert root / "src" / "ksbound" / "model.py" in sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

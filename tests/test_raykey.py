@@ -4,6 +4,8 @@ The references below are the checks the parser and ``validate_orthogonality``
 made with ``ExactScalar`` arithmetic before rays carried keys: 2x2 minors for
 ray equality and the ``Fraction`` inner product for orthogonality.
 """
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -296,3 +298,60 @@ def test_validate_matches_the_minor_reference_on_hand_built_sets(catalog_sets):
     ]
     for ks in catalog_sets:
         assert validate_orthogonality(ks).violations == reference_violations(ks) == ()
+
+
+# --- pinned keys and orthogonality over every ring ------------------------------
+
+#: SHA-256 of the keys and verdicts in ``test_keys_and_orthogonality_are_pinned``.
+PINNED_KEYS = "b60958c3a257c69aba448f20fda96883282537d8c098af5c2af065a3fab2e9f4"
+
+
+def pinned_vectors(k, d, rng):
+    """Seeded vectors over Q(sqrt k) of dimension d: integer and fractional
+    components, with and without surds, zero pairs in front, leading entries
+    of either norm sign (1 + sqrt 2 has norm -1), and multiples of and
+    orthogonal partners to earlier vectors."""
+    whole = (0, 1, -1, 2, -3)
+    parts = whole + (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
+    out = []
+    for i in range(14):
+        pool = whole if i % 2 else parts
+        surds = pool if k > 1 and i % 3 else (0,)
+        comps = [ExactScalar(Fraction(rng.choice(pool)), Fraction(rng.choice(surds)), k)
+                 for _ in range(d)]
+        lead = i % 3  # zero pairs in front
+        comps[:lead] = [ExactScalar.of(0, 0, k)] * lead
+        if i % 4 == 1 and k > 1:
+            comps[lead] = ExactScalar.of(1, 1, k)
+        if not any(comps):
+            comps[-1] = ExactScalar.of(-2, 0, k)
+        out.append(RayVector(f"v{i}", tuple(comps)))
+    for i, u in enumerate(out[:8]):
+        c = ExactScalar.of(rng.choice((1, -3, 0, Fraction(5, 2))), rng.choice((1, 2, -7)) if k > 1 else 0, k)
+        out.append(scaled(c if c else ExactScalar.of(-1, 0, k), u, f"m{i}"))
+        w = out[(i + 5) % 14]
+        c = inner_product(w, u) * inverse(inner_product(u, u))
+        comps = tuple(x - c * y for x, y in zip(w.components, u.components))
+        if any(comps):
+            out.append(RayVector(f"o{i}", comps))
+    return out
+
+
+def test_keys_and_orthogonality_are_pinned():
+    # every key and every pair's orthogonality over Q and five surd rings must
+    # match across commits, and each verdict must be the inner product's
+    rng = random.Random(1919)
+    record, hits = [], 0
+    for k in (1, 2, 3, 5, 6, 7):
+        assert kb.model._ray_key((ExactScalar.of(0, 0, k),) * 3, k) is None
+        for d in (3, 4, 5):
+            vs = pinned_vectors(k, d, rng)
+            keys = [kb.model._ray_key(v.components, k) for v in vs]
+            assert keys == [v.key for v in vs]
+            verdicts = [orthogonal(u, v) for u, v in combinations(vs, 2)]
+            assert verdicts == [inner_product(u, v).is_zero() for u, v in combinations(vs, 2)]
+            hits += sum(verdicts)
+            record.append([k, d, keys, "".join("01"[b] for b in verdicts)])
+    assert hits >= 100, hits
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == PINNED_KEYS
