@@ -134,16 +134,29 @@ def _ray_key(components: Sequence[ExactScalar], k: int) -> Optional[tuple[int, .
     into the nonzero integer a^2 - k*b^2), divided by the gcd of all 2d
     integers, and signed so that the first nonzero entry is positive.  Two
     vectors on the same ray differ by a rational factor after the conjugate
-    step, so they share one primitive, positively signed key.
+    step, so they share one primitive, positively signed key.  When b = 0 the
+    conjugate is the integer a, so the key is the cleared vector divided by
+    its gcd and signed by a; an integer vector needs no clearing either.
     """
-    ratios = [(c.rational.as_integer_ratio(), c.surd.as_integer_ratio()) for c in components]
-    scale = math.lcm(*(q for pair in ratios for _, q in pair))
-    pairs = [(p * (scale // q), r * (scale // s)) for (p, q), (r, s) in ratios]
-    first = next((p for p in pairs if p != (0, 0)), None)
-    if first is None:
+    nums, dens, first = [], [], -1
+    for c in components:
+        p, q = c.rational.as_integer_ratio()
+        r, s = c.surd.as_integer_ratio()
+        if first < 0 and (p or r):
+            first = len(nums)
+        nums += p, r
+        dens += q, s
+    if first < 0:
         return None
-    a, b = first
-    key = [t for x, y in pairs for t in (x * a - k * y * b, y * a - x * b)]
+    scale = math.lcm(*dens)
+    if scale != 1:
+        nums = [n * (scale // q) for n, q in zip(nums, dens)]
+    a, b = nums[first], nums[first + 1]
+    if b == 0:
+        g = math.gcd(*nums)
+        return tuple(t // g for t in nums) if a > 0 else tuple(t // -g for t in nums)
+    pairs = iter(nums)
+    key = [t for x, y in zip(pairs, pairs) for t in (x * a - k * y * b, y * a - x * b)]
     g = math.gcd(*key)
     if a * a < k * b * b:  # the first entry a^2 - k*b^2 is negative: 1 + sqrt 2 has norm -1
         g = -g
@@ -164,10 +177,12 @@ class RayVector(namedtuple("RayVector", "id components key")):
     def __new__(cls, id: str, components: tuple[ExactScalar, ...]) -> RayVector:
         if not components:
             raise ValueError(f"vector {id!r} has no components")
-        radicands = {c.radicand for c in components}
-        if len(radicands) != 1:
-            raise RingMismatchError(f"vector {id!r} mixes ring radicands {sorted(radicands)}")
-        key = _ray_key(components, radicands.pop())
+        k = components[0].radicand
+        for c in components:
+            if c.radicand != k:
+                radicands = sorted({c.radicand for c in components})
+                raise RingMismatchError(f"vector {id!r} mixes ring radicands {radicands}")
+        key = _ray_key(components, k)
         if key is None:
             raise ValueError(f"vector {id!r} is the zero vector")
         return super().__new__(cls, id, components, key)
@@ -327,9 +342,12 @@ def _keys_orthogonal(x: tuple[int, ...], y: tuple[int, ...], k: int) -> bool:
 
     Each key is its vector times a nonzero field element, so the keys'
     product sum(A*C + k*B*D) + sum(A*D + B*C)*sqrt(k) vanishes exactly when
-    the vectors' does; both parts are integers.  The caller vouches for the
+    the vectors' does; both parts are integers.  Over Q (k = 1) every B and
+    D is 0, so the test is the plain dot product.  The caller vouches for the
     dimension and the ring, as ``orthogonal`` and the parser do.
     """
+    if k == 1:
+        return sum(map(mul, x, y)) == 0
     a, b, c, d = x[::2], x[1::2], y[::2], y[1::2]
     return (
         sum(map(mul, a, c)) + k * sum(map(mul, b, d)) == 0
