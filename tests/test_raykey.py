@@ -327,7 +327,8 @@ def pinned_vectors(k, d, rng):
             comps[-1] = ExactScalar.of(-2, 0, k)
         out.append(RayVector(f"v{i}", tuple(comps)))
     for i, u in enumerate(out[:8]):
-        c = ExactScalar.of(rng.choice((1, -3, 0, Fraction(5, 2))), rng.choice((1, 2, -7)) if k > 1 else 0, k)
+        r = rng.choice((1, -3, 0, Fraction(5, 2)))
+        c = ExactScalar.of(r, rng.choice((1, 2, -7)) if k > 1 else 0, k)
         out.append(scaled(c if c else ExactScalar.of(-1, 0, k), u, f"m{i}"))
         w = out[(i + 5) % 14]
         c = inner_product(w, u) * inverse(inner_product(u, u))
