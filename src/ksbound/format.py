@@ -284,21 +284,12 @@ def catalog_text(name: str) -> str:
 
 
 def load_catalog(name: str) -> KsSet:
-    """Load and fully validate a bundled set.
+    """Load a bundled set, validated by the parser.
 
     A broken bundled file is a packaging defect, not a user error, so it
-    raises rather than returning a report.  The parser checks every context
-    for orthogonality, so any defect, that one included, raises
-    :class:`ParseError` before ``validate_orthogonality`` runs; that second
-    check stays, and raises RuntimeError.
+    raises :class:`ParseError` rather than returning a report.  The parser
+    rejects every violation that ``validate_orthogonality`` reports (a
+    repeated ray, a repeated context, a context that is not orthogonal), so
+    no second check runs.
     """
-    from .coloring import validate_orthogonality
-
-    ks = parse_set(catalog_text(name))
-    report = validate_orthogonality(ks)
-    if not report.ok:
-        raise RuntimeError(
-            f"bundled catalog set {name!r} failed validation: "
-            + "; ".join(v.message for v in report.violations)
-        )
-    return ks
+    return parse_set(catalog_text(name))

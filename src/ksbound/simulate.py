@@ -12,7 +12,8 @@ its rows padded to whole 8-byte words so that bit counts sum them (see
 ``simulate_model`` for the rule and its measured crossover).  Each gives
 a chunk's per-context errors, per-connection mismatches and least trial
 defect; the total defect is the sum of the two counters.  The stream, the
-chunks and every counter are the same whichever kernel runs.
+chunks (sized by ``_chunk_rows``, one rule for both) and every counter are
+the same whichever kernel runs.
 One connection (two triads sharing a ray) and one context (a lone triad) are
 sets like any other, so the analytic rates delta(r) and epsilon(r, d) are
 checked on this engine too.  Results are reproducible across runs and chunk
@@ -36,9 +37,7 @@ from .model import KsSet
 if TYPE_CHECKING:
     import numpy as np
 
-#: ``_dense_kernel`` holds at most this many trial-slots per chunk.
-CHUNK_SLOTS = 1 << 20
-#: ``_sparse_kernel`` takes about this many expected flips and flip pairs per chunk.
+#: A chunk takes about this many expected flips and flip pairs (``_chunk_rows``).
 SPARSE_WORK = 1 << 16
 #: ``simulate_model`` counts densely from this many flips per (slot + connection).
 DENSE_FLIPS = 96
@@ -176,14 +175,22 @@ def _live_flip_offsets(
             return
 
 
-def _slot_layout(model: TrialModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The base value of each slot, context by context, and the left and right
-    slots of each connection: every pair of a ray's slots, rays in declaration
-    order and each ray's slots in context order."""
+def _slot_layout(model: TrialModel) -> tuple[np.ndarray, ...]:
+    """The base value of each slot, context by context; the left and right
+    slots of each connection: every pair of a ray's slots, rays in
+    declaration order and each ray's slots in context order; and per slot,
+    its rank among its ray's slots, its ray's rank-0 slot (int32, like the
+    sparse kernel's offsets), and ``to_conn``, such that the connection of
+    the ray's slots s_i and s_j of ranks i < j is ``to_conn[s_i] + j``.
+
+    A ray's pairs are in ``combinations`` order, so the connections of its
+    slot s_i run from ``to_conn[s_i] + i + 1``, (s_i, s_j) lying j - i - 1
+    past that start."""
     import numpy as np
 
     ks = model.ks_set
     d = ks.dimension
+    slots = len(ks.contexts) * d
     base = np.array(
         [model.base[vid] for ctx in ks.contexts for vid in ctx.vector_ids], dtype=np.int64
     )
@@ -191,42 +198,28 @@ def _slot_layout(model: TrialModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     for ci, ctx in enumerate(ks.contexts):
         for p, vid in enumerate(ctx.vector_ids):
             held[vid].append(ci * d + p)
+    # Python lists, each made an array once: numpy scalar stores are slower
+    rank, root, to_conn = [0] * slots, [0] * slots, [0] * slots
+    conn = 0  # where the connections of the next left end start
+    for at in held.values():
+        for i, s in enumerate(at):
+            rank[s], root[s], to_conn[s] = i, at[0], conn - i - 1
+            conn += len(at) - 1 - i
     pairs = chain.from_iterable(combinations(at, 2) for at in held.values())
     # copied row by row: gathers by a strided index array are far slower
     left, right = np.fromiter(chain.from_iterable(pairs), dtype=np.intp).reshape(-1, 2).T.copy()
-    return base, left, right
-
-
-def _ray_ranks(
-    left: np.ndarray, right: np.ndarray, slots: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per slot, from ``_slot_layout``'s connections: its rank among its
-    ray's slots, its ray's rank-0 slot, and ``to_conn``, such that the
-    connection of the ray's slots s_i and s_j of ranks i < j is
-    ``to_conn[s_i] + j``.
-
-    A slot of rank j is the right end of j connections, and the rank-0 slot
-    is the left end of one with each other slot of its ray.  A ray's pairs
-    are in ``combinations`` order, so the connections of one left end s_i
-    are a run, and (s_i, s_j) lies j - i - 1 past the run's start.
-    """
-    import numpy as np
-
-    rank = np.bincount(right, minlength=slots)
-    root = np.arange(slots)
-    first = rank[left] == 0  # the connections of each ray's rank-0 slot
-    root[right[first]] = left[first]
-    run = np.flatnonzero(np.diff(left, prepend=-1))  # where each left end's run starts
-    to_conn = np.zeros(slots, dtype=np.intp)
-    to_conn[left[run]] = run
-    to_conn -= rank + 1
-    return rank, root, to_conn
+    return (
+        base, left, right, np.array(rank, dtype=np.intp), np.array(root, dtype=np.int32),
+        np.array(to_conn, dtype=np.intp),
+    )
 
 
 def _sparse_kernel(
-    base: np.ndarray, left: np.ndarray, right: np.ndarray, d: int
+    base: np.ndarray, left: np.ndarray, right: np.ndarray, rank: np.ndarray,
+    root: np.ndarray, to_conn: np.ndarray, d: int,
 ) -> Callable[[np.ndarray, int], tuple]:
-    """The chunk counter that touches only the flips.
+    """The chunk counter that touches only the flips, over ``_slot_layout``'s
+    tables.
 
     It counts every flip as if it were alone in its trial, then corrects
     only where flips share a trial.  The base is a per-vector assignment, so
@@ -240,18 +233,15 @@ def _sparse_kernel(
     count and its trial's defect.  The shared flips are grouped by (trial,
     ray) with one stable sort, and the pairs of each group of two or more
     are listed; a pair's connection follows from its slots' ranks among the
-    ray's slots (see ``_ray_ranks``).  So its cost grows with the flips, and
-    the corrections' with the flips that share a trial and the pairs that
-    share a ray: at r* most flips are alone in their trial.  Its arrays hold
-    a few entries per flip and per pair, beside per-slot tables and the
-    per-connection counts.  So where the dense kernel's chunks hold at most
-    CHUNK_SLOTS trial-slots, its chunks are sized by their expected flips
-    and pairs (``_chunk_rows``): about max(SPARSE_WORK, slots + connections)
-    of them, which bounds a chunk's memory at any rate, and at most 2^30
-    trial-slots.  The returned ``count(q, n)`` takes a chunk's flip offsets
-    ``q``, all below 2^31 so that int32 holds them, over ``n`` trials and
-    gives its per-context errors, per-connection mismatches and least
-    per-trial defect.  A chunk without flips may span any ``n`` trials.
+    ray's slots.  So its cost grows with the flips, and the corrections'
+    with the flips that share a trial and the pairs that share a ray: at r*
+    most flips are alone in their trial.  Its arrays hold a few entries per
+    flip and per pair, beside per-slot tables and the per-connection counts,
+    so ``_chunk_rows`` sizes chunks by their expected flips and pairs.  The
+    returned ``count(q, n)`` takes a chunk's flip offsets ``q``, all below
+    2^31 so that int32 holds them, over ``n`` trials and gives its
+    per-context errors, per-connection mismatches and least per-trial
+    defect.  A chunk without flips may span any ``n`` trials.
     """
     import numpy as np
 
@@ -262,8 +252,6 @@ def _sparse_kernel(
     step = 1 - 2 * base  # a flip's change to its context's count of ones
     ctx_of = np.arange(slots) // d
     solo_delta = (base_ones[ctx_of] + step != d - 1) - base_broken[ctx_of]
-    rank, root, to_conn = _ray_ranks(left, right, slots)
-    root = root.astype(np.int32)  # so the ray keys stay int32 like the offsets
     degree = np.bincount(left, minlength=slots) + rank
     solo_change = (degree + solo_delta).astype(np.int32)  # a lone flip's change to its trial's defect
 
@@ -370,11 +358,11 @@ def _dense_kernel(
     d strided row adds, and connections compare rows ``left`` and ``right``
     in blocks of at most ``slots`` connections.  Its cost grows with trials
     * (slots + connections), whatever the flip count.  Its largest arrays
-    are three uint8 buffers of slots * width bytes, made once per run and
-    reused by every chunk, and a block's 2^20 bytes of table offsets; every
-    other array it makes is no larger, beside the counts, 8 bytes per
-    context or connection.  ``count`` has the signature and results of
-    ``_sparse_kernel``'s.
+    are three uint8 buffers of slots * width bytes (``simulate_model``
+    bounds them), made once per run and reused by every chunk, and a
+    block's 2^20 bytes of table offsets; every other array it makes is no
+    larger, beside the counts, 8 bytes per context or connection.  ``count``
+    has the signature and results of ``_sparse_kernel``'s.
     """
     import numpy as np
 
@@ -430,21 +418,17 @@ def _dense_wins(flip_rate: float, slots: int, connections: int) -> bool:
     return flip_rate * slots * DENSE_FLIPS >= slots + connections
 
 
-def _chunk_rows(flip_rate: float, slots: int, connections: int, dense: bool) -> int:
-    """Trials per chunk of a run, for the dense kernel or the sparse one.
+def _chunk_rows(flip_rate: float, slots: int, connections: int) -> int:
+    """Trials per chunk of a run, whichever kernel counts it.
 
-    The dense kernel's table has one byte per trial-slot, so its chunk holds
-    one trial or at most CHUNK_SLOTS trial-slots, and beyond 8 trials a
-    multiple of 8.  The sparse kernel's work and memory grow with the flips
-    and the pairs of flips on one connection, r * slots + r^2 * connections
-    expected per trial, and each of its chunks also pays once per slot and
-    connection.  So its chunk takes about max(SPARSE_WORK, slots +
+    The sparse kernel's work and memory grow with the flips and the pairs of
+    flips on one connection, r * slots + r^2 * connections expected per
+    trial, and each chunk of either kernel also pays once per slot and
+    connection.  So a chunk takes about max(SPARSE_WORK, slots +
     connections) of that expected work, which keeps the per-chunk cost paid
-    back; and at most 2^30 trial-slots, so that its int32 offsets hold.
+    back and bounds a chunk's memory at any rate; and at most 2^30
+    trial-slots, so that the sparse kernel's int32 offsets hold.
     """
-    if dense:
-        rows = max(1, CHUNK_SLOTS // slots)
-        return rows - rows % 8 if rows > 8 else rows  # whole 8-byte words: no row padded
     work = flip_rate * slots + flip_rate**2 * connections
     budget = max(SPARSE_WORK, slots + connections)
     most = max(1, (1 << 30) // slots)
@@ -460,14 +444,11 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     whose two slots disagree.
 
     Only the flips are drawn (see ``_live_flip_offsets``), a chunk at a
-    time, with as many trials as ``_chunk_rows`` gives the kernel that runs.
-    A dense chunk holds one trial or at most CHUNK_SLOTS trial-slots; a
-    sparse chunk holds about max(SPARSE_WORK, slots + connections) expected
-    flips plus flip pairs and at most 2^30 trial-slots.  Once the stream has
-    no flip left in the run, the trials left form one last chunk, without
-    flips.  A trial's defect is its broken contexts plus its mismatched
-    connections, so the total defect is the sum of both counters, taken in
-    Python ints, exact past int64.
+    time, each of as many trials as ``_chunk_rows`` gives.  Once the stream
+    has no flip left in the run, the trials left form one last chunk,
+    without flips.  A trial's defect is its broken contexts plus its
+    mismatched connections, so the total defect is the sum of both
+    counters, taken in Python ints, exact past int64.
     One of two kernels counts every chunk of a run, chosen once from its
     rate and set by ``_dense_wins``.  ``_sparse_kernel`` counts each flip as
     if it were alone in its trial and corrects where flips share one, so its
@@ -479,12 +460,14 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     lies in.  The rule leaves every catalog r* (at most 0.0142) sparse with
     a 1.1x margin and r = 0.1 dense with a 5.1x one; a set with many
     connections per slot, such as a fan of 1000 triads on one ray, stays
-    sparse at every rate.  Memory per chunk is bounded either way: no array
-    the dense kernel makes holds more than max(CHUNK_SLOTS, 8 * slots)
-    bytes, and the sparse kernel's arrays hold a few entries per expected
-    flip and pair, beside per-slot and per-connection counts.  Both kernels
-    give the same counters from the same flips, so the kernel changes no
-    counter.
+    sparse at every rate.  Memory per chunk is bounded either way.  The
+    dense kernel runs only from 1/DENSE_FLIPS expected flips per slot plus
+    connection, so its chunk holds at most DENSE_FLIPS * max(SPARSE_WORK,
+    slots) trial-slots, and no array it makes, beside its counts, holds
+    more than that plus 8 * slots bytes, its pad to whole words.  The
+    sparse kernel's arrays hold a few entries per expected flip and pair,
+    beside per-slot and per-connection counts.  Both kernels give the same
+    counters from the same flips, so the kernel changes no counter.
     A set without contexts has no slots: nothing is drawn, and every counter
     and the per-trial minimum are 0.
     The counters are exact integers and reproducible from (seed, trials)
@@ -501,15 +484,13 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
         raise ValueError(f"trials * slots must be < 2^63 - 1, got {trials} * {slots}")
     if slots == 0:
         return SimSummary(model.seed, trials, model.flip_rate, (), (), 0, 0)
-    base, left, right = _slot_layout(model)
+    base, left, right, *ranks = _slot_layout(model)
     n_conn = len(left)
-
-    dense = _dense_wins(model.flip_rate, slots, n_conn)
-    rows = _chunk_rows(model.flip_rate, slots, n_conn, dense)
-    if dense:
+    rows = _chunk_rows(model.flip_rate, slots, n_conn)
+    if _dense_wins(model.flip_rate, slots, n_conn):
         count = _dense_kernel(base, left, right, d, rows)
     else:
-        count = _sparse_kernel(base, left, right, d)
+        count = _sparse_kernel(base, left, right, *ranks, d)
     ctx_errors = np.zeros(n_ctx, dtype=np.int64)
     conn_mismatches = np.zeros(n_conn, dtype=np.int64)
     min_trial = slots + n_conn + 1

@@ -62,6 +62,9 @@ def test_margin_arithmetic():
     m = inequality_margin(96, 40, 0.005, 0.01)
     assert abs(m.margin - 0.12) < 1e-12
     assert m.contradiction
+    for M, N in ((-1, 40), (96, -1)):
+        with pytest.raises(ValueError, match="M and N must be non-negative"):
+            inequality_margin(M, N, 0.005, 0.01)
 
 
 def test_delta_bound_at_zero_epsilon():

@@ -186,6 +186,10 @@ def test_bounds_json_vacuous(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["delta_min_vacuous"] is True
     assert doc["contradiction"] is False
+    assert main(["bounds", "catalog:cabello18", "--delta", "0", "--epsilon", "0.2"]) == 0
+    out = capsys.readouterr().out
+    assert "delta floor: vacuous (epsilon >= 1/N)" in out
+    assert "verdict: no contradiction" in out
 
 
 def test_bounds_rejects_bad_rates(capsys):
@@ -317,6 +321,8 @@ def test_simulate_json_byte_deterministic(capsys):
 def test_simulate_rejects_bad_rate(capsys):
     assert main(["simulate", "catalog:cabello18", "--r", "1.5"]) == 1
     assert "--r must lie in [0, 1]" in capsys.readouterr().err
+    assert main(["simulate", "catalog:cabello18", "--r", "0.1", "--trials", "0"]) == 1
+    assert "--trials must be >= 1" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_seed(capsys):

@@ -99,6 +99,9 @@ def test_set_structural_validation():
         make_set("bad", 3, [("a", (1, 0))], [])
     with pytest.raises(ValueError, match="m_override must be non-negative"):
         make_set("bad", 3, vs, [], m_override=-1)
+    mixed = r"'a' lives in ring sqrt\(2\), set declares sqrt\(1\)"
+    with pytest.raises(RingMismatchError, match=mixed):
+        KsSet("bad", 3, 1, (vec("a", 1, 0, 0, k=2),), ())
     with pytest.raises(ValueError, match="exceeds the limit"):
         KsSet("bad", 3, 10**18 + 3, (), ())
 
@@ -246,6 +249,10 @@ def test_records_are_immutable_hashable_values(two_triads):
     assert ExactScalar(1, 0).radicand == 1
     comps = (ExactScalar.of(1), ExactScalar.of(0), ExactScalar.of(0))
     assert RayVector(id="a", components=comps) == RayVector("a", comps)
+    # the key is derived, so the repr leaves it out
+    assert repr(RayVector("a", comps)) == (
+        "RayVector(id='a', components=(ExactScalar(1), ExactScalar(0), ExactScalar(0)))"
+    )
     assert Context(vector_ids=("a", "b")) == Context(("a", "b"))
     same = KsSet(name=ks.name, dimension=3, ring_radicand=1, vectors=ks.vectors,
                  contexts=ks.contexts)

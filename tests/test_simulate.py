@@ -3,8 +3,10 @@ import hashlib
 import json
 import math
 import random
+import runpy
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,8 +200,8 @@ STREAM_RATES = [
 
 @pytest.mark.parametrize("rate", STREAM_RATES)
 def test_flip_offsets_match_reference(rate):
-    big = 2 * sim.CHUNK_SLOTS + 3
-    runs = [(300, 1), (300, 7), (300, 300), (big, sim.CHUNK_SLOTS), (big, big)]
+    big = 2 * (1 << 20) + 3
+    runs = [(300, 1), (300, 7), (300, 300), (big, 1 << 20), (big, big)]
     if rate < 1e-17:  # a run near 2^63 slots in one chunk, where gaps reach ahead
         runs.append((2**63 - 2, 2**63 - 2))
     for total, width in runs:
@@ -304,7 +306,7 @@ def test_model_matches_dense_reference(case, rate, request, monkeypatch):
         assert chunks[0][1] == rows * slots, rows
 
 
-def hand_built_chunks(base, left, right, d, n):
+def hand_built_chunks(layout, d, n):
     """Chunks of ``n`` trials, as sorted flip offsets, that each take one
     path of the sparse kernel: no flip at all; two flips in one (trial,
     context) that cancel; three flips in one context; the two ends of one
@@ -315,6 +317,7 @@ def hand_built_chunks(base, left, right, d, n):
     trial; a flip on a ray in one context only, beside another flip; and a
     flip in every trial, so that no trial keeps the base defect.  A chunk
     the set cannot make is left out."""
+    base, left, right, _, root, _ = layout
     slots = len(base)
     values = base.reshape(-1, d)
     chunks = [[], [(0, p) for p in range(3)]]
@@ -331,7 +334,6 @@ def hand_built_chunks(base, left, right, d, n):
             chunks.append([(n - 1, s) for s in ray])
             # flips that share a trial but no ray, which the pair step skips,
             # beside a group of three on one ray, which it must not cut short
-            root = sim._ray_ranks(left, right, slots)[1]
             rays = np.unique(root[root != root[top]])
             if len(rays) >= 2:
                 pairs = [(t, rays[(t + i) % len(rays)]) for t in range(n) for i in (0, 1)]
@@ -352,15 +354,19 @@ def hand_built_chunks(base, left, right, d, n):
 def test_kernels_agree_on_the_same_flips(case, rate, request):
     # the two chunk counters must give equal partial counters from the same
     # flip_offsets chunks, whichever one simulate_model would pick; "hand"
-    # gives them hand_built_chunks instead
+    # gives them hand_built_chunks instead; the last rows are _chunk_rows'
+    # own where the dense kernel would run
     model = case_model(case, 0.0 if rate == "hand" else rate, 5, request)
     layout = sim._slot_layout(model)
-    slots, d, trials = len(layout[0]), model.ks_set.dimension, 60
-    for rows in (1, 7, 8, 9, sim.CHUNK_SLOTS // slots):
+    slots, n_conn, d, trials = len(layout[0]), len(layout[1]), model.ks_set.dimension, 60
+    row_counts = [1, 7, 8, 9, (1 << 20) // slots]
+    if sim._dense_wins(model.flip_rate, slots, n_conn):
+        row_counts.append(sim._chunk_rows(model.flip_rate, slots, n_conn))
+    for rows in row_counts:
         sparse = sim._sparse_kernel(*layout, d)
-        dense = sim._dense_kernel(*layout, d, rows)
+        dense = sim._dense_kernel(*layout[:3], d, rows)
         if rate == "hand":
-            chunks = [(q, rows) for q in hand_built_chunks(*layout, d, rows)]
+            chunks = [(q, rows) for q in hand_built_chunks(layout, d, rows)]
         else:  # each chunk is counted before the stream reuses its buffer
             stream = flip_offsets(5, model.flip_rate, trials * slots, rows * slots)
             chunks = ((q, min(rows, trials - t)) for t, q in zip(range(0, trials, rows), stream))
@@ -376,22 +382,24 @@ def test_kernels_count_a_chunk_without_flips_as_copies_of_the_base(case, request
     # simulate_model counts the trials after the last flip in one kernel
     # call, which the dense kernel, at its rates, meets in practice only
     # here: n copies of the base's broken contexts, no mismatch, and the
-    # base's defect as the least trial defect
+    # base's defect as the least trial defect; the dense rows are a whole
+    # number of words, then _chunk_rows' own at r = 0.1, a padded table
     model = case_model(case, 0.0, 5, request)
-    base, left, right = sim._slot_layout(model)
+    layout = sim._slot_layout(model)
+    base, left = layout[:2]
     d = model.ks_set.dimension
     broken = (base.reshape(-1, d).sum(axis=1) != d - 1).astype(np.int64)
-    rows = sim.CHUNK_SLOTS // len(base)
-    rows -= rows % 8
     empty = np.empty(0, dtype=np.int64)
-    sparse = sim._sparse_kernel(base, left, right, d)
-    dense = sim._dense_kernel(base, left, right, d, rows)
-    for count in (sparse, dense):
-        for n in (1, rows - 1, rows, rows + 1, 10**12):
-            ctx, conn, least = count(empty, n)
-            assert ctx.tolist() == (n * broken).tolist(), n
-            assert conn.tolist() == [0] * len(left), n
-            assert least == broken.sum(), n
+    sparse = sim._sparse_kernel(*layout, d)
+    words = (1 << 20) // len(base)
+    for rows in (words - words % 8, sim._chunk_rows(0.1, len(base), len(left))):
+        dense = sim._dense_kernel(*layout[:3], d, rows)
+        for count in (sparse, dense):
+            for n in (1, rows - 1, rows, rows + 1, 10**12):
+                ctx, conn, least = count(empty, n)
+                assert ctx.tolist() == (n * broken).tolist(), (rows, n)
+                assert conn.tolist() == [0] * len(left), (rows, n)
+                assert least == broken.sum(), (rows, n)
 
 
 @pytest.mark.parametrize("name", ["cabello18", "kernaghan20", "kp36", "fan50"])
@@ -399,7 +407,7 @@ def test_slot_layout_lists_connections_in_all_pairs_order(name, request):
     # the order of connection_mismatch_counts, and so of delta_hat, is the
     # all-pairs order: rays in declaration order, context pairs lexicographic
     ks = request.getfixturevalue(name)
-    base, left, right = sim._slot_layout(TrialModel(ks, default_base(ks), 0.1, seed=0))
+    base, left, right, *_ = sim._slot_layout(TrialModel(ks, default_base(ks), 0.1, seed=0))
     want = connection_slots(ks)
     assert left.tolist() == [a for a, _ in want] and right.tolist() == [b for _, b in want]
     assert len(base) == len(ks.contexts) * ks.dimension
@@ -411,8 +419,9 @@ def test_ray_ranks_give_each_pair_its_connection(name, request):
     # their slots' ranks: every pair of a ray's slots must land on its own
     # (left, right) entry; kp36 carries an m-override, which the layout ignores
     ks = request.getfixturevalue(name)
-    base, left, right = sim._slot_layout(TrialModel(ks, default_base(ks), 0.1, seed=0))
-    rank, root, to_conn = sim._ray_ranks(left, right, len(base))
+    layout = sim._slot_layout(TrialModel(ks, default_base(ks), 0.1, seed=0))
+    base, left, right, rank, root, to_conn = layout
+    assert root.dtype == np.int32 and all(len(t) == len(base) for t in (rank, root, to_conn))
     held = {v.id: [] for v in ks.vectors}
     for ci, ctx in enumerate(ks.contexts):
         for p, vid in enumerate(ctx.vector_ids):
@@ -437,6 +446,28 @@ def test_kernel_rule_is_sparse_at_r_star_and_dense_at_0_1(catalog_sets):
         assert sim._dense_wins(0.1, slots, st.m_all_pairs), ks.name
     # many connections per slot keep a set sparse: the 1000-triad fan at any rate
     assert not sim._dense_wins(1.0, 3 * 1000, 1000 * 999 // 2)
+
+
+def test_dense_tables_stay_within_their_bound(catalog_sets):
+    # the dense kernel runs from 1 / DENSE_FLIPS flips per slot plus
+    # connection, so _chunk_rows' one rule keeps its table, slots * width
+    # bytes with rows padded to whole words, within DENSE_FLIPS *
+    # max(SPARSE_WORK, slots) + 8 * slots bytes at every rate it runs at
+    peres = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "peres57.py"))
+    sets = [*catalog_sets, kb.parse_document(peres["peres57_document"]()).ks_set]
+    for ks in sets:
+        slots = len(ks.contexts) * ks.dimension
+        n_conn = build_stats(ks).m_all_pairs
+        bound = sim.DENSE_FLIPS * max(sim.SPARSE_WORK, slots) + 8 * slots
+        crossover = (slots + n_conn) / (slots * sim.DENSE_FLIPS)
+        while not sim._dense_wins(crossover, slots, n_conn):  # rounded below it
+            crossover = math.nextafter(crossover, 1)
+        for rate in [crossover, *np.geomspace(crossover, 1, 50)[1:].tolist(), 0.1]:
+            assert sim._dense_wins(rate, slots, n_conn), (ks.name, rate)
+            rows = sim._chunk_rows(rate, slots, n_conn)
+            table = slots * -(-rows // 8) * 8
+            assert table <= bound, (ks.name, rate)
+        assert table < 1 << 20, ks.name  # at r = 0.1
 
 
 def test_zero_rate_repeats_the_base_defect(kp36, monkeypatch):
