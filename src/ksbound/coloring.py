@@ -38,7 +38,8 @@ def validate_orthogonality(ks: KsSet) -> ValidationReport:
     repeats and exact pairwise orthogonality.  Vectors are grouped by ray key,
     and every duplicate pair is reported in declaration order.  Structural
     problems (undeclared ids, wrong component counts, zero vectors) cannot
-    occur in a constructed KsSet.
+    occur in a constructed KsSet.  ``parse_document`` rejects each of these
+    violations itself, so this is the check for sets built in code.
     """
     violations: list[Violation] = []
     rays: dict[tuple[int, ...], list[int]] = {}

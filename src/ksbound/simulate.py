@@ -454,13 +454,14 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     if it were alone in its trial and corrects where flips share one, so its
     cost grows with the flips; ``_dense_kernel`` evaluates a 0/1 table of
     every slot, so its cost grows with trials * (slots + connections).
-    Timed in process, each on its own chunks of one run of the four
-    benchmark sets, they cost the same at 0.017-0.022 flips per slot, one
-    flip per 69-107 slots and connections, a range that DENSE_FLIPS = 96
-    lies in.  The rule leaves every catalog r* (at most 0.0142) sparse with
-    a 1.1x margin and r = 0.1 dense with a 5.1x one; a set with many
-    connections per slot, such as a fan of 1000 triads on one ray, stays
-    sparse at every rate.  Memory per chunk is bounded either way.  The
+    Timed in process on the same chunks of one run of the four benchmark
+    sets, they cost the same at 0.021-0.027 flips per slot, one flip per
+    55-87 slots and connections; DENSE_FLIPS = 96 lies above that range, so
+    just past the switch the dense kernel is the slower one.  The rule
+    leaves every catalog r* (at most 0.0142) sparse with a 1.1x margin and
+    r = 0.1 dense with a 5.1x one; a set with many connections per slot,
+    such as a fan of 1000 triads on one ray, stays sparse at every rate.
+    Memory per chunk is bounded either way.  The
     dense kernel runs only from 1/DENSE_FLIPS expected flips per slot plus
     connection, so its chunk holds at most DENSE_FLIPS * max(SPARSE_WORK,
     slots) trial-slots, and no array it makes, beside its counts, holds
