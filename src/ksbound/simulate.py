@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import chain, combinations
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .coloring import DefectReport, min_defect
@@ -183,9 +182,9 @@ def _slot_layout(model: TrialModel) -> tuple[np.ndarray, ...]:
     sparse kernel's offsets), and ``to_conn``, such that the connection of
     the ray's slots s_i and s_j of ranks i < j is ``to_conn[s_i] + j``.
 
-    A ray's pairs are in ``combinations`` order, so the connections of its
-    slot s_i run from ``to_conn[s_i] + i + 1``, (s_i, s_j) lying j - i - 1
-    past that start."""
+    One walk over each ray's slots lists them all: slot s_i of a ray is the
+    left end of the connections to its later slots, listed as a run, and
+    (s_i, s_j) lies j - i - 1 past that run's start."""
     import numpy as np
 
     ks = model.ks_set
@@ -200,16 +199,16 @@ def _slot_layout(model: TrialModel) -> tuple[np.ndarray, ...]:
             held[vid].append(ci * d + p)
     # Python lists, each made an array once: numpy scalar stores are slower
     rank, root, to_conn = [0] * slots, [0] * slots, [0] * slots
-    conn = 0  # where the connections of the next left end start
+    left: list[int] = []
+    right: list[int] = []
     for at in held.values():
         for i, s in enumerate(at):
-            rank[s], root[s], to_conn[s] = i, at[0], conn - i - 1
-            conn += len(at) - 1 - i
-    pairs = chain.from_iterable(combinations(at, 2) for at in held.values())
-    # copied row by row: gathers by a strided index array are far slower
-    left, right = np.fromiter(chain.from_iterable(pairs), dtype=np.intp).reshape(-1, 2).T.copy()
+            rank[s], root[s], to_conn[s] = i, at[0], len(left) - i - 1
+            left += [s] * (len(at) - 1 - i)
+            right += at[i + 1 :]
     return (
-        base, left, right, np.array(rank, dtype=np.intp), np.array(root, dtype=np.int32),
+        base, np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+        np.array(rank, dtype=np.intp), np.array(root, dtype=np.int32),
         np.array(to_conn, dtype=np.intp),
     )
 
