@@ -459,10 +459,10 @@ def test_dense_tables_stay_within_their_bound(catalog_sets):
         slots = len(ks.contexts) * ks.dimension
         n_conn = build_stats(ks).m_all_pairs
         bound = sim.DENSE_FLIPS * max(sim.SPARSE_WORK, slots) + 8 * slots
-        crossover = (slots + n_conn) / (slots * sim.DENSE_FLIPS)
-        while not sim._dense_wins(crossover, slots, n_conn):  # rounded below it
-            crossover = math.nextafter(crossover, 1)
-        for rate in [crossover, *np.geomspace(crossover, 1, 50)[1:].tolist(), 0.1]:
+        switch = (slots + n_conn) / (slots * sim.DENSE_FLIPS)  # the least dense rate
+        while not sim._dense_wins(switch, slots, n_conn):  # rounded below it
+            switch = math.nextafter(switch, 1)
+        for rate in [*np.geomspace(switch, 1, 50).tolist(), 0.1]:
             assert sim._dense_wins(rate, slots, n_conn), (ks.name, rate)
             rows = sim._chunk_rows(rate, slots, n_conn)
             table = slots * -(-rows // 8) * 8
