@@ -86,12 +86,6 @@ class ColoringResult(NamedTuple):
     solutions: Optional[int] = None
 
 
-def _index_contexts(ks: KsSet) -> tuple[list[str], list[list[int]]]:
-    order = [v.id for v in ks.vectors]
-    pos = {vid: i for i, vid in enumerate(order)}
-    return order, [[pos[vid] for vid in ctx.vector_ids] for ctx in ks.contexts]
-
-
 def find_coloring(ks: KsSet) -> ColoringResult:
     """Backtracking search for a non-contextual 0/1 coloring.
 
@@ -102,10 +96,11 @@ def find_coloring(ks: KsSet) -> ColoringResult:
     with two zeros, or with no zero left possible, is a conflict: the newest
     context on the trail moves to its next option, or is undone once it has
     none left.  Each context taken is one node, and the node count makes
-    unsatisfiability certificates reproducible.
+    unsatisfiability certificates reproducible.  Rays and contexts are read
+    by position off the set's :class:`~ksbound.model.Incidence`.
     """
-    order, ctxs = _index_contexts(ks)
-    val: list[Optional[int]] = [None] * len(order)
+    ctxs = ks._incidence.contexts
+    val: list[Optional[int]] = [None] * len(ks.vectors)
     decided = [False] * len(ctxs)
     # (context, its free rays when taken, zero options left to try)
     trail: list[tuple[int, list[int], list[Optional[int]]]] = []
@@ -128,7 +123,8 @@ def find_coloring(ks: KsSet) -> ColoringResult:
                 best = (ci, free, options)
         else:
             if best is None:  # every context decided; rays outside every context are 1
-                return ColoringResult(True, {vid: int(v != 0) for vid, v in zip(order, val)}, nodes)
+                found = {v.id: int(x != 0) for v, x in zip(ks.vectors, val)}
+                return ColoringResult(True, found, nodes)
             nodes += 1
             decided[best[0]] = True
             trail.append(best)
@@ -149,11 +145,11 @@ def brute_force_coloring(ks: KsSet) -> ColoringResult:
     """Independent oracle: enumerate all 2^n vector assignments (n <= 25)."""
     import numpy as np
 
-    order, ctxs = _index_contexts(ks)
-    n = len(order)
+    n = len(ks.vectors)
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"set too large for 2^n enumeration (n={n} > {BRUTE_FORCE_LIMIT})")
     d = ks.dimension
+    ctxs = ks._incidence.contexts
     masks = np.array([sum(1 << vi for vi in ctx) for ctx in ctxs], dtype=np.uint64)
     want = np.uint64(d - 1)
     total = 1 << n
@@ -172,7 +168,7 @@ def brute_force_coloring(ks: KsSet) -> ColoringResult:
             first = lo + int(np.argmax(ok))
     if first is None:
         return ColoringResult(False, None, total, solutions=0)
-    assignment = {order[i]: (first >> i) & 1 for i in range(n)}
+    assignment = {v.id: (first >> i) & 1 for i, v in enumerate(ks.vectors)}
     return ColoringResult(True, assignment, total, solutions=solutions)
 
 
@@ -202,21 +198,18 @@ def assignment_defect(ks: KsSet, slots: SlotAssignment) -> tuple[int, int]:
     Connections are all pairs of a ray's slots, so a ray in k contexts whose
     slots hold value x c_x times has C(k, 2) - Sum_x C(c_x, 2) disagreeing
     ones (zeros times ones for 0/1 values); an m_override never changes
-    which agreements are counted.
+    which agreements are counted.  Each ray's slots, and slot s's key
+    ``divmod(s, d)`` in ``slots``, come from the set's
+    :class:`~ksbound.model.Incidence`.
     """
     d = ks.dimension
-    sum_defects = 0
-    held: dict[str, list[int]] = {}
-    for ci, ctx in enumerate(ks.contexts):
-        values = [slots[(ci, p)] for p in range(d)]
-        if sum(values) != d - 1:
-            sum_defects += 1
-        for vid, x in zip(ctx.vector_ids, values):
-            held.setdefault(vid, []).append(x)
-    connection_defects = sum(
-        math.comb(len(xs), 2) - sum(math.comb(c, 2) for c in Counter(xs).values())
-        for xs in held.values()
+    sum_defects = sum(
+        sum(slots[(ci, p)] for p in range(d)) != d - 1 for ci in range(len(ks.contexts))
     )
+    connection_defects = 0
+    for at in ks._incidence.slots:
+        held = Counter(slots[divmod(s, d)] for s in at)
+        connection_defects += math.comb(len(at), 2) - sum(math.comb(c, 2) for c in held.values())
     return sum_defects, connection_defects
 
 

@@ -218,6 +218,24 @@ class Context(namedtuple("Context", "vector_ids")):
         return super().__new__(cls, vector_ids)
 
 
+class Incidence(NamedTuple):
+    """Which rays sit in which contexts, by position: built from the ids once
+    per set, on first use (``KsSet._incidence``), and read by every engine.
+
+    ``index`` maps each vector id to its position in ``vectors``;
+    ``contexts`` gives each context's rays by position; ``slots`` gives
+    each ray's slots in context order, empty for a ray in no context.  Slot
+    c*d + p is position p of context c, so ``divmod(s, d)`` is its
+    (context, position); every engine that works per slot numbers slots so.
+    A ray's multiplicity is its slot count, and each pair of its slots is
+    one connection.
+    """
+
+    index: Mapping[str, int]
+    contexts: tuple[tuple[int, ...], ...]
+    slots: tuple[tuple[int, ...], ...]
+
+
 class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m_override")):
     """A named set of rays and orthogonal d-tuples, with optional M override.
 
@@ -273,11 +291,18 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
         raise AttributeError(f"cannot set {name!r}: a KsSet is immutable")
 
     def vector(self, vid: str) -> RayVector:
-        return self._by_id[vid]
+        return self.vectors[self._incidence.index[vid]]
 
-    @cached_property  # kept in the instance dict, outside the tuple's fields
-    def _by_id(self) -> Mapping[str, RayVector]:
-        return {v.id: v for v in self.vectors}
+    @cached_property  # in the instance dict, outside the fields: a _replace builds its own
+    def _incidence(self) -> Incidence:
+        d = self.dimension
+        index = {v.id: i for i, v in enumerate(self.vectors)}
+        contexts = tuple(tuple(map(index.__getitem__, ctx.vector_ids)) for ctx in self.contexts)
+        slots: list[list[int]] = [[] for _ in self.vectors]
+        for c, ctx in enumerate(contexts):
+            for p, vi in enumerate(ctx):
+                slots[vi].append(c * d + p)
+        return Incidence(index, contexts, tuple(map(tuple, slots)))
 
 
 class SetStats(NamedTuple):
@@ -356,16 +381,14 @@ def _keys_orthogonal(x: tuple[int, ...], y: tuple[int, ...], k: int) -> bool:
 
 
 def build_stats(ks: KsSet) -> SetStats:
-    """Derive n, N, M and the per-vector multiplicities.
+    """Derive n, N, M and the per-vector multiplicities, each ray's slot
+    count in the set's :class:`Incidence`.
 
     The default M counts all unordered context pairs per shared vector,
     Sum_v C(k_v, 2); an m_override on the set replaces the reported M but
     not ``m_all_pairs``.
     """
-    mult: dict[str, int] = {v.id: 0 for v in ks.vectors}
-    for ctx in ks.contexts:
-        for vid in ctx.vector_ids:
-            mult[vid] += 1
+    mult = {v.id: len(at) for v, at in zip(ks.vectors, ks._incidence.slots)}
     m_all_pairs = sum(math.comb(k, 2) for k in mult.values())
     return SetStats(
         n=len(ks.vectors),

@@ -39,7 +39,7 @@ if TYPE_CHECKING:
 #: A chunk takes about this many expected flips and flip pairs (``_chunk_rows``).
 SPARSE_WORK = 1 << 16
 #: ``simulate_model`` counts densely from this many flips per (slot + connection).
-DENSE_FLIPS = 96
+DENSE_FLIPS = 72
 
 
 class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
@@ -175,12 +175,13 @@ def _live_flip_offsets(
 
 
 def _slot_layout(model: TrialModel) -> tuple[np.ndarray, ...]:
-    """The base value of each slot, context by context; the left and right
-    slots of each connection: every pair of a ray's slots, rays in
-    declaration order and each ray's slots in context order; and per slot,
-    its rank among its ray's slots, its ray's rank-0 slot (int32, like the
-    sparse kernel's offsets), and ``to_conn``, such that the connection of
-    the ray's slots s_i and s_j of ranks i < j is ``to_conn[s_i] + j``.
+    """The base value of each slot, numbered as in the set's
+    :class:`~ksbound.model.Incidence`; the left and right slots of each
+    connection: every pair of a ray's slots, rays in declaration order and
+    each ray's slots in context order; and per slot, its rank among its
+    ray's slots, its ray's rank-0 slot (int32, like the sparse kernel's
+    offsets), and ``to_conn``, such that the connection of the ray's slots
+    s_i and s_j of ranks i < j is ``to_conn[s_i] + j``.
 
     One walk over each ray's slots lists them all: slot s_i of a ray is the
     left end of the connections to its later slots, listed as a run, and
@@ -188,28 +189,21 @@ def _slot_layout(model: TrialModel) -> tuple[np.ndarray, ...]:
     import numpy as np
 
     ks = model.ks_set
-    d = ks.dimension
-    slots = len(ks.contexts) * d
-    base = np.array(
-        [model.base[vid] for ctx in ks.contexts for vid in ctx.vector_ids], dtype=np.int64
-    )
-    held: dict[str, list[int]] = {v.id: [] for v in ks.vectors}
-    for ci, ctx in enumerate(ks.contexts):
-        for p, vid in enumerate(ctx.vector_ids):
-            held[vid].append(ci * d + p)
+    slots = len(ks.contexts) * ks.dimension
     # Python lists, each made an array once: numpy scalar stores are slower
-    rank, root, to_conn = [0] * slots, [0] * slots, [0] * slots
+    base, rank, root, to_conn = [0] * slots, [0] * slots, [0] * slots, [0] * slots
     left: list[int] = []
     right: list[int] = []
-    for at in held.values():
+    for v, at in zip(ks.vectors, ks._incidence.slots):
+        x = model.base[v.id]
         for i, s in enumerate(at):
-            rank[s], root[s], to_conn[s] = i, at[0], len(left) - i - 1
+            base[s], rank[s], root[s], to_conn[s] = x, i, at[0], len(left) - i - 1
             left += [s] * (len(at) - 1 - i)
             right += at[i + 1 :]
     return (
-        base, np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-        np.array(rank, dtype=np.intp), np.array(root, dtype=np.int32),
-        np.array(to_conn, dtype=np.intp),
+        np.array(base, dtype=np.int64), np.array(left, dtype=np.intp),
+        np.array(right, dtype=np.intp), np.array(rank, dtype=np.intp),
+        np.array(root, dtype=np.int32), np.array(to_conn, dtype=np.intp),
     )
 
 
@@ -454,17 +448,19 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     cost grows with the flips; ``_dense_kernel`` evaluates a 0/1 table of
     every slot, so its cost grows with trials * (slots + connections).
     Timed in process on the same chunks of one run of the four benchmark
-    sets, they cost the same at 0.021-0.027 flips per slot, one flip per
-    55-87 slots and connections; DENSE_FLIPS = 96 lies above that range, so
-    just past the switch the dense kernel is the slower one.  The rule
-    leaves every catalog r* (at most 0.0142) sparse with a 1.1x margin and
-    r = 0.1 dense with a 5.1x one; a set with many connections per slot,
-    such as a fan of 1000 triads on one ray, stays sparse at every rate.
-    Memory per chunk is bounded either way.  The
-    dense kernel runs only from 1/DENSE_FLIPS expected flips per slot plus
-    connection, so its chunk holds at most DENSE_FLIPS * max(SPARSE_WORK,
-    slots) trial-slots, and no array it makes, beside its counts, holds
-    more than that plus 8 * slots bytes, its pad to whole words.  The
+    sets, they cost the same at 0.022-0.027 flips per slot, one flip per
+    58-84 slots and connections.  DENSE_FLIPS = 72 lies inside that range
+    and switches at r = 0.0208-0.0259 on those sets, where the kernel
+    chosen is at most about 1.5x slower than the other (cabello18, just
+    past its switch).  The rule leaves every catalog r* (at most 0.0142)
+    sparse with a 1.4x margin and r = 0.1 dense with a 3.8x one; a set with
+    many connections per slot, such as a fan of 1000 triads on one ray,
+    stays sparse at every rate.  Memory per chunk is bounded either way.
+    The dense kernel runs only from 1/DENSE_FLIPS expected flips per slot
+    plus connection, so its chunk holds at most DENSE_FLIPS *
+    max(SPARSE_WORK, slots) trial-slots (4.5 Mi on the four sets), and no
+    array it makes, beside its counts, holds more than that plus 8 * slots
+    bytes, its pad to whole words.  The
     sparse kernel's arrays hold a few entries per expected flip and pair,
     beside per-slot and per-connection counts.  Both kernels give the same
     counters from the same flips, so the kernel changes no counter.
@@ -552,14 +548,16 @@ def default_base(ks: KsSet, report: Optional[DefectReport] = None) -> dict[str, 
     witness, and 1 for a ray in no context.
 
     The witness is a per-vector coloring (every slot of a ray holds one
-    value), so reading any slot of a ray gives its value; a d_min == 0
-    witness is a satisfying coloring.  Pass ``report`` when the caller already
-    holds ``min_defect(ks)``; the set is then not searched again.
+    value), so reading any slot of a ray gives its value: here its last, in
+    the set's :class:`~ksbound.model.Incidence`, whose slot s is the witness
+    key ``divmod(s, d)``.  A d_min == 0 witness is a satisfying coloring.
+    Pass ``report`` when the caller already holds ``min_defect(ks)``; the
+    set is then not searched again.
     """
     if report is None:
         report = min_defect(ks)
-    base = {v.id: 1 for v in ks.vectors}
-    for ci, ctx in enumerate(ks.contexts):
-        for p, vid in enumerate(ctx.vector_ids):
-            base[vid] = report.witness[(ci, p)]
-    return base
+    d = ks.dimension
+    return {
+        v.id: report.witness[divmod(at[-1], d)] if at else 1
+        for v, at in zip(ks.vectors, ks._incidence.slots)
+    }

@@ -36,6 +36,24 @@ def fan_document(n_triads):
     return "\n".join(lines) + "\n"
 
 
+def disjoint_union(name, *parts):
+    """One set holding disjoint copies of ``parts``, ids prefixed by copy."""
+    ids = [{v.id: f"{tag}_{v.id}" for v in ks.vectors} for tag, ks in zip("abc", parts)]
+    return kb.KsSet(
+        name=name,
+        dimension=parts[0].dimension,
+        ring_radicand=parts[0].ring_radicand,
+        vectors=tuple(
+            kb.RayVector(names[v.id], v.components) for names, ks in zip(ids, parts) for v in ks.vectors
+        ),
+        contexts=tuple(
+            kb.Context(tuple(names[vid] for vid in ctx.vector_ids))
+            for names, ks in zip(ids, parts)
+            for ctx in ks.contexts
+        ),
+    )
+
+
 #: A small valid set over Q(sqrt 2): ``a:b`` is a + b*sqrt(2).
 SURD_SET = """\
 ksset 1
@@ -87,6 +105,17 @@ def triad():
 
 
 @pytest.fixture
+def loose_ray():
+    # a triad and a ray in no context: no slots, multiplicity 0
+    return kb.make_set(
+        "loose-ray",
+        3,
+        [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1)), ("x", (1, 1, 0))],
+        [("a", "b", "c")],
+    )
+
+
+@pytest.fixture
 def two_triads():
     # two triads sharing the vector a
     return kb.make_set(
@@ -113,3 +142,8 @@ def fan50():
         vectors += [(f"p{i}", (a, b, 0)), (f"q{i}", (-b, a, 0))]
         contexts.append((f"p{i}", f"q{i}", "z"))
     return kb.make_set("fan50", 3, vectors, contexts)
+
+
+@pytest.fixture(scope="session")
+def cabello18x2(cabello18):
+    return disjoint_union("cabello18x2", cabello18, cabello18)

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import ksbound as kb
-from conftest import connection_slots
+from conftest import connection_slots, disjoint_union
 from ksbound import (
     KsSet,
     assignment_defect,
@@ -27,29 +27,6 @@ def subset(ks, indices, name="sub"):
         contexts=tuple(ks.contexts[i] for i in indices),
         m_override=None,
     )
-
-
-def disjoint_union(name, *parts):
-    """One set holding disjoint copies of ``parts``, ids prefixed by copy."""
-    ids = [{v.id: f"{tag}_{v.id}" for v in ks.vectors} for tag, ks in zip("abc", parts)]
-    return KsSet(
-        name=name,
-        dimension=parts[0].dimension,
-        ring_radicand=parts[0].ring_radicand,
-        vectors=tuple(
-            kb.RayVector(names[v.id], v.components) for names, ks in zip(ids, parts) for v in ks.vectors
-        ),
-        contexts=tuple(
-            kb.Context(tuple(names[vid] for vid in ctx.vector_ids))
-            for names, ks in zip(ids, parts)
-            for ctx in ks.contexts
-        ),
-    )
-
-
-@pytest.fixture(scope="module")
-def cabello18x2(cabello18):
-    return disjoint_union("cabello18x2", cabello18, cabello18)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import ast
 import copy
 import importlib
 import pickle
+import random
 import runpy
 import subprocess
 import sys
@@ -106,17 +107,21 @@ def test_set_structural_validation():
         KsSet("bad", 3, 10**18 + 3, (), ())
 
 
-def test_vector_lookup(triad):
+def test_vector_lookup(triad, loose_ray):
     assert triad.vector("b").id == "b"
+    assert loose_ray.vector("x") is loose_ray.vectors[3]
     with pytest.raises(KeyError):
         triad.vector("nope")
 
 
-def test_stats_single_triad(triad):
+def test_stats_single_triad(triad, loose_ray):
     st = build_stats(triad)
     assert (st.n, st.N, st.M) == (3, 1, 0)
     assert st.m_all_pairs == 0
     assert st.multiplicities == {"a": 1, "b": 1, "c": 1}
+    st = build_stats(loose_ray)
+    assert (st.n, st.N, st.M, st.m_all_pairs) == (4, 1, 0, 0)
+    assert st.multiplicities == {"a": 1, "b": 1, "c": 1, "x": 0}
 
 
 def test_stats_shared_vector(two_triads):
@@ -147,6 +152,63 @@ def test_stats_slot_count_identity(catalog_sets):
     for ks in catalog_sets:
         st = build_stats(ks)
         assert sum(st.multiplicities.values()) == st.N * ks.dimension
+
+
+def fresh_incidence(ks):
+    """The incidence record of ``ks`` by a fresh walk over its contexts' ids:
+    each id's position, each context's rays by position, and each ray's
+    slots c*d + p in context order, found ray by ray."""
+    index = {v.id: i for i, v in enumerate(ks.vectors)}
+    contexts = tuple(tuple(index[vid] for vid in ctx.vector_ids) for ctx in ks.contexts)
+    slots = tuple(
+        tuple(
+            c * ks.dimension + ctx.vector_ids.index(v.id)
+            for c, ctx in enumerate(ks.contexts)
+            if v.id in ctx.vector_ids
+        )
+        for v in ks.vectors
+    )
+    return index, contexts, slots
+
+
+@pytest.mark.parametrize(
+    "name", ["cabello18", "kernaghan20", "kp36", "fan50", "cabello18x2", "loose_ray"]
+)
+def test_incidence_matches_a_fresh_walk(name, request):
+    # every engine reads the set's one record: the coloring search and the
+    # oracle its contexts, build_stats and the slot walks each ray's slots
+    ks = request.getfixturevalue(name)
+    index, contexts, slots = fresh_incidence(ks)
+    assert ks._incidence == (index, contexts, slots)
+    assert all(ks.vector(v.id) is v for v in ks.vectors)
+    assert build_stats(ks).multiplicities == {v.id: len(at) for v, at in zip(ks.vectors, slots)}
+    # default_base reads each ray's value off a witness by slot, 1 for none
+    rng = random.Random(21)
+    value = {v.id: rng.randint(0, 1) for v in ks.vectors}
+    witness = {
+        (c, p): value[vid]
+        for c, ctx in enumerate(ks.contexts)
+        for p, vid in enumerate(ctx.vector_ids)
+    }
+    base = kb.default_base(ks, kb.DefectReport(1, witness, 1, 0, 0))
+    assert base == {v.id: value[v.id] if at else 1 for v, at in zip(ks.vectors, slots)}
+
+
+def test_incidence_is_built_on_first_use_for_each_set(cabello18):
+    # the record is derived, so it lives outside the fields: built on first
+    # use, never shared across a _replace, and unseen by ==, hash and pickle
+    ks = KsSet(*cabello18)
+    assert "_incidence" not in vars(ks)
+    before, pickled = hash(ks), pickle.dumps(ks)
+    record = ks._incidence
+    assert ks._incidence is record == fresh_incidence(ks)
+    assert hash(ks) == before and ks == cabello18
+    for data in (pickled, pickle.dumps(ks)):
+        back = pickle.loads(data)
+        assert back == ks and hash(back) == before and back._incidence == record
+    fewer = ks._replace(contexts=ks.contexts[1:])
+    assert fewer._incidence == fresh_incidence(fewer) != record
+    assert copy.deepcopy(fewer)._incidence == fresh_incidence(fewer)
 
 
 def test_catalog_published_parameters(catalog_sets):
@@ -283,6 +345,27 @@ def test_bench_traces_only_functions_that_exist():
     for module, function in names:
         assert callable(getattr(importlib.import_module(f"ksbound.{module}"), function, None)), (
             module, function)
+
+
+def test_bench_counts_each_min_defect_probe(cabello18):
+    # bench/spans.py keys each traced find_coloring call by its set's contexts
+    # and counts a min_defect probe only where they differ from the whole
+    # set's: a min_defect that handed find_coloring the same KsSet, or a
+    # context subset of it, would read no probe and a ratio of 0
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "spans.py"))
+    for module, _ in spans["SPANNED"]:  # install looks each module up
+        importlib.import_module(f"ksbound.{module}")
+    tracer = spans["Tracer"]()
+    tracer.install()
+    try:
+        tracer.op = 0
+        kb.min_defect(cabello18)
+    finally:
+        tracer.uninstall()
+    assert not hasattr(kb.coloring.find_coloring, "__wrapped__")
+    metrics = spans["layer_metrics"](tracer, 1)
+    assert metrics["coloring.find_coloring.calls"] == (2, "count/op")
+    assert metrics["coloring.min_defect.probe_hit_ratio"] == (1.0, "ratio")
 
 
 def test_bench_selftest_passes():

@@ -402,7 +402,7 @@ def test_kernels_count_a_chunk_without_flips_as_copies_of_the_base(case, request
                 assert least == broken.sum(), (rows, n)
 
 
-@pytest.mark.parametrize("name", ["cabello18", "kernaghan20", "kp36", "fan50"])
+@pytest.mark.parametrize("name", ["cabello18", "kernaghan20", "kp36", "fan50", "loose_ray"])
 def test_slot_layout_lists_connections_in_all_pairs_order(name, request):
     # the order of connection_mismatch_counts, and so of delta_hat, is the
     # all-pairs order: rays in declaration order, context pairs lexicographic
@@ -413,7 +413,7 @@ def test_slot_layout_lists_connections_in_all_pairs_order(name, request):
     assert len(base) == len(ks.contexts) * ks.dimension
 
 
-@pytest.mark.parametrize("name", ["cabello18", "kernaghan20", "kp36", "fan50"])
+@pytest.mark.parametrize("name", ["cabello18", "kernaghan20", "kp36", "fan50", "loose_ray"])
 def test_ray_ranks_give_each_pair_its_connection(name, request):
     # the sparse kernel finds the connection of two flips on one ray from
     # their slots' ranks: every pair of a ray's slots must land on its own
