@@ -51,7 +51,7 @@ def validate_orthogonality(ks: KsSet) -> ValidationReport:
             Violation("duplicate-ray", f"{u.id!r} and {v.id!r} are the same ray", None, (u.id, v.id))
         )
     seen: dict[frozenset, int] = {}
-    for ci, ctx in enumerate(ks.contexts):
+    for ci, (ctx, at) in enumerate(zip(ks.contexts, ks._incidence.contexts)):
         key = frozenset(ctx.vector_ids)
         if key in seen:
             violations.append(
@@ -64,8 +64,9 @@ def validate_orthogonality(ks: KsSet) -> ValidationReport:
             )
         else:
             seen[key] = ci
-        for a, b in combinations(ctx.vector_ids, 2):
-            if not orthogonal(ks.vector(a), ks.vector(b)):
+        for u, v in combinations([ks.vectors[i] for i in at], 2):
+            if not orthogonal(u, v):
+                a, b = u.id, v.id
                 violations.append(
                     Violation("non-orthogonal", f"context {ci}: {a}·{b} != 0", ci, (a, b))
                 )

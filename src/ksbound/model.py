@@ -15,6 +15,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
 
@@ -295,13 +296,11 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
 
     @cached_property  # in the instance dict, outside the fields: a _replace builds its own
     def _incidence(self) -> Incidence:
-        d = self.dimension
         index = {v.id: i for i, v in enumerate(self.vectors)}
         contexts = tuple(tuple(map(index.__getitem__, ctx.vector_ids)) for ctx in self.contexts)
         slots: list[list[int]] = [[] for _ in self.vectors]
-        for c, ctx in enumerate(contexts):
-            for p, vi in enumerate(ctx):
-                slots[vi].append(c * d + p)
+        for s, vi in enumerate(chain.from_iterable(contexts)):  # c*d + p: each context holds d
+            slots[vi].append(s)
         return Incidence(index, contexts, tuple(map(tuple, slots)))
 
 
