@@ -291,6 +291,10 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
     def __setattr__(self, name: str, value: object) -> NoReturn:
         raise AttributeError(f"cannot set {name!r}: a KsSet is immutable")
 
+    def __getstate__(self) -> None:
+        # the fields are the whole state; the derived record is rebuilt on first use
+        return None
+
     def vector(self, vid: str) -> RayVector:
         return self.vectors[self._incidence.index[vid]]
 

@@ -252,6 +252,34 @@ def test_critical_r_requires_parameters_or_set(capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "catalog:cabello18", "--delta", "2"],
+    ["bounds", "catalog:cabello18", "--epsilon", "nan"],
+    ["simulate", "catalog:cabello18", "--r", "1.5"],
+    ["simulate", "catalog:cabello18", "--r", "0.1", "--trials", "0"],
+    ["simulate", "catalog:cabello18", "--r", "0.1", "--seed=-1"],
+    ["validate", "missing.ksset"],
+    ["stats", "."],
+    ["color", "bytes.ksset"],
+    ["color", "catalog:nope"],
+    ["defect", "bad.ksset"],
+    ["critical-r", "catalog:cabello18", "--N", "9"],
+    ["critical-r"],
+    ["critical-r", "--N", HUGE, "--M", "1", "--d", "3"],
+], ids=["delta", "epsilon", "r", "trials", "seed", "missing", "directory", "not-utf8",
+        "unknown-catalog", "parse-error", "set-and-N", "no-set-no-N", "past-float-range"])
+def test_failing_command_prints_nothing_on_stdout(argv, tmp_path, monkeypatch, capsys):
+    # one report on stdout or none: every exit-1 path leaves stdout empty, in
+    # text and in --json, and says why on stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bytes.ksset").write_bytes(b"\xff\xfe")
+    (tmp_path / "bad.ksset").write_text(BAD_LINE7)
+    for args in (argv, argv + ["--json"]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), args
+
+
 def test_simulate_text(capsys):
     assert main(["simulate", "catalog:cabello18", "--r", "0.0142",
                  "--trials", "2000", "--seed", "7"]) == 0

@@ -202,7 +202,8 @@ def test_incidence_is_built_on_first_use_for_each_set(cabello18):
     before, pickled = hash(ks), pickle.dumps(ks)
     record = ks._incidence
     assert ks._incidence is record == fresh_incidence(ks)
-    assert hash(ks) == before and ks == cabello18
+    assert hash(ks) == before and ks == cabello18 and pickle.dumps(ks) == pickled
+    assert "_incidence" not in vars(copy.deepcopy(ks))
     for data in (pickled, pickle.dumps(ks)):
         back = pickle.loads(data)
         assert back == ks and hash(back) == before and back._incidence == record
