@@ -156,38 +156,11 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 class TableReport(NamedTuple):
     rows: tuple[tuple[TableRow, CriticalRate], ...]
 
-    def to_json_rows(self) -> list[dict]:
-        out = []
-        for row, crit in self.rows:
-            n: object = int(row.n_label) if row.n_label.isdigit() else row.n_label
-            out.append(
-                {
-                    "name": row.name,
-                    "d": row.d,
-                    "n": n,
-                    "N": row.N,
-                    "M": row.M,
-                    "r_critical": crit.r,
-                    "r_floor4": crit.floor4,
-                }
-            )
-        return out
-
 
 def table_report(rows: Optional[Sequence[TableRow]] = None) -> TableReport:
     """Compute the critical-rate column for the given (default published) rows."""
     rows = TABLE_ROWS if rows is None else tuple(rows)
     return TableReport(tuple((row, critical_rate(row.N, row.M, row.d)) for row in rows))
-
-
-def format_table(report: TableReport) -> str:
-    header = f"{'set':<20}{'d':>3}{'n':>10}{'N':>5}{'M':>5}   r"
-    lines = [header, "-" * len(header)]
-    for row, crit in report.rows:
-        lines.append(
-            f"{row.name:<20}{row.d:>3}{row.n_label:>10}{row.N:>5}{row.M:>5}   {crit.floor4:.4f}"
-        )
-    return "\n".join(lines)
 
 
 def _check_rate(r: float) -> None:

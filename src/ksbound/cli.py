@@ -5,12 +5,13 @@ Exit codes are part of the contract: 0 = valid / colorable / report produced,
 parse errors.  Parse diagnostics carry ``source:line:`` prefixes.  ``--json``
 emits a schema-stable document that is byte-deterministic for fixed inputs
 and seed.  Stdout carries one report, empty on exit 1; diagnostics go to
-stderr.
+stderr.  A reader that closes stdout early gets exit 1 and no diagnostic.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,7 +20,6 @@ from typing import Callable, Optional, Sequence
 from .bounds import (
     critical_rate,
     delta_lower_bound,
-    format_table,
     inequality_margin,
     table_report,
 )
@@ -114,7 +114,7 @@ def _cmd_color(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         "set": ks.name,
         "colorable": result.satisfiable,
         "nodes": result.nodes,
-        "assignment": dict(result.assignment) if result.assignment else None,
+        "assignment": result.assignment,
     }
     if not result.satisfiable:
         text = [
@@ -252,7 +252,13 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     verdict = None if colorable else empirical_inequality_check(summary, report)
     doc = {
         "set": ks.name,
-        **summary.to_json_dict(),
+        "seed": summary.seed,
+        "stream": "philox-geometric",
+        "trials": summary.trials,
+        "r": summary.r,
+        "delta_hat": list(summary.delta_hat),
+        "epsilon_hat": list(summary.epsilon_hat),
+        "mean_defect": summary.mean_total_defect,
         "colorable": colorable,
         "inequality": None if verdict is None else verdict._asdict(),
     }
@@ -278,8 +284,24 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
-    report = table_report()
-    return 0, {"rows": report.to_json_rows()}, [format_table(report)]
+    header = f"{'set':<20}{'d':>3}{'n':>10}{'N':>5}{'M':>5}   r"
+    rows, text = [], [header, "-" * len(header)]
+    for row, crit in table_report().rows:
+        rows.append(
+            {
+                "name": row.name,
+                "d": row.d,
+                "n": int(row.n_label) if row.n_label.isdigit() else row.n_label,
+                "N": row.N,
+                "M": row.M,
+                "r_critical": crit.r,
+                "r_floor4": crit.floor4,
+            }
+        )
+        text.append(
+            f"{row.name:<20}{row.d:>3}{row.n_label:>10}{row.N:>5}{row.M:>5}   {crit.floor4:.4f}"
+        )
+    return 0, {"rows": rows}, text
 
 
 def build_parser() -> _Parser:
@@ -337,7 +359,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(doc, indent=2) if args.json else "\n".join(text))
+    try:
+        print(json.dumps(doc, indent=2) if args.json else "\n".join(text), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; the exit-time flush would raise
+        # again, so point fd 1 at devnull (the Python docs' note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

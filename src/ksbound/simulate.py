@@ -88,17 +88,6 @@ class SimSummary(NamedTuple):
     def mean_total_defect(self) -> float:
         return self.total_defect / self.trials
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "stream": "philox-geometric",
-            "trials": self.trials,
-            "r": self.r,
-            "delta_hat": list(self.delta_hat),
-            "epsilon_hat": list(self.epsilon_hat),
-            "mean_defect": self.mean_total_defect,
-        }
-
 
 def _geometric_gaps(gen: np.random.Generator, r: float, ahead: int, out: np.ndarray) -> None:
     """Fill int64 ``out`` with ``min(gen.geometric(r, len(out)), ahead)`` for

@@ -1,4 +1,5 @@
 """Inequality margin, delta floor, analytic error model, critical rates."""
+import json
 import math
 from fractions import Fraction
 
@@ -12,11 +13,11 @@ from ksbound import (
     delta_analytic,
     delta_lower_bound,
     epsilon_analytic,
-    format_table,
     independent_error_lhs,
     inequality_margin,
     table_report,
 )
+from ksbound.cli import main
 
 # Independently frozen crossings (exact-rational bisection to 2^-120, see the
 # oracle test below which re-derives them from scratch).
@@ -219,9 +220,9 @@ def test_margin_sign_agrees_with_lhs():
 # --- table -----------------------------------------------------------------------
 
 
-def test_table_report_default_rows():
-    rep = table_report()
-    rows = rep.to_json_rows()
+def test_table_report_default_rows(capsys):
+    assert main(["table", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
     assert [row["r_floor4"] for row in rows] == PUBLISHED_FLOORS
     assert rows[0]["n"] == "57 (33)"
     assert rows[5]["n"] == 18
@@ -237,17 +238,18 @@ def test_table_rows_from_catalog_stats(catalog_sets):
     for ks in catalog_sets:
         st = kb.build_stats(ks)
         row = kb.TableRow(ks.name, ks.dimension, str(st.n), st.N, st.M)
-        rep = table_report([row])
-        assert rep.to_json_rows()[0]["r_floor4"] == by_name[ks.name]
+        assert table_report([row]).rows[0][1].floor4 == by_name[ks.name]
 
 
-def test_format_table_layout():
-    text = format_table(table_report())
-    lines = text.splitlines()
-    assert len(lines) == 8  # header, rule, six rows
-    assert lines[0].split()[:1] == ["set"]
-    for floor in ("0.0032", "0.0034", "0.0035", "0.0043", "0.0097", "0.0142"):
-        assert floor in text
-    one_row = format_table(table_report([TABLE_ROWS[-1]]))
-    assert len(one_row.splitlines()) == 3
-    assert "Cabello" in one_row
+def test_format_table_layout(capsys):
+    assert main(["table"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "set                   d         n    N    M   r",
+        "-----------------------------------------------",
+        "Peres                 3   57 (33)   40   96   0.0032",
+        "Kochen & Conway       3   51 (31)   37   91   0.0034",
+        "Schutte               3   49 (33)   36   87   0.0035",
+        "Kernaghan & Peres     8        36   11   72   0.0043",
+        "Kernaghan             4        20   11   30   0.0097",
+        "Cabello et al         4        18    9   18   0.0142",
+    ]

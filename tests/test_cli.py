@@ -148,7 +148,7 @@ def test_color_colorable_exits_zero(good_file, capsys):
     assert "colorable" in out
 
 
-def test_color_json_exit_codes(good_file, capsys):
+def test_color_json_exit_codes(good_file, tmp_path, capsys):
     assert main(["color", good_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["colorable"] is True
@@ -157,6 +157,12 @@ def test_color_json_exit_codes(good_file, capsys):
     assert main(["color", "catalog:kernaghan20", "--json"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["colorable"] is False and doc["assignment"] is None
+    # a colorable set without vectors has an empty assignment, not none
+    empty = tmp_path / "empty.ksset"
+    empty.write_text("ksset 1\nname empty\ndim 3\n")
+    assert main(["color", str(empty), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["colorable"] is True and doc["assignment"] == {}
 
 
 def test_defect_text(capsys):
@@ -278,6 +284,47 @@ def test_failing_command_prints_nothing_on_stdout(argv, tmp_path, monkeypatch, c
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), args
+
+
+#: A fresh ksbound with block-buffered stdout, as from a shell.
+BUFFERED_ENV = {
+    **os.environ,
+    "PYTHONPATH": str(Path(ksbound.__file__).resolve().parents[1]),
+    "PYTHONUNBUFFERED": "",
+}
+
+
+def test_closed_stdout_exits_one_quietly(tmp_path):
+    # the report, about 124 KB, overfills the pipe buffer, so the write blocks
+    # until the reader closes its end, whatever the timing
+    path = tmp_path / "fan.ksset"
+    path.write_text(fan_document(1000))
+    argv = [sys.executable, "-m", "ksbound", "defect", str(path), "--json"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED_ENV
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 1
+    assert err == b""
+
+
+def test_stdout_closed_before_a_short_report_exits_one_quietly():
+    # the read end is closed before the command starts, so the write fails
+    # for certain; a report this short stays in stdout's buffer, and the
+    # flush at exit must not fail again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "ksbound", "table"]
+        done = subprocess.run(
+            argv, stdout=write_end, stderr=subprocess.PIPE, env=BUFFERED_ENV, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 def test_simulate_text(capsys):

@@ -250,7 +250,7 @@ PUBLIC_NAMES = """
     ValidationReport Violation assignment_defect brute_force_coloring
     build_stats catalog_text critical_rate default_base delta_analytic
     delta_lower_bound empirical_inequality_check epsilon_analytic find_coloring
-    format_table independent_error_lhs inequality_margin inner_product
+    independent_error_lhs inequality_margin inner_product
     is_square_free list_catalog load_catalog make_set min_defect orthogonal
     parse_document parse_set same_ray serialize_set simulate_model table_report
     validate_orthogonality zero __version__

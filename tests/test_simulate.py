@@ -27,6 +27,7 @@ from ksbound import (
     min_defect,
     simulate_model,
 )
+from ksbound.cli import main
 
 
 def record_chunks(monkeypatch):
@@ -553,17 +554,23 @@ def test_defect_monotone_in_noise(kernaghan20):
     assert high.mean_total_defect > low.mean_total_defect
 
 
-def test_json_payload_schema(cabello18):
-    base = default_base(cabello18)
-    summary = simulate_model(TrialModel(cabello18, base, 0.1, seed=6), 1000)
-    doc = summary.to_json_dict()
+def test_json_payload_schema(cabello18, capsys):
+    argv = ["simulate", "catalog:cabello18", "--r", "0.1", "--trials", "1000", "--seed", "6"]
+    assert main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert list(doc) == [
-        "seed", "stream", "trials", "r", "delta_hat", "epsilon_hat", "mean_defect"
+        "set", "seed", "stream", "trials", "r", "delta_hat", "epsilon_hat", "mean_defect",
+        "colorable", "inequality",
     ]
-    assert doc["stream"] == "philox-geometric"
+    assert doc["set"] == "cabello18" and doc["stream"] == "philox-geometric"
     assert doc["seed"] == 6 and doc["trials"] == 1000 and doc["r"] == 0.1
     assert len(doc["delta_hat"]) == 18
     assert len(doc["epsilon_hat"]) == 9
+    summary = simulate_model(TrialModel(cabello18, default_base(cabello18), 0.1, seed=6), 1000)
+    assert doc["delta_hat"] == list(summary.delta_hat)
+    assert doc["epsilon_hat"] == list(summary.epsilon_hat)
+    assert doc["mean_defect"] == summary.mean_total_defect
+    assert doc["colorable"] is False and doc["inequality"]["holds"] is True
 
 
 # --- the empirical inequality -----------------------------------------------------
