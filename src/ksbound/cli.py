@@ -131,10 +131,8 @@ def _cmd_color(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 def _cmd_defect(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     ks = _load_set(args.set)
     report = min_defect(ks)
-    rows = [
-        [report.witness[(ci, pos)] for pos in range(ks.dimension)]
-        for ci in range(len(ks.contexts))
-    ]
+    d = ks.dimension
+    rows = [report.witness[s : s + d] for s in range(0, len(report.witness), d)]
     doc = {
         "set": ks.name,
         "d_min": report.d_min,

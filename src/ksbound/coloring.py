@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import combinations
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .model import KsSet, orthogonal
 
@@ -173,53 +173,41 @@ def brute_force_coloring(ks: KsSet) -> ColoringResult:
     return ColoringResult(True, assignment, total, solutions=solutions)
 
 
-SlotAssignment = Mapping[tuple[int, int], int]
-
-
 class DefectReport(NamedTuple):
     """Minimum combined violation count over all contextual slot assignments.
 
-    ``witness`` maps every (context, position) slot to 0/1.  It is always a
-    per-vector coloring: every slot of a ray holds the ray's value, so
-    ``connection_defects`` is 0 and ``sum_defects`` equals ``d_min``.
-    ``nodes`` counts the ``find_coloring`` nodes spent on the probes that drop
-    two or more contexts; it is 0 whenever ``d_min <= 1``.
+    ``witness`` holds one 0/1 value per slot, numbered as in the set's
+    :class:`~ksbound.model.Incidence`: slot c*d + p is position p of context
+    c.  It is always a per-vector coloring: every slot of a ray holds the
+    ray's value, so ``connection_defects`` is 0 and ``sum_defects`` equals
+    ``d_min``.  ``nodes`` counts the ``find_coloring`` nodes spent on the
+    probes that drop two or more contexts; it is 0 whenever ``d_min <= 1``.
     """
 
     d_min: int
-    witness: dict[tuple[int, int], int]
+    witness: tuple[int, ...]
     sum_defects: int
     connection_defects: int
     nodes: int
 
 
-def assignment_defect(ks: KsSet, slots: SlotAssignment) -> tuple[int, int]:
+def assignment_defect(ks: KsSet, slots: Sequence[int]) -> tuple[int, int]:
     """(wrong-sum contexts, disagreeing connections) of a total slot assignment.
 
-    Connections are all pairs of a ray's slots, so a ray in k contexts whose
-    slots hold value x c_x times has C(k, 2) - Sum_x C(c_x, 2) disagreeing
-    ones (zeros times ones for 0/1 values); an m_override never changes
-    which agreements are counted.  Each ray's slots, and slot s's key
-    ``divmod(s, d)`` in ``slots``, come from the set's
-    :class:`~ksbound.model.Incidence`.
+    ``slots`` holds one value per slot, numbered as in the set's
+    :class:`~ksbound.model.Incidence`, so context c's sum is that of
+    ``slots[c*d : c*d + d]``.  Connections are all pairs of a ray's slots, so
+    a ray in k contexts whose slots hold value x c_x times has
+    C(k, 2) - Sum_x C(c_x, 2) disagreeing ones (zeros times ones for 0/1
+    values); an m_override never changes which agreements are counted.
     """
     d = ks.dimension
-    sum_defects = sum(
-        sum(slots[(ci, p)] for p in range(d)) != d - 1 for ci in range(len(ks.contexts))
-    )
+    sum_defects = sum(sum(slots[s : s + d]) != d - 1 for s in range(0, len(ks.contexts) * d, d))
     connection_defects = 0
     for at in ks._incidence.slots:
-        held = Counter(slots[divmod(s, d)] for s in at)
+        held = Counter(slots[s] for s in at)
         connection_defects += math.comb(len(at), 2) - sum(math.comb(c, 2) for c in held.values())
     return sum_defects, connection_defects
-
-
-def _slots_from_vector_assignment(ks: KsSet, assignment: Mapping[str, int]) -> dict:
-    return {
-        (ci, p): int(assignment[vid])
-        for ci, ctx in enumerate(ks.contexts)
-        for p, vid in enumerate(ctx.vector_ids)
-    }
 
 
 def min_defect(ks: KsSet) -> DefectReport:
@@ -258,7 +246,7 @@ def min_defect(ks: KsSet) -> DefectReport:
                 nodes += found.nodes
             if found.satisfiable:
                 assert found.assignment is not None
-                witness = _slots_from_vector_assignment(ks, found.assignment)
+                witness = tuple(found.assignment[vid] for c in ks.contexts for vid in c.vector_ids)
                 s, c = assignment_defect(ks, witness)
                 if (s, c) != (k, 0):  # a raise, not an assert, so it holds under -O
                     raise AssertionError(f"witness has defect ({s}, {c}), expected ({k}, 0)")

@@ -226,10 +226,10 @@ class Incidence(NamedTuple):
     ``index`` maps each vector id to its position in ``vectors``;
     ``contexts`` gives each context's rays by position; ``slots`` gives
     each ray's slots in context order, empty for a ray in no context.  Slot
-    c*d + p is position p of context c, so ``divmod(s, d)`` is its
-    (context, position); every engine that works per slot numbers slots so.
-    A ray's multiplicity is its slot count, and each pair of its slots is
-    one connection.
+    c*d + p is position p of context c.  This is the one slot numbering:
+    the simulate layout, ``min_defect``'s witness and the slot assignments
+    ``assignment_defect`` scores all use it.  A ray's multiplicity is its
+    slot count, and each pair of its slots is one connection.
     """
 
     index: Mapping[str, int]

@@ -538,15 +538,14 @@ def default_base(ks: KsSet, report: Optional[DefectReport] = None) -> dict[str, 
 
     The witness is a per-vector coloring (every slot of a ray holds one
     value), so reading any slot of a ray gives its value: here its last, in
-    the set's :class:`~ksbound.model.Incidence`, whose slot s is the witness
-    key ``divmod(s, d)``.  A d_min == 0 witness is a satisfying coloring.
-    Pass ``report`` when the caller already holds ``min_defect(ks)``; the
-    set is then not searched again.
+    the set's :class:`~ksbound.model.Incidence`, which numbers the witness's
+    slots.  A d_min == 0 witness is a satisfying coloring.  Pass ``report``
+    when the caller already holds ``min_defect(ks)``; the set is then not
+    searched again.
     """
     if report is None:
         report = min_defect(ks)
-    d = ks.dimension
     return {
-        v.id: report.witness[divmod(at[-1], d)] if at else 1
+        v.id: report.witness[at[-1]] if at else 1
         for v, at in zip(ks.vectors, ks._incidence.slots)
     }

@@ -221,9 +221,9 @@ CATALOG_WITNESSES = {
 def test_min_defect_catalog_witness_is_pinned(catalog_sets):
     for ks in catalog_sets:
         rep = min_defect(ks)
+        d = ks.dimension
         rows = " ".join(
-            "".join(str(rep.witness[(ci, p)]) for p in range(ks.dimension))
-            for ci in range(len(ks.contexts))
+            "".join(map(str, rep.witness[s : s + d])) for s in range(0, len(rep.witness), d)
         )
         assert rows == CATALOG_WITNESSES[ks.name]
         assert (rep.d_min, rep.sum_defects, rep.connection_defects) == (1, 1, 0)
@@ -242,11 +242,24 @@ def test_min_defect_branch_and_bound_on_two_disjoint_copies(cabello18x2):
 
 def test_min_defect_witness_is_total(cabello18):
     rep = min_defect(cabello18)
-    d = cabello18.dimension
-    assert set(rep.witness) == {
-        (ci, p) for ci in range(len(cabello18.contexts)) for p in range(d)
-    }
-    assert all(v in (0, 1) for v in rep.witness.values())
+    assert type(rep.witness) is tuple
+    assert len(rep.witness) == len(cabello18.contexts) * cabello18.dimension
+    assert all(v in (0, 1) for v in rep.witness)
+
+
+@pytest.mark.parametrize(
+    "name", ["cabello18", "kernaghan20", "kp36", "fan50", "cabello18x2", "loose_ray"]
+)
+def test_min_defect_witness_follows_the_incidence_numbering(name, request):
+    # the witness holds slot c*d + p at that index, as ks._incidence numbers
+    # slots: all of a ray's slots hold one value, the one default_base reads
+    ks = request.getfixturevalue(name)
+    rep = min_defect(ks)
+    assert len(rep.witness) == len(ks.contexts) * ks.dimension
+    base = kb.default_base(ks, rep)
+    for v, at in zip(ks.vectors, ks._incidence.slots):
+        assert [rep.witness[s] for s in at] == [base[v.id]] * len(at), v.id
+        assert at or base[v.id] == 1, v.id
 
 
 def test_min_defect_refuses_a_wrong_witness(cabello18, monkeypatch):
@@ -261,9 +274,7 @@ def test_random_slot_assignments_never_beat_min_defect(cabello18):
     d = cabello18.dimension
     n_ctx = len(cabello18.contexts)
     for _ in range(200):
-        slots = {
-            (ci, p): rng.randint(0, 1) for ci in range(n_ctx) for p in range(d)
-        }
+        slots = [rng.randint(0, 1) for _ in range(n_ctx * d)]
         s, c = assignment_defect(cabello18, slots)
         assert s + c >= 1
 
@@ -272,8 +283,8 @@ def reference_assignment_defect(ks, slots):
     """``assignment_defect`` from the all-pairs connection list: the contexts
     whose sum is not d-1, and the connections whose two slots differ."""
     d = ks.dimension
-    sums = sum(sum(slots[(ci, p)] for p in range(d)) != d - 1 for ci in range(len(ks.contexts)))
-    split = sum(slots[divmod(a, d)] != slots[divmod(b, d)] for a, b in connection_slots(ks))
+    sums = sum(sum(slots[ci * d + p] for p in range(d)) != d - 1 for ci in range(len(ks.contexts)))
+    split = sum(slots[a] != slots[b] for a, b in connection_slots(ks))
     return sums, split
 
 
@@ -282,20 +293,18 @@ def test_assignment_defect_matches_the_all_pairs_reference(catalog_sets, fan50, 
     # value with a few slots flipped, and one with every slot flipped at 0.2
     rng = random.Random(14)
     for ks in (*catalog_sets, fan50, cabello18x2):
-        layout = [
-            (ci, p, vid) for ci, ctx in enumerate(ks.contexts) for p, vid in enumerate(ctx.vector_ids)
-        ]
+        layout = [vid for ctx in ks.contexts for vid in ctx.vector_ids]  # slot c*d + p
         splits = set()
         for trial in range(30):
             value = {v.id: rng.randint(0, 1) for v in ks.vectors}
-            slots = {(ci, p): value[vid] for ci, p, vid in layout}
+            slots = [value[vid] for vid in layout]
             if trial % 3 == 0:
-                slots = {slot: rng.randint(0, 1) for slot in slots}
+                slots = [rng.randint(0, 1) for _ in slots]
             elif trial % 3 == 1:
-                for slot in rng.sample(sorted(slots), rng.randint(1, 3)):
-                    slots[slot] ^= 1
+                for s in rng.sample(range(len(slots)), rng.randint(1, 3)):
+                    slots[s] ^= 1
             else:
-                slots = {slot: x ^ (rng.random() < 0.2) for slot, x in slots.items()}
+                slots = [x ^ (rng.random() < 0.2) for x in slots]
             got = assignment_defect(ks, slots)
             assert got == reference_assignment_defect(ks, slots), (ks.name, trial)
             splits.add(got[1])
@@ -330,11 +339,11 @@ def drops_that_repair(ks, slots):
     rest: every broken context, and for each ray whose slots disagree, the
     contexts holding its less common value (its zeros on a tie)."""
     d = ks.dimension
-    drop = {ci for ci in range(len(ks.contexts)) if sum(slots[(ci, p)] for p in range(d)) != d - 1}
+    drop = {ci for ci in range(len(ks.contexts)) if sum(slots[ci * d : ci * d + d]) != d - 1}
     held: dict[str, list[tuple[int, int]]] = {}
     for ci, ctx in enumerate(ks.contexts):
         for p, vid in enumerate(ctx.vector_ids):
-            held.setdefault(vid, []).append((ci, slots[(ci, p)]))
+            held.setdefault(vid, []).append((ci, slots[ci * d + p]))
     for where in held.values():
         ones = sum(value for _, value in where)
         minority = 1 if 2 * ones < len(where) else 0
@@ -355,16 +364,16 @@ def test_drop_reduction_turns_any_slot_assignment_into_a_coloring(
         near = best.witness
         for trial in range(60):
             if trial % 2:
-                slots = {slot: rng.randint(0, 1) for slot in near}
+                slots = [rng.randint(0, 1) for _ in near]
             else:  # a few flips away from an optimum, where few drops suffice
-                slots = dict(near)
-                for slot in rng.sample(sorted(near), rng.randint(1, 3)):
-                    slots[slot] ^= 1
+                slots = list(near)
+                for s in rng.sample(range(len(near)), rng.randint(1, 3)):
+                    slots[s] ^= 1
             s, c = assignment_defect(ks, slots)
             drop = drops_that_repair(ks, slots)
             assert len(drop) <= s + c
             kept = [ci for ci in range(n_ctx) if ci not in drop]
-            values = {ks.contexts[ci].vector_ids[p]: slots[(ci, p)] for ci in kept for p in range(d)}
+            values = {ks.contexts[ci].vector_ids[p]: slots[ci * d + p] for ci in kept for p in range(d)}
             rest = subset(ks, kept)
             assert coloring_satisfies(rest, {**{v.id: 1 for v in ks.vectors}, **values})
             assert find_coloring(rest).satisfiable

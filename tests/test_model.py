@@ -2,6 +2,7 @@
 import ast
 import copy
 import importlib
+import os
 import pickle
 import random
 import runpy
@@ -185,11 +186,7 @@ def test_incidence_matches_a_fresh_walk(name, request):
     # default_base reads each ray's value off a witness by slot, 1 for none
     rng = random.Random(21)
     value = {v.id: rng.randint(0, 1) for v in ks.vectors}
-    witness = {
-        (c, p): value[vid]
-        for c, ctx in enumerate(ks.contexts)
-        for p, vid in enumerate(ctx.vector_ids)
-    }
+    witness = tuple(value[vid] for ctx in ks.contexts for vid in ctx.vector_ids)
     base = kb.default_base(ks, kb.DefectReport(1, witness, 1, 0, 0))
     assert base == {v.id: value[v.id] if at else 1 for v, at in zip(ks.vectors, slots)}
 
@@ -303,6 +300,7 @@ def test_records_are_immutable_hashable_values(two_triads):
         (lambda: make_set("t", 3, [("a", (1, 0, 0))], []),
          make_set("t", 3, [("a", (1, 0, 0))], [], m_override=0)),
         (_summary, _summary(total_defect=7)),
+        (lambda: kb.min_defect(ks), kb.min_defect(ks)._replace(nodes=1)),  # a tuple witness
     ):
         assert make() == make() and hash(make()) == hash(make())
         assert make() != other
@@ -346,6 +344,28 @@ def test_bench_traces_only_functions_that_exist():
     for module, function in names:
         assert callable(getattr(importlib.import_module(f"ksbound.{module}"), function, None)), (
             module, function)
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # bench/child.py installs its tracer right after `import ksbound.cli`, and
+    # Tracer.install looks each module up in sys.modules, so a module the CLI
+    # imported lazily would break traced runs alone.  Drop this test once the
+    # tracer imports what it traces (ROADMAP.md item 5).
+    root = Path(__file__).resolve().parents[1]
+    spans = runpy.run_path(str(root / "bench" / "spans.py"))
+    names = [f"{module}.{function}" for module, function in spans["SPANNED"] + spans["COUNTED"]]
+    probe = (
+        "import sys\n"
+        "import ksbound.cli\n"
+        "for name in sys.argv[1:]:\n"
+        "    module, function = name.split('.')\n"
+        "    loaded = sys.modules.get('ksbound.' + module)\n"
+        "    assert callable(getattr(loaded, function, None)), name\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kb.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-c", probe, *names]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def test_bench_counts_each_min_defect_probe(cabello18):

@@ -614,11 +614,7 @@ def test_default_base_on_colorable_set(triad):
 def test_default_base_on_ks_set_is_min_defect(catalog_sets):
     for ks in catalog_sets:
         base = default_base(ks)
-        slot = {
-            (ci, p): base[vid]
-            for ci, ctx in enumerate(ks.contexts)
-            for p, vid in enumerate(ctx.vector_ids)
-        }
+        slot = [base[vid] for ctx in ks.contexts for vid in ctx.vector_ids]
         s, c = kb.assignment_defect(ks, slot)
         assert c == 0  # vector-level base never disagrees with itself
         assert s == 1  # and achieves the minimum defect
