@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Union
+
+from .model import check_dimension
 
 Number = Union[int, float, Fraction]
 
@@ -75,7 +77,7 @@ def epsilon_analytic(r: float, d: int) -> float:
     one of the d-1 ones flip together: (1-r)^d + (d-1)(1-r)^(d-2) r^2.
     """
     _check_rate(r)
-    _check_dim(d)
+    check_dimension(d)
     t = 1 - r
     return 1 - t**d - (d - 1) * t ** (d - 2) * r * r
 
@@ -109,7 +111,7 @@ def critical_rate(N: int, M: int, d: int) -> CriticalRate:
     """
     if N < 1 or M < 1:
         raise ValueError("N and M must be >= 1")
-    _check_dim(d)
+    check_dimension(d)
     lo, hi = 0.0, _BRACKET_HIGH
     if independent_error_lhs(hi, N, M, d) < 1:
         raise ValueError(f"no crossing: g({hi}) < 1 for N={N}, M={M}, d={d}")
@@ -157,17 +159,11 @@ class TableReport(NamedTuple):
     rows: tuple[tuple[TableRow, CriticalRate], ...]
 
 
-def table_report(rows: Optional[Sequence[TableRow]] = None) -> TableReport:
-    """Compute the critical-rate column for the given (default published) rows."""
-    rows = TABLE_ROWS if rows is None else tuple(rows)
-    return TableReport(tuple((row, critical_rate(row.N, row.M, row.d)) for row in rows))
+def table_report() -> TableReport:
+    """Compute the critical-rate column for the published rows."""
+    return TableReport(tuple((row, critical_rate(row.N, row.M, row.d)) for row in TABLE_ROWS))
 
 
 def _check_rate(r: float) -> None:
     if not 0 <= r <= 1:
         raise ValueError(f"rate must lie in [0, 1], got {r}")
-
-
-def _check_dim(d: int) -> None:
-    if d < 3:
-        raise ValueError(f"dimension must be >= 3, got {d}")

@@ -57,7 +57,7 @@ def _load_set(source: str) -> KsSet:
         except UnicodeDecodeError as exc:
             raise CliError(f"cannot read {source}: not valid UTF-8") from exc
     try:
-        return parse_document(text, source=source).ks_set
+        return parse_document(text).ks_set
     except ParseError as exc:
         raise CliError(f"{source}:{exc.line}: {exc.message}") from exc
 

@@ -9,8 +9,6 @@ set colorable, and it is >= 1 exactly when the set is KS.
 """
 from __future__ import annotations
 
-import math
-from collections import Counter
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
@@ -194,19 +192,24 @@ class DefectReport(NamedTuple):
 def assignment_defect(ks: KsSet, slots: Sequence[int]) -> tuple[int, int]:
     """(wrong-sum contexts, disagreeing connections) of a total slot assignment.
 
-    ``slots`` holds one value per slot, numbered as in the set's
+    ``slots`` holds one 0 or 1 per slot, numbered as in the set's
     :class:`~ksbound.model.Incidence`, so context c's sum is that of
-    ``slots[c*d : c*d + d]``.  Connections are all pairs of a ray's slots, so
-    a ray in k contexts whose slots hold value x c_x times has
-    C(k, 2) - Sum_x C(c_x, 2) disagreeing ones (zeros times ones for 0/1
-    values); an m_override never changes which agreements are counted.
+    ``slots[c*d : c*d + d]``; any other length or value raises ValueError.
+    Connections are all pairs of a ray's slots, so a ray whose slots hold a
+    zeros and b ones has a*b disagreeing ones; an m_override never changes
+    which agreements are counted.
     """
     d = ks.dimension
-    sum_defects = sum(sum(slots[s : s + d]) != d - 1 for s in range(0, len(ks.contexts) * d, d))
+    size = len(ks.contexts) * d
+    if len(slots) != size:
+        raise ValueError(f"{len(slots)} slot values for {size} slots")
+    if not set(slots) <= {0, 1}:
+        raise ValueError(f"slot values must be 0 or 1, got {set(slots) - {0, 1}}")
+    sum_defects = sum(sum(slots[s : s + d]) != d - 1 for s in range(0, size, d))
     connection_defects = 0
     for at in ks._incidence.slots:
-        held = Counter(slots[s] for s in at)
-        connection_defects += math.comb(len(at), 2) - sum(math.comb(c, 2) for c in held.values())
+        ones = sum(slots[s] for s in at)
+        connection_defects += ones * (len(at) - ones)
     return sum_defects, connection_defects
 
 

@@ -43,7 +43,6 @@ class SetDocument(NamedTuple):
     """A parsed document: the set plus per-declaration source locations."""
 
     ks_set: KsSet
-    source: str
     vec_lines: dict[str, int]
     ctx_lines: tuple[int, ...]
 
@@ -81,7 +80,7 @@ def _parse_component(token: str, radicand: int, line: int) -> ExactScalar:
     return ExactScalar(_parse_rational(token, line), Fraction(0), radicand)
 
 
-def parse_document(text: str, source: str = "<text>") -> SetDocument:
+def parse_document(text: str) -> SetDocument:
     """Parse a ``ksset 1`` document; raise :class:`ParseError` on any defect.
 
     Beyond the grammar itself, the parser enforces the set invariants that a
@@ -231,7 +230,6 @@ def parse_document(text: str, source: str = "<text>") -> SetDocument:
     )
     return SetDocument(
         ks_set=ks,
-        source=source,
         vec_lines=vec_lines,
         ctx_lines=tuple(ctx_lines),
     )
@@ -242,14 +240,8 @@ def parse_set(text: str) -> KsSet:
     return parse_document(text).ks_set
 
 
-def _format_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _format_component(c: ExactScalar) -> str:
-    if c.surd == 0:
-        return _format_fraction(c.rational)
-    return f"{_format_fraction(c.rational)}:{_format_fraction(c.surd)}"
+    return str(c.rational) if c.surd == 0 else f"{c.rational}:{c.surd}"
 
 
 def serialize_set(ks: KsSet) -> str:

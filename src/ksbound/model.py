@@ -55,29 +55,40 @@ def check_radicand(k: int) -> None:
         raise ValueError(f"radicand {k} is not a square-free positive integer")
 
 
+def check_dimension(d: int) -> None:
+    """Raise ValueError unless d >= 3, the least dimension with a KS set."""
+    if d < 3:
+        raise ValueError(f"dimension must be >= 3, got {d}")
+
+
+def _exact(x: Rational) -> Fraction:
+    """``Fraction(x)``, refusing a float (numpy's float64 is one): its binary
+    value is not the decimal it was written as, so 0.1 + 0.2 - 0.3 != 0."""
+    if isinstance(x, float):
+        raise TypeError(f"an exact part must be an int or Fraction, not {type(x).__name__} {x!r}")
+    return Fraction(x)
+
+
 class ExactScalar(namedtuple("ExactScalar", "rational surd radicand")):
     """A number a + b*sqrt(k) with rational a, b and fixed square-free k >= 1.
 
     k = 1 degenerates to the rationals; in that case the surd part must be
-    zero.  Ring elements only combine with elements of the same ring.
+    zero.  Ring elements only combine with elements of the same ring.  The
+    parts are ints or Fractions; a float part raises TypeError.
     """
 
     __slots__ = ()
 
-    def __new__(cls, rational: Rational, surd: Rational, radicand: int = 1) -> ExactScalar:
+    def __new__(cls, rational: Rational, surd: Rational = 0, radicand: int = 1) -> ExactScalar:
         # wrap only what is not already a Fraction (a subclass is converted)
         if type(rational) is not Fraction:
-            rational = Fraction(rational)
+            rational = _exact(rational)
         if type(surd) is not Fraction:
-            surd = Fraction(surd)
+            surd = _exact(surd)
         check_radicand(radicand)
         if radicand == 1 and surd != 0:
             raise ValueError("surd part must be zero when the radicand is 1")
         return super().__new__(cls, rational, surd, radicand)
-
-    @classmethod
-    def of(cls, rational: Rational, surd: Rational = 0, radicand: int = 1) -> "ExactScalar":
-        return cls(Fraction(rational), Fraction(surd), radicand)
 
     def _check(self, other: "ExactScalar") -> None:
         if self.radicand != other.radicand:
@@ -119,10 +130,6 @@ class ExactScalar(namedtuple("ExactScalar", "rational surd radicand")):
         if self.surd == 0:
             return f"ExactScalar({self.rational})"
         return f"ExactScalar({self.rational} + {self.surd}*sqrt({self.radicand}))"
-
-
-def zero(radicand: int = 1) -> ExactScalar:
-    return ExactScalar(Fraction(0), Fraction(0), radicand)
 
 
 def _ray_key(components: Sequence[ExactScalar], k: int) -> Optional[tuple[int, ...]]:
@@ -258,8 +265,7 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
         contexts: tuple[Context, ...],
         m_override: Optional[int] = None,
     ) -> KsSet:
-        if dimension < 3:
-            raise ValueError(f"dimension must be >= 3, got {dimension}")
+        check_dimension(dimension)
         check_radicand(ring_radicand)
         if m_override is not None and m_override < 0:
             raise ValueError("m_override must be non-negative")
@@ -340,7 +346,7 @@ def _check_pair(u: RayVector, v: RayVector) -> None:
 def inner_product(u: RayVector, v: RayVector) -> ExactScalar:
     """Exact real inner product (no conjugation; components are real)."""
     _check_pair(u, v)
-    total = zero(u.radicand)
+    total = ExactScalar(0, 0, u.radicand)
     for a, b in zip(u.components, v.components):
         total = total + a * b
     return total
@@ -412,7 +418,7 @@ def make_set(
 ) -> KsSet:
     """Convenience constructor from plain rational components (no surds)."""
     vecs = tuple(
-        RayVector(vid, tuple(ExactScalar.of(c, 0, ring_radicand) for c in comps))
+        RayVector(vid, tuple(ExactScalar(c, 0, ring_radicand) for c in comps))
         for vid, comps in vectors
     )
     ctxs = tuple(Context(tuple(ids)) for ids in contexts)

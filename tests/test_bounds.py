@@ -15,7 +15,6 @@ from ksbound import (
     epsilon_analytic,
     independent_error_lhs,
     inequality_margin,
-    table_report,
 )
 from ksbound.cli import main
 
@@ -114,7 +113,7 @@ def test_rate_domain_checks():
         delta_analytic(1.5)
     with pytest.raises(ValueError):
         epsilon_analytic(-0.1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be >= 3, got 2"):
         epsilon_analytic(0.1, 2)
 
 
@@ -201,7 +200,7 @@ def test_critical_rate_preconditions():
         critical_rate(0, 18, 4)
     with pytest.raises(ValueError):
         critical_rate(9, 0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be >= 3, got 2"):
         critical_rate(9, 18, 2)
 
 
@@ -237,8 +236,7 @@ def test_table_rows_from_catalog_stats(catalog_sets):
     }
     for ks in catalog_sets:
         st = kb.build_stats(ks)
-        row = kb.TableRow(ks.name, ks.dimension, str(st.n), st.N, st.M)
-        assert table_report([row]).rows[0][1].floor4 == by_name[ks.name]
+        assert critical_rate(st.N, st.M, ks.dimension).floor4 == by_name[ks.name]
 
 
 def test_format_table_layout(capsys):

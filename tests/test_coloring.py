@@ -199,6 +199,16 @@ def test_min_defect_zero_on_colorable(triad, two_triads):
         assert assignment_defect(ks, rep.witness) == (0, 0)
 
 
+def test_assignment_defect_refuses_a_wrong_length_or_value(cabello18):
+    witness = min_defect(cabello18).witness
+    assert len(witness) == 36
+    for slots in (witness[:-1], witness + (1,)):
+        with pytest.raises(ValueError, match="slot values for 36 slots"):
+            assignment_defect(cabello18, slots)
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        assignment_defect(cabello18, (2,) + witness[1:])
+
+
 def test_min_defect_catalog_is_one(catalog_sets):
     for ks in catalog_sets:
         rep = min_defect(ks)

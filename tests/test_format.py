@@ -64,8 +64,7 @@ def test_only_lf_crlf_and_cr_end_a_line(sep):
 
 
 def test_document_locations():
-    doc = parse_document(GOOD, source="demo.ksset")
-    assert doc.source == "demo.ksset"
+    doc = parse_document(GOOD)
     assert doc.vec_lines == {"a": 4, "b": 5, "c": 6}
     assert doc.ctx_lines == (7,)
 
@@ -84,8 +83,8 @@ ctx a b c
     ks = parses(text)
     assert ks.ring_radicand == 2
     a = ks.vector("a")
-    assert a.components[1] == kb.ExactScalar.of(0, 1, 2)
-    assert ks.vector("c").components[2] == kb.ExactScalar.of(Fraction(1, 2), 0, 2)
+    assert a.components[1] == kb.ExactScalar(0, 1, 2)
+    assert ks.vector("c").components[2] == kb.ExactScalar(Fraction(1, 2), 0, 2)
 
 
 def test_error_in_seven_line_document_points_at_line_seven():

@@ -30,23 +30,23 @@ from ksbound import (
 
 
 def vec(vid, *comps, k=1):
-    return RayVector(vid, tuple(ExactScalar.of(c, 0, k) for c in comps))
+    return RayVector(vid, tuple(ExactScalar(c, 0, k) for c in comps))
 
 
 def test_inner_product_rational():
     assert inner_product(vec("a", 1, 0, 0), vec("b", 0, 1, 0)).is_zero()
     assert inner_product(vec("a", 1, 1, 0), vec("b", 1, -1, 0)).is_zero()
     ip = inner_product(vec("a", 1, 1, 0), vec("b", 1, 0, 0))
-    assert ip == ExactScalar.of(1)
+    assert ip == ExactScalar(1)
 
 
 def test_inner_product_with_surds():
     # (sqrt2, -1, 0) . (1, sqrt2, 0) = sqrt2 - sqrt2 = 0
-    u = RayVector("u", (ExactScalar.of(0, 1, 2), ExactScalar.of(-1, 0, 2), ExactScalar.of(0, 0, 2)))
-    v = RayVector("v", (ExactScalar.of(1, 0, 2), ExactScalar.of(0, 1, 2), ExactScalar.of(0, 0, 2)))
+    u = RayVector("u", (ExactScalar(0, 1, 2), ExactScalar(-1, 0, 2), ExactScalar(0, 0, 2)))
+    v = RayVector("v", (ExactScalar(1, 0, 2), ExactScalar(0, 1, 2), ExactScalar(0, 0, 2)))
     assert inner_product(u, v).is_zero()
     norm = inner_product(u, u)
-    assert norm == ExactScalar.of(3, 0, 2)
+    assert norm == ExactScalar(3, 0, 2)
 
 
 def test_inner_product_mismatches():
@@ -65,8 +65,8 @@ def test_same_ray_scalar_multiples():
 
 def test_same_ray_surd_scaling():
     # v = sqrt2 * u
-    u = RayVector("u", (ExactScalar.of(0, 1, 2), ExactScalar.of(0, 1, 2), ExactScalar.of(2, 0, 2)))
-    v = RayVector("v", (ExactScalar.of(2, 0, 2), ExactScalar.of(2, 0, 2), ExactScalar.of(0, 2, 2)))
+    u = RayVector("u", (ExactScalar(0, 1, 2), ExactScalar(0, 1, 2), ExactScalar(2, 0, 2)))
+    v = RayVector("v", (ExactScalar(2, 0, 2), ExactScalar(2, 0, 2), ExactScalar(0, 2, 2)))
     assert same_ray(u, v)
 
 
@@ -76,10 +76,10 @@ def test_ray_vector_validation():
     with pytest.raises(ValueError, match="no components"):
         RayVector("e", ())
     with pytest.raises(RingMismatchError, match=r"mixes ring radicands \[2, 3\]"):
-        RayVector("m", (ExactScalar.of(1, 0, 2), ExactScalar.of(1, 0, 3)))
+        RayVector("m", (ExactScalar(1, 0, 2), ExactScalar(1, 0, 3)))
     # the ring check comes before the zero check
     with pytest.raises(RingMismatchError, match=r"mixes ring radicands \[2, 3\]"):
-        RayVector("m0", (ExactScalar.of(0, 0, 2), ExactScalar.of(0, 0, 3), ExactScalar.of(0, 0, 2)))
+        RayVector("m0", (ExactScalar(0, 0, 2), ExactScalar(0, 0, 3), ExactScalar(0, 0, 2)))
 
 
 def test_context_rejects_repeats():
@@ -87,9 +87,18 @@ def test_context_rejects_repeats():
         Context(("a", "b", "a"))
 
 
+def test_make_set_refuses_float_components():
+    # 1/10 + 2/10 - 3/10 is 0, but the binary floats 0.1 + 0.2 - 0.3 are not
+    tenths = (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10))
+    ks = make_set("t", 3, [("a", tenths), ("b", (1, 1, -1))], [])
+    assert kb.orthogonal(ks.vector("a"), ks.vector("b"))
+    with pytest.raises(TypeError, match="float"):
+        make_set("t", 3, [("a", (0.1, 0.2, 0.3)), ("b", (1, 1, -1))], [])
+
+
 def test_set_structural_validation():
     vs = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
-    with pytest.raises(ValueError, match="dimension must be >= 3"):
+    with pytest.raises(ValueError, match="dimension must be >= 3, got 2"):
         make_set("bad", 2, [("a", (1, 0)), ("b", (0, 1))], [])
     with pytest.raises(ValueError, match="undeclared"):
         make_set("bad", 3, vs, [("a", "b", "x")])
@@ -250,7 +259,7 @@ PUBLIC_NAMES = """
     independent_error_lhs inequality_margin inner_product
     is_square_free list_catalog load_catalog make_set min_defect orthogonal
     parse_document parse_set same_ray serialize_set simulate_model table_report
-    validate_orthogonality zero __version__
+    validate_orthogonality __version__
 """.split()
 
 
@@ -264,7 +273,7 @@ def test_records_are_immutable_hashable_values(two_triads):
     ks = two_triads
     stats = build_stats(ks)
     records = [  # each record, then its fields
-        kb.ExactScalar.of(1, 2, 2), ("rational", "surd", "radicand"),
+        kb.ExactScalar(1, 2, 2), ("rational", "surd", "radicand"),
         vec("a", 1, 0, 0), ("id", "components", "key"),
         ks.contexts[0], ("vector_ids",),
         ks, ("name", "dimension", "ring_radicand", "vectors", "contexts", "m_override"),
@@ -273,12 +282,12 @@ def test_records_are_immutable_hashable_values(two_triads):
         kb.delta_lower_bound(1, 2, 0), ("value", "vacuous"),
         kb.critical_rate(9, 18, 4), ("r", "floor4", "bracket_low", "bracket_high", "iterations"),
         kb.TABLE_ROWS[0], ("name", "d", "n_label", "N", "M"),
-        kb.table_report(kb.TABLE_ROWS[:1]), ("rows",),
+        kb.table_report(), ("rows",),
         kb.Violation("duplicate-ray", "m"), ("kind", "message", "context_index", "vector_ids"),
         kb.validate_orthogonality(ks), ("ok", "violations"),
         kb.find_coloring(ks), ("satisfiable", "assignment", "nodes", "solutions"),
         kb.min_defect(ks), ("d_min", "witness", "sum_defects", "connection_defects", "nodes"),
-        kb.parse_document(kb.serialize_set(ks)), ("ks_set", "source", "vec_lines", "ctx_lines"),
+        kb.parse_document(kb.serialize_set(ks)), ("ks_set", "vec_lines", "ctx_lines"),
         kb.TrialModel(ks, kb.default_base(ks), 0.1, 1), ("ks_set", "base", "flip_rate", "seed"),
         _summary(), ("seed", "trials", "r", "context_error_counts",
                      "connection_mismatch_counts", "total_defect", "min_trial_defect"),
@@ -294,7 +303,7 @@ def test_records_are_immutable_hashable_values(two_triads):
 
     # equal values compare and hash equal; a different value does not compare equal
     for make, other in (
-        (lambda: ExactScalar.of(Fraction(1, 2), 3, 2), ExactScalar.of(Fraction(1, 2), 3, 3)),
+        (lambda: ExactScalar(Fraction(1, 2), 3, 2), ExactScalar(Fraction(1, 2), 3, 3)),
         (lambda: vec("a", 2, 4, 0), vec("a", 1, 2, 0)),
         (lambda: Context(("a", "b", "c")), Context(("a", "c", "b"))),
         (lambda: make_set("t", 3, [("a", (1, 0, 0))], []),
@@ -308,7 +317,7 @@ def test_records_are_immutable_hashable_values(two_triads):
     # keyword and positional construction, with the defaults
     assert ExactScalar(rational=1, surd=0) == ExactScalar(Fraction(1), Fraction(0), 1)
     assert ExactScalar(1, 0).radicand == 1
-    comps = (ExactScalar.of(1), ExactScalar.of(0), ExactScalar.of(0))
+    comps = (ExactScalar(1), ExactScalar(0), ExactScalar(0))
     assert RayVector(id="a", components=comps) == RayVector("a", comps)
     # the key is derived, so the repr leaves it out
     assert repr(RayVector("a", comps)) == (
@@ -331,7 +340,7 @@ def test_records_are_immutable_hashable_values(two_triads):
 
     # a scalar is no sequence to repeat
     with pytest.raises(TypeError):
-        3 * ExactScalar.of(1)
+        3 * ExactScalar(1)
     assert kb.__all__ == PUBLIC_NAMES
 
 
@@ -397,6 +406,26 @@ def test_bench_selftest_passes():
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr.rstrip().endswith("OK")
+
+
+def test_src_line_counter():
+    root = Path(__file__).resolve().parents[1]
+    counter = runpy.run_path(str(root / "tools" / "src_lines.py"))
+    text = (
+        '"""Doc."""\n\n# note\nx = (1,\n     2)  # two\n\n\n'
+        'def f():\n    """A\n    doc."""\n    return x\n'
+    )
+    assert counter["count"](text) == (11, 4)
+    argv = [sys.executable, "-B", "tools/src_lines.py"]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    header, *rows, total = (line.split() for line in done.stdout.splitlines())
+    sources = sorted((root / "src" / "ksbound").glob("*.py"))
+    assert header == ["module", "raw", "code"]
+    assert [row[0] for row in rows] == [path.name for path in sources]
+    raw = [path.read_text(encoding="utf-8").count("\n") for path in sources]
+    assert [int(row[1]) for row in rows] == raw
+    assert total == ["total", str(sum(raw)), str(sum(int(row[2]) for row in rows))]
 
 
 def test_sources_parse_as_the_oldest_supported_python():

@@ -93,7 +93,7 @@ def reference_violations(ks):
 
 
 def scalar(r, s=0, k=2):
-    return ExactScalar.of(r, s, k)
+    return ExactScalar(r, s, k)
 
 
 def scaled(c, u, vid="v"):
@@ -120,7 +120,7 @@ def related_pair(draw):
     def vector(vid):
         comps = tuple(element() for _ in range(d))
         if all(c.is_zero() for c in comps):
-            comps = (ExactScalar.of(1, 0, k),) + comps[1:]
+            comps = (ExactScalar(1, 0, k),) + comps[1:]
         return RayVector(vid, comps)
 
     u = vector("u")
@@ -134,7 +134,7 @@ def related_pair(draw):
         return u, (RayVector("v", comps) if any(comps) else w)
     c = element()
     if c.is_zero():
-        c = ExactScalar.of(-1, 0, k)
+        c = ExactScalar(-1, 0, k)
     v = scaled(c, u)
     if how == "nudged":
         i = draw(st.integers(0, d - 1))
@@ -320,16 +320,16 @@ def pinned_vectors(k, d, rng):
         comps = [ExactScalar(Fraction(rng.choice(pool)), Fraction(rng.choice(surds)), k)
                  for _ in range(d)]
         lead = i % 3  # zero pairs in front
-        comps[:lead] = [ExactScalar.of(0, 0, k)] * lead
+        comps[:lead] = [ExactScalar(0, 0, k)] * lead
         if i % 4 == 1 and k > 1:
-            comps[lead] = ExactScalar.of(1, 1, k)
+            comps[lead] = ExactScalar(1, 1, k)
         if not any(comps):
-            comps[-1] = ExactScalar.of(-2, 0, k)
+            comps[-1] = ExactScalar(-2, 0, k)
         out.append(RayVector(f"v{i}", tuple(comps)))
     for i, u in enumerate(out[:8]):
         r = rng.choice((1, -3, 0, Fraction(5, 2)))
-        c = ExactScalar.of(r, rng.choice((1, 2, -7)) if k > 1 else 0, k)
-        out.append(scaled(c if c else ExactScalar.of(-1, 0, k), u, f"m{i}"))
+        c = ExactScalar(r, rng.choice((1, 2, -7)) if k > 1 else 0, k)
+        out.append(scaled(c if c else ExactScalar(-1, 0, k), u, f"m{i}"))
         w = out[(i + 5) % 14]
         c = inner_product(w, u) * inverse(inner_product(u, u))
         comps = tuple(x - c * y for x, y in zip(w.components, u.components))
@@ -344,7 +344,7 @@ def test_keys_and_orthogonality_are_pinned():
     rng = random.Random(1919)
     record, hits = [], 0
     for k in (1, 2, 3, 5, 6, 7):
-        assert kb.model._ray_key((ExactScalar.of(0, 0, k),) * 3, k) is None
+        assert kb.model._ray_key((ExactScalar(0, 0, k),) * 3, k) is None
         for d in (3, 4, 5):
             vs = pinned_vectors(k, d, rng)
             keys = [kb.model._ray_key(v.components, k) for v in vs]
