@@ -22,7 +22,16 @@ from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .model import Context, ExactScalar, KsSet, RayVector, _keys_orthogonal, check_radicand
+from .model import (
+    Context,
+    ExactScalar,
+    KsSet,
+    RayVector,
+    _keys_orthogonal,
+    check_context,
+    check_dimension,
+    check_radicand,
+)
 
 _IDENT = re.compile(r"^[A-Za-z0-9_.-]+$")
 _RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -47,37 +56,23 @@ class SetDocument(NamedTuple):
     ctx_lines: tuple[int, ...]
 
 
-def _integer(token: str, line: int) -> int:
-    """``int`` of a digit string; one longer than Python's digit limit is a ParseError."""
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise ParseError(str(exc), line) from None
-
-
-def _parse_rational(token: str, line: int) -> Fraction:
+def _parse_rational(token: str) -> Fraction:
     if not _RATIONAL.match(token):
-        raise ParseError(f"malformed rational {token!r}", line)
+        raise ValueError(f"malformed rational {token!r}")
     if "/" in token:
-        p, q = (_integer(t, line) for t in token.split("/"))
+        p, q = map(int, token.split("/"))  # int() refuses a digit string over its limit
         if q == 0:
-            raise ParseError(f"zero denominator in {token!r}", line)
+            raise ValueError(f"zero denominator in {token!r}")
         return Fraction(p, q)
-    return Fraction(_integer(token, line))
+    return Fraction(int(token))
 
 
-def _parse_component(token: str, radicand: int, line: int) -> ExactScalar:
+def _parse_component(token: str, radicand: int) -> ExactScalar:
     if token.count(":") > 1:
-        raise ParseError(f"malformed component {token!r}", line)
-    if ":" in token:
-        rat_tok, surd_tok = token.split(":")
-        surd = _parse_rational(surd_tok, line)
-        if radicand == 1 and surd != 0:
-            raise ParseError(
-                f"surd component {token!r} while the ring radicand is 1", line
-            )
-        return ExactScalar(_parse_rational(rat_tok, line), surd, radicand)
-    return ExactScalar(_parse_rational(token, line), Fraction(0), radicand)
+        raise ValueError(f"malformed component {token!r}")
+    rat_tok, colon, surd_tok = token.partition(":")
+    surd = _parse_rational(surd_tok) if colon else 0
+    return ExactScalar(_parse_rational(rat_tok), surd, radicand)
 
 
 def parse_document(text: str) -> SetDocument:
@@ -86,12 +81,16 @@ def parse_document(text: str) -> SetDocument:
     Beyond the grammar itself, the parser enforces the set invariants that a
     document can break: duplicate vector ids, two declarations of the same
     ray, repeated contexts, references to undeclared ids, and contexts that
-    are not pairwise orthogonal (checked exactly, on the ray keys).  Rays are
-    compared through their canonical keys (:func:`ksbound.model.same_ray`),
-    so a duplicate is one dict lookup.  Each distinct component token is
-    parsed once per document and its scalar shared by every vector that
-    repeats it: ``field`` precedes every ``vec``, so a token always means the
-    same scalar.
+    are not pairwise orthogonal (checked exactly, on the ray keys).  Where
+    the model enforces an invariant too (the dimension floor, the radicand,
+    a surd part over Q, the zero vector, a context's length, repeated and
+    undeclared ids), the model's own check runs, with its message.  Every
+    check raises ``ValueError``, and one handler attaches the line.  Rays
+    are compared through their canonical keys
+    (:func:`ksbound.model.same_ray`), so a duplicate is one dict lookup.
+    Each distinct component token is parsed once per document and its scalar
+    shared by every vector that repeats it: ``field`` precedes every
+    ``vec``, so a token always means the same scalar.
     """
     # str.splitlines would also end a line at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
     raw_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -101,7 +100,7 @@ def parse_document(text: str) -> SetDocument:
     name: Optional[str] = None
     dim: Optional[int] = None
     radicand = 1
-    field_line: Optional[int] = None
+    field_seen = False
     m_override: Optional[int] = None
     vectors: dict[str, RayVector] = {}
     scalars: dict[str, ExactScalar] = {}  # each distinct component token, parsed once
@@ -117,101 +116,87 @@ def parse_document(text: str) -> SetDocument:
         if not stripped:
             continue
         tokens = stripped.split()
-        if not version_seen:
-            if tokens != ["ksset", "1"]:
-                raise ParseError(f"expected 'ksset 1' header, got {stripped!r}", lineno)
-            version_seen = True
-            continue
         directive = tokens[0]
-
-        if directive == "name":
-            if len(tokens) != 2 or not _IDENT.match(tokens[1]):
-                raise ParseError("name takes one identifier", lineno)
-            if name is not None:
-                raise ParseError("duplicate name directive", lineno)
-            name = tokens[1]
-        elif directive == "dim":
-            if len(tokens) != 2 or not _DIGITS.fullmatch(tokens[1]):
-                raise ParseError("dim takes one integer", lineno)
-            if dim is not None:
-                raise ParseError("duplicate dim directive", lineno)
-            dim = _integer(tokens[1], lineno)
-            if dim < 3:
-                raise ParseError(f"dim must be >= 3, got {dim}", lineno)
-        elif directive == "field":
-            if len(tokens) != 3 or tokens[1] != "sqrt" or not _DIGITS.fullmatch(tokens[2]):
-                raise ParseError("field directive must read 'field sqrt <k>'", lineno)
-            if field_line is not None:
-                raise ParseError("duplicate field directive", lineno)
-            if vectors:
-                raise ParseError("field must be declared before any vec", lineno)
-            radicand = _integer(tokens[2], lineno)
-            try:
+        try:
+            if not version_seen:
+                if tokens != ["ksset", "1"]:
+                    raise ValueError(f"expected 'ksset 1' header, got {stripped!r}")
+                version_seen = True
+            elif directive == "name":
+                if len(tokens) != 2 or not _IDENT.match(tokens[1]):
+                    raise ValueError("name takes one identifier")
+                if name is not None:
+                    raise ValueError("duplicate name directive")
+                name = tokens[1]
+            elif directive == "dim":
+                if len(tokens) != 2 or not _DIGITS.fullmatch(tokens[1]):
+                    raise ValueError("dim takes one integer")
+                if dim is not None:
+                    raise ValueError("duplicate dim directive")
+                dim = int(tokens[1])
+                check_dimension(dim)
+            elif directive == "field":
+                if len(tokens) != 3 or tokens[1] != "sqrt" or not _DIGITS.fullmatch(tokens[2]):
+                    raise ValueError("field directive must read 'field sqrt <k>'")
+                if field_seen:
+                    raise ValueError("duplicate field directive")
+                if vectors:
+                    raise ValueError("field must be declared before any vec")
+                radicand = int(tokens[2])
                 check_radicand(radicand)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            field_line = lineno
-        elif directive == "vec":
-            if dim is None:
-                raise ParseError("dim must be declared before any vec", lineno)
-            if len(tokens) < 2:
-                raise ParseError("vec needs an id and components", lineno)
-            vid = tokens[1]
-            if not _IDENT.match(vid):
-                raise ParseError(f"malformed vector id {vid!r}", lineno)
-            comps = tokens[2:]
-            if len(comps) != dim:
-                raise ParseError(
-                    f"vector {vid!r} has {len(comps)} components, expected {dim}", lineno
-                )
-            if vid in vec_lines:
-                raise ParseError(f"duplicate vector id {vid!r}", lineno)
-            for c in comps:  # a bad token raises at its first occurrence
-                if c not in scalars:
-                    scalars[c] = _parse_component(c, radicand, lineno)
-            try:
+                field_seen = True
+            elif directive == "vec":
+                if dim is None:
+                    raise ValueError("dim must be declared before any vec")
+                if len(tokens) < 2:
+                    raise ValueError("vec needs an id and components")
+                vid = tokens[1]
+                if not _IDENT.match(vid):
+                    raise ValueError(f"malformed vector id {vid!r}")
+                comps = tokens[2:]
+                # checked before any token is parsed, so they stay a line's first error
+                if len(comps) != dim:
+                    raise ValueError(f"vector {vid!r} has {len(comps)} components, expected {dim}")
+                if vid in vec_lines:
+                    raise ValueError(f"duplicate vector id {vid!r}")
+                for c in comps:  # a bad token raises at its first occurrence
+                    if c not in scalars:
+                        scalars[c] = _parse_component(c, radicand)
                 vec = RayVector(vid, tuple(map(scalars.__getitem__, comps)))
-            except ValueError as exc:  # the zero vector
-                raise ParseError(str(exc), lineno) from exc
-            known = ray_ids.setdefault(vec.key, vid)
-            if known != vid:
-                raise ParseError(
-                    f"duplicate ray: {vid!r} is a scalar multiple of {known!r}", lineno
-                )
-            vectors[vid] = vec
-            vec_lines[vid] = lineno
-        elif directive == "ctx":
-            if dim is None:
-                raise ParseError("dim must be declared before any ctx", lineno)
-            ids = tokens[1:]
-            if len(ids) != dim:
-                raise ParseError(f"context has {len(ids)} ids, expected {dim}", lineno)
-            if len(set(ids)) != len(ids):
-                raise ParseError("context repeats a vector id", lineno)
-            for vid in ids:
-                if vid not in vec_lines:
-                    raise ParseError(f"context references undeclared vector id {vid!r}", lineno)
-            key = frozenset(ids)
-            if key in ctx_key_seen:
-                raise ParseError(
-                    f"duplicate context (same vectors as line {ctx_key_seen[key]})", lineno
-                )
-            # every vector has dim components over the field's ring, so only
-            # the keys are tested
-            for a, b in combinations(ids, 2):
-                if not _keys_orthogonal(vectors[a].key, vectors[b].key, radicand):
-                    raise ParseError(f"context not orthogonal ({a}·{b} != 0)", lineno)
-            ctx_key_seen[key] = lineno
-            contexts.append(Context(tuple(ids)))
-            ctx_lines.append(lineno)
-        elif directive == "m-override":
-            if len(tokens) != 2 or not _DIGITS.fullmatch(tokens[1]):
-                raise ParseError("m-override takes one non-negative integer", lineno)
-            if m_override is not None:
-                raise ParseError("duplicate m-override directive", lineno)
-            m_override = _integer(tokens[1], lineno)
-        else:
-            raise ParseError(f"unknown directive {directive!r}", lineno)
+                known = ray_ids.setdefault(vec.key, vid)
+                if known != vid:
+                    raise ValueError(f"duplicate ray: {vid!r} is a scalar multiple of {known!r}")
+                vectors[vid] = vec
+                vec_lines[vid] = lineno
+            elif directive == "ctx":
+                if dim is None:
+                    raise ValueError("dim must be declared before any ctx")
+                ids = tokens[1:]
+                check_context(ids, dim, vectors)
+                ctx = Context(tuple(ids))
+                key = frozenset(ids)
+                if key in ctx_key_seen:
+                    raise ValueError(
+                        f"duplicate context (same vectors as line {ctx_key_seen[key]})"
+                    )
+                # every vector has dim components over the field's ring, so only
+                # the keys are tested
+                for a, b in combinations(ids, 2):
+                    if not _keys_orthogonal(vectors[a].key, vectors[b].key, radicand):
+                        raise ValueError(f"context not orthogonal ({a}·{b} != 0)")
+                ctx_key_seen[key] = lineno
+                contexts.append(ctx)
+                ctx_lines.append(lineno)
+            elif directive == "m-override":
+                if len(tokens) != 2 or not _DIGITS.fullmatch(tokens[1]):
+                    raise ValueError("m-override takes one non-negative integer")
+                if m_override is not None:
+                    raise ValueError("duplicate m-override directive")
+                m_override = int(tokens[1])
+            else:
+                raise ValueError(f"unknown directive {directive!r}")
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
 
     if not version_seen:
         raise ParseError("missing 'ksset 1' header", last_line)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
+from typing import Container, Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -59,6 +59,16 @@ def check_dimension(d: int) -> None:
     """Raise ValueError unless d >= 3, the least dimension with a KS set."""
     if d < 3:
         raise ValueError(f"dimension must be >= 3, got {d}")
+
+
+def check_context(ids: Sequence[str], dimension: int, declared: Container[str]) -> None:
+    """Raise ValueError unless a context names ``dimension`` ids, each of
+    them in ``declared``; :class:`Context` refuses a repeated id."""
+    if len(ids) != dimension:
+        raise ValueError(f"context has {len(ids)} ids, expected {dimension}")
+    for vid in ids:
+        if vid not in declared:
+            raise ValueError(f"context references undeclared vector id {vid!r}")
 
 
 def _exact(x: Rational) -> Fraction:
@@ -222,7 +232,8 @@ class Context(namedtuple("Context", "vector_ids")):
 
     def __new__(cls, vector_ids: tuple[str, ...]) -> Context:
         if len(set(vector_ids)) != len(vector_ids):
-            raise ValueError(f"context repeats a vector id: {vector_ids}")
+            repeated = next(v for i, v in enumerate(vector_ids) if v in vector_ids[:i])
+            raise ValueError(f"context repeats vector id {repeated!r}")
         return super().__new__(cls, vector_ids)
 
 
@@ -284,14 +295,7 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
                     f"set declares sqrt({ring_radicand})"
                 )
         for ctx in contexts:
-            if len(ctx.vector_ids) != dimension:
-                raise ValueError(
-                    f"context {ctx.vector_ids} has {len(ctx.vector_ids)} ids, "
-                    f"expected {dimension}"
-                )
-            for vid in ctx.vector_ids:
-                if vid not in seen:
-                    raise ValueError(f"context references undeclared vector id {vid!r}")
+            check_context(ctx.vector_ids, dimension, seen)
         return super().__new__(cls, name, dimension, ring_radicand, vectors, contexts, m_override)
 
     def __setattr__(self, name: str, value: object) -> NoReturn:

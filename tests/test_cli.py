@@ -85,7 +85,7 @@ def test_form_feed_in_comment_keeps_line_numbers(tmp_path, capsys):
     p = tmp_path / "ff.ksset"
     p.write_bytes(b"ksset 1\n# note\x0cmore\nname x\ndim 2\n")
     assert main(["validate", str(p)]) == 1
-    assert capsys.readouterr().err == f"error: {p}:4: dim must be >= 3, got 2\n"
+    assert capsys.readouterr().err == f"error: {p}:4: dimension must be >= 3, got 2\n"
 
 
 def test_huge_radicand_exits_at_once(tmp_path):

@@ -1,14 +1,14 @@
 """The ``ksset 1`` text format: grammar, diagnostics, round-trips, catalog."""
 import hashlib
-import json
-import random
+import runpy
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ksbound as kb
-from conftest import SURD_SET
 from ksbound import ParseError, parse_document, parse_set, serialize_set
 
 GOOD = """\
@@ -58,7 +58,7 @@ def test_comments_blanks_and_crlf():
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
 def test_only_lf_crlf_and_cr_end_a_line(sep):
     # str.splitlines also breaks here; a comment must run on to the line end
-    rejects(f"ksset 1\n# note{sep}more\nname x\ndim 2\n", "dim must be >= 3", line=4)
+    rejects(f"ksset 1\n# note{sep}more\nname x\ndim 2\n", "dimension must be >= 3, got 2", line=4)
     rejects(f"ksset 1\r\n# note{sep}more\r\nname x\r\n", "missing dim directive", line=3)
     rejects("ksset 1\n", "missing name directive", line=1)
 
@@ -122,7 +122,7 @@ def test_name_directive_errors():
 def test_dim_directive_errors():
     rejects("ksset 1\nname x\ndim\n", "dim takes one integer", line=3)
     rejects("ksset 1\nname x\ndim three\n", "dim takes one integer", line=3)
-    rejects("ksset 1\nname x\ndim 2\n", "dim must be >= 3", line=3)
+    rejects("ksset 1\nname x\ndim 2\n", "dimension must be >= 3, got 2", line=3)
     for digit in ("²", "³", "٣"):  # superscripts, and a non-ASCII decimal
         rejects(f"ksset 1\nname x\ndim {digit}\n", "dim takes one integer", line=3)
     rejects("ksset 1\nname x\ndim 3\ndim 4\n", "duplicate dim", line=4)
@@ -185,7 +185,8 @@ def test_component_errors():
     rejects(base + "vec a 1/ 0 0\n", "malformed rational", line=4)
     rejects(base + "vec a 1/0 0 0\n", "zero denominator", line=4)
     rejects(base + "vec a 1:2:3 0 0\n", "malformed component", line=4)
-    rejects(base + "vec a 1:1 0 0\n", "while the ring radicand is 1", line=4)
+    rejects(base + "vec a 1:1 0 0\n", "surd part must be zero when the radicand is 1", line=4)
+    rejects(base + "vec a 1.5:1 0 0\n", "malformed rational '1.5'", line=4)  # both parts parse first
     for digit in ("٣", "３", "²"):  # only ASCII digits are components
         rejects(base + f"vec a {digit} 0 0\n", "malformed rational", line=4)
         rejects(base + f"vec a 1/{digit} 0 0\n", "malformed rational", line=4)
@@ -209,8 +210,9 @@ def test_repeated_tokens_parse_as_fresh_ones():
 def test_ctx_directive_errors():
     base = "ksset 1\nname x\ndim 3\nvec a 1 0 0\nvec b 0 1 0\nvec c 0 0 1\n"
     rejects(base + "ctx a b\n", "context has 2 ids, expected 3", line=7)
-    rejects(base + "ctx a a b\n", "context repeats a vector id", line=7)
+    rejects(base + "ctx a a b\n", "context repeats vector id 'a'", line=7)
     rejects(base + "ctx a b q\n", "undeclared vector id 'q'", line=7)
+    rejects(base + "ctx a a q\n", "undeclared vector id 'q'", line=7)  # before Context's repeat check
     err = rejects(base + "ctx a b c\nctx c b a\n", "duplicate context", line=8)
     assert "line 7" in err.message  # cites the earlier declaration
 
@@ -227,6 +229,75 @@ def test_m_override_errors():
 
 def test_unknown_directive():
     rejects("ksset 1\nname x\ndim 3\nvcx a b c\n", "unknown directive 'vcx'", line=4)
+
+
+# --- checks the model also enforces -------------------------------------------
+
+AXES = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
+DECLARED = "ksset 1\nname x\ndim 3\nvec a 1 0 0\nvec b 0 1 0\nvec c 0 0 1\n"
+
+
+@pytest.mark.parametrize("text, line, model_check", [
+    pytest.param("ksset 1\nname x\ndim 2\n", 3,
+                 lambda: kb.make_set("x", 2, [], []), id="dimension"),
+    pytest.param("ksset 1\nname x\ndim 3\nfield sqrt 8\n", 4,
+                 lambda: kb.make_set("x", 3, AXES, [], ring_radicand=8), id="radicand"),
+    pytest.param("ksset 1\nname x\ndim 3\nvec a 1:1 0 0\n", 4,
+                 lambda: kb.ExactScalar(1, 1, 1), id="surd-over-Q"),
+    pytest.param("ksset 1\nname x\ndim 3\nvec z 0 0 0\n", 4,
+                 lambda: kb.make_set("x", 3, [("z", (0, 0, 0))], []), id="zero-vector"),
+    pytest.param(DECLARED + "ctx a b\n", 7,
+                 lambda: kb.make_set("x", 3, AXES, [("a", "b")]), id="short-context"),
+    pytest.param(DECLARED + "ctx a a b\n", 7,
+                 lambda: kb.make_set("x", 3, AXES, [("a", "a", "b")]), id="repeated-id"),
+    pytest.param(DECLARED + "ctx a b q\n", 7,
+                 lambda: kb.make_set("x", 3, AXES, [("a", "b", "q")]), id="undeclared-id"),
+])
+def test_model_checks_report_the_models_message(text, line, model_check):
+    # one implementation per invariant: the parser says what the model says,
+    # at the directive's line
+    with pytest.raises(ValueError) as model:
+        model_check()
+    err = rejects(text, str(model.value), line=line)
+    assert err.message == str(model.value)
+
+
+SOUP_TOKENS = ["ksset", "name", "dim", "field", "sqrt", "vec", "ctx", "m-override",
+               "a", "b", "c", "d", "0", "1", "-1", "2", "3", "8", "1/2", "0:1", "1:1",
+               "1/0", "1.5", "\u00b2", "x!", "#"]
+SOUP_LINES = st.one_of(
+    st.sampled_from(["ksset 1", "name s", "dim 3", "dim 2", "field sqrt 2", "field sqrt 8",
+                     "m-override 4", "", "# note"]),
+    st.sampled_from(["vec z 0 0 0", "vec f 2 0 0", "vec a 0 1 0", "vec g 1:1 0 1",
+                     "ctx a b q", "ctx a a b", "ctx a b", "ctx a b c d", "ctx b d e"]),
+    st.builds("vec {} {} {} {}".format, st.sampled_from("abcde"),
+              *[st.sampled_from(["0", "1", "-1", "1/2", "0:1", "1:1"])] * 3),
+    st.lists(st.sampled_from("abcdeq"), max_size=4).map(lambda ids: " ".join(["ctx", *ids])),
+    st.lists(st.sampled_from(SOUP_TOKENS), min_size=1, max_size=5).map(" ".join),
+)
+#: the body of a valid document, before the soup: distinct vectors, then contexts
+SOUP_VECS = st.permutations(["vec a 1 0 0", "vec b 0 1 0", "vec c 0 0 1", "vec d 0 1 1",
+                             "vec e 0 1 -1"])
+SOUP_CTXS = st.lists(st.sampled_from(["ctx a b c", "ctx a d e", "ctx c b a"]), max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([[], ["ksset 1", "name s"], ["ksset 1", "name s", "dim 3"],
+                        ["ksset 1", "name s", "dim 3", "field sqrt 2"]]),
+       SOUP_VECS, SOUP_CTXS, st.lists(SOUP_LINES, max_size=4))
+def test_directive_soup_parses_or_names_a_line(head, vecs, ctxs, soup):
+    # whatever the lines, the parser accepts a valid set or raises a
+    # ParseError at one of the document's lines, never anything else
+    lines = head + vecs + ctxs + soup
+    text = "".join(line + "\n" for line in lines)
+    try:
+        doc = parse_document(text)
+    except ParseError as exc:
+        assert 1 <= exc.line <= max(1, len(lines))
+        return
+    ks = doc.ks_set
+    assert kb.validate_orthogonality(ks).ok
+    assert parse_set(serialize_set(ks)) == ks
 
 
 # --- serialization ------------------------------------------------------------
@@ -270,59 +341,16 @@ def test_catalog_serialization_matches_source_tokens(catalog_sets):
 
 # --- pinned outcomes -----------------------------------------------------------
 
-#: SHA-256 of the outcomes in ``test_parse_outcomes_are_pinned``.
-PINNED_OUTCOMES = "8c096cd7583203a02d61e27dc9c42d624b159eb0204100e118bc2fb099cdb354"
-
-
-def single_token_mutants(text, rng):
-    """Every single-token edit of ``text``'s code tokens that changes them:
-    at each token, replace it, delete it, duplicate it and insert before it,
-    the replacement and the insertion drawn from a junk list by ``rng``."""
-    junk = ["0", "1", "-1", "2", "0:1", "0:-1", "1/2", "99", "x9", "v1", "1/0",
-            "1:1", "1:1:1", "1.5", "\u00b2", "7" * 4301, "vec", "ctx", "dim", "q!"]
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        before = line.split("#", 1)[0].split()
-        for j in range(len(before)):
-            edits = (
-                before[:j] + [rng.choice(junk)] + before[j + 1:],
-                before[:j] + before[j + 1:],
-                before[:j] + [before[j]] + before[j:],
-                before[:j] + [rng.choice(junk)] + before[j:],
-            )
-            for tokens in edits:
-                if tokens != before:
-                    yield "\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1:]) + "\n"
-
-
-def parse_outcome(text):
-    """What parsing ``text`` gives: the canonical document, every ray key and
-    every source line, or the error's type, message and line."""
-    try:
-        doc = parse_document(text)
-    except Exception as exc:  # any type is an outcome to pin
-        return [type(exc).__name__, str(exc), getattr(exc, "line", None)]
-    ks = doc.ks_set
-    return [
-        serialize_set(ks),
-        [list(v.key) for v in ks.vectors],
-        sorted(doc.vec_lines.items()),
-        list(doc.ctx_lines),
-    ]
+#: SHA-256 of the output of ``tools/parse_outcomes.py``, one JSON line per outcome.
+PINNED_OUTCOMES = "d7098e9c1f34fde62c54a580cf1ad544950d7473a6c5502de2a08b12e679a671"
 
 
 def test_parse_outcomes_are_pinned():
     # every message, line, key and canonical document over the catalog, a
     # small Q(sqrt 2) set and all their single-token mutants must match across
-    # commits
-    rng = random.Random(1313)
-    texts = [kb.catalog_text(name) for name in kb.list_catalog()] + [SURD_SET]
-    outcomes = [
-        parse_outcome(doc)
-        for text in texts
-        for doc in (text, *single_token_mutants(text, rng))
-    ]
-    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    # commits; `diff` two checkouts' tool output to see which moved
+    tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "parse_outcomes.py"))
+    digest = hashlib.sha256("".join(tool["outcome_lines"]()).encode()).hexdigest()
     assert digest == PINNED_OUTCOMES
 
 

@@ -83,8 +83,10 @@ def test_ray_vector_validation():
 
 
 def test_context_rejects_repeats():
-    with pytest.raises(ValueError, match="repeats"):
+    with pytest.raises(ValueError, match="^context repeats vector id 'a'$"):
         Context(("a", "b", "a"))
+    with pytest.raises(ValueError, match="^context repeats vector id 'c'$"):  # the first repeat
+        Context(("c", "d", "c", "d"))
 
 
 def test_make_set_refuses_float_components():

@@ -58,7 +58,7 @@ def reference_outcome(text):
         if tokens[:2] == ["field", "sqrt"]:
             radicand = int(tokens[2])
         elif tokens[:1] == ["vec"]:
-            vec = RayVector(tokens[1], tuple(_parse_component(c, radicand, lineno) for c in tokens[2:]))
+            vec = RayVector(tokens[1], tuple(_parse_component(c, radicand) for c in tokens[2:]))
             for known in vecs.values():
                 if minors_same_ray(known, vec):
                     return f"duplicate ray: {vec.id!r} is a scalar multiple of {known.id!r}", lineno
