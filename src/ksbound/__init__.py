@@ -7,13 +7,14 @@ search (:mod:`ksbound.coloring`), analytic bounds and critical rates
 (:mod:`ksbound.bounds`), and the seeded Monte Carlo validator
 (:mod:`ksbound.simulate`).
 """
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BISECTION_TOLERANCE,
     CriticalRate,
     DeltaBound,
     Margin,
     TABLE_ROWS,
-    TableReport,
     TableRow,
     critical_rate,
     delta_analytic,
@@ -42,7 +43,6 @@ from .format import (
     list_catalog,
     load_catalog,
     parse_document,
-    parse_set,
     serialize_set,
 )
 from .model import (
@@ -72,58 +72,9 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BISECTION_TOLERANCE",
-    "BRUTE_FORCE_LIMIT",
-    "ColoringResult",
-    "Context",
-    "CriticalRate",
-    "DefectReport",
-    "DeltaBound",
-    "DimensionMismatchError",
-    "ExactScalar",
-    "InequalityVerdict",
-    "KsSet",
-    "MAX_RADICAND",
-    "Margin",
-    "ParseError",
-    "RayVector",
-    "RingMismatchError",
-    "SetDocument",
-    "SetStats",
-    "SimSummary",
-    "TABLE_ROWS",
-    "TableReport",
-    "TableRow",
-    "TrialModel",
-    "ValidationReport",
-    "Violation",
-    "assignment_defect",
-    "brute_force_coloring",
-    "build_stats",
-    "catalog_text",
-    "critical_rate",
-    "default_base",
-    "delta_analytic",
-    "delta_lower_bound",
-    "empirical_inequality_check",
-    "epsilon_analytic",
-    "find_coloring",
-    "independent_error_lhs",
-    "inequality_margin",
-    "inner_product",
-    "is_square_free",
-    "list_catalog",
-    "load_catalog",
-    "make_set",
-    "min_defect",
-    "orthogonal",
-    "parse_document",
-    "parse_set",
-    "same_ray",
-    "serialize_set",
-    "simulate_model",
-    "table_report",
-    "validate_orthogonality",
-    "__version__",
-]
+# the imports above are the one list of public names; submodules stay out, so
+# that ``from ksbound import *`` cannot shadow the builtin ``format``
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]

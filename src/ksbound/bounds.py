@@ -155,13 +155,9 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 )
 
 
-class TableReport(NamedTuple):
-    rows: tuple[tuple[TableRow, CriticalRate], ...]
-
-
-def table_report() -> TableReport:
-    """Compute the critical-rate column for the published rows."""
-    return TableReport(tuple((row, critical_rate(row.N, row.M, row.d)) for row in TABLE_ROWS))
+def table_report() -> tuple[tuple[TableRow, CriticalRate], ...]:
+    """The published rows, each paired with its computed critical rate."""
+    return tuple((row, critical_rate(row.N, row.M, row.d)) for row in TABLE_ROWS)
 
 
 def _check_rate(r: float) -> None:

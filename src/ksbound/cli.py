@@ -23,7 +23,7 @@ from .bounds import (
     inequality_margin,
     table_report,
 )
-from .coloring import find_coloring, min_defect
+from .coloring import assignment_defect, find_coloring, min_defect
 from .format import ParseError, catalog_text, parse_document
 from .model import KsSet, build_stats
 from .simulate import TrialModel, default_base, empirical_inequality_check, simulate_model
@@ -131,13 +131,14 @@ def _cmd_color(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 def _cmd_defect(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     ks = _load_set(args.set)
     report = min_defect(ks)
+    sum_defects, connection_defects = assignment_defect(ks, report.witness)
     d = ks.dimension
     rows = [report.witness[s : s + d] for s in range(0, len(report.witness), d)]
     doc = {
         "set": ks.name,
         "d_min": report.d_min,
-        "sum_defects": report.sum_defects,
-        "connection_defects": report.connection_defects,
+        "sum_defects": sum_defects,
+        "connection_defects": connection_defects,
         "nodes": report.nodes,
         "witness": [
             [ci, pos, value] for ci, row in enumerate(rows) for pos, value in enumerate(row)
@@ -146,8 +147,8 @@ def _cmd_defect(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     text = [
         f"set {ks.name}",
         f"d_min {report.d_min}",
-        f"witness breakdown: {report.sum_defects} context sum defects, "
-        f"{report.connection_defects} connection defects",
+        f"witness breakdown: {sum_defects} context sum defects, "
+        f"{connection_defects} connection defects",
         f"nodes {report.nodes}",
         "witness slots (context: values):",
     ]
@@ -284,7 +285,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 def _cmd_table(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     header = f"{'set':<20}{'d':>3}{'n':>10}{'N':>5}{'M':>5}   r"
     rows, text = [], [header, "-" * len(header)]
-    for row, crit in table_report().rows:
+    for row, crit in table_report():
         rows.append(
             {
                 "name": row.name,

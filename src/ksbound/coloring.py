@@ -177,15 +177,13 @@ class DefectReport(NamedTuple):
     ``witness`` holds one 0/1 value per slot, numbered as in the set's
     :class:`~ksbound.model.Incidence`: slot c*d + p is position p of context
     c.  It is always a per-vector coloring: every slot of a ray holds the
-    ray's value, so ``connection_defects`` is 0 and ``sum_defects`` equals
-    ``d_min``.  ``nodes`` counts the ``find_coloring`` nodes spent on the
-    probes that drop two or more contexts; it is 0 whenever ``d_min <= 1``.
+    ray's value, so ``assignment_defect(ks, witness)`` is ``(d_min, 0)``.
+    ``nodes`` counts the ``find_coloring`` nodes spent on the probes that
+    drop two or more contexts; it is 0 whenever ``d_min <= 1``.
     """
 
     d_min: int
     witness: tuple[int, ...]
-    sum_defects: int
-    connection_defects: int
     nodes: int
 
 
@@ -253,5 +251,5 @@ def min_defect(ks: KsSet) -> DefectReport:
                 s, c = assignment_defect(ks, witness)
                 if (s, c) != (k, 0):  # a raise, not an assert, so it holds under -O
                     raise AssertionError(f"witness has defect ({s}, {c}), expected ({k}, 0)")
-                return DefectReport(k, witness, s, c, nodes)
+                return DefectReport(k, witness, nodes)
     raise AssertionError("unreachable: a set without contexts is colorable")

@@ -31,6 +31,7 @@ from .model import (
     check_context,
     check_dimension,
     check_radicand,
+    check_vector,
 )
 
 _IDENT = re.compile(r"^[A-Za-z0-9_.-]+$")
@@ -79,12 +80,14 @@ def parse_document(text: str) -> SetDocument:
     """Parse a ``ksset 1`` document; raise :class:`ParseError` on any defect.
 
     Beyond the grammar itself, the parser enforces the set invariants that a
-    document can break: duplicate vector ids, two declarations of the same
-    ray, repeated contexts, references to undeclared ids, and contexts that
-    are not pairwise orthogonal (checked exactly, on the ray keys).  Where
-    the model enforces an invariant too (the dimension floor, the radicand,
-    a surd part over Q, the zero vector, a context's length, repeated and
-    undeclared ids), the model's own check runs, with its message.  Every
+    document can break: two declarations of the same ray, repeated
+    contexts, and contexts that are not pairwise orthogonal (checked
+    exactly, on the ray keys).  Where the model enforces an invariant too
+    (the dimension floor, the radicand, a surd part over Q, the zero vector,
+    a vector's component count and repeated id, a context's length,
+    repeated and undeclared ids), the model's own check runs, with its
+    message; a ``vec`` line's count and id are checked before any of its
+    components is parsed, so they stay the line's first error.  Every
     check raises ``ValueError``, and one handler attaches the line.  Rays
     are compared through their canonical keys
     (:func:`ksbound.model.same_ray`), so a duplicate is one dict lookup.
@@ -154,11 +157,7 @@ def parse_document(text: str) -> SetDocument:
                 if not _IDENT.match(vid):
                     raise ValueError(f"malformed vector id {vid!r}")
                 comps = tokens[2:]
-                # checked before any token is parsed, so they stay a line's first error
-                if len(comps) != dim:
-                    raise ValueError(f"vector {vid!r} has {len(comps)} components, expected {dim}")
-                if vid in vec_lines:
-                    raise ValueError(f"duplicate vector id {vid!r}")
+                check_vector(vid, comps, dim, vectors)  # before any token is parsed
                 for c in comps:  # a bad token raises at its first occurrence
                     if c not in scalars:
                         scalars[c] = _parse_component(c, radicand)
@@ -220,17 +219,12 @@ def parse_document(text: str) -> SetDocument:
     )
 
 
-def parse_set(text: str) -> KsSet:
-    """Parse a document and return just the set (see :func:`parse_document`)."""
-    return parse_document(text).ks_set
-
-
 def _format_component(c: ExactScalar) -> str:
     return str(c.rational) if c.surd == 0 else f"{c.rational}:{c.surd}"
 
 
 def serialize_set(ks: KsSet) -> str:
-    """Canonical document for a set; ``parse_set`` of the result round-trips."""
+    """Canonical document for a set; ``parse_document`` of the result round-trips."""
     lines = ["ksset 1", f"name {ks.name}", f"dim {ks.dimension}"]
     if ks.ring_radicand != 1:
         lines.append(f"field sqrt {ks.ring_radicand}")
@@ -261,7 +255,7 @@ def catalog_text(name: str) -> str:
 
 
 def load_catalog(name: str) -> KsSet:
-    """Load a bundled set, validated by the parser.
+    """Load a bundled set, ``parse_document(catalog_text(name)).ks_set``.
 
     A broken bundled file is a packaging defect, not a user error, so it
     raises :class:`ParseError` rather than returning a report.  The parser
@@ -269,4 +263,4 @@ def load_catalog(name: str) -> KsSet:
     repeated ray, a repeated context, a context that is not orthogonal), so
     no second check runs.
     """
-    return parse_set(catalog_text(name))
+    return parse_document(catalog_text(name)).ks_set

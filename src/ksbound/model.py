@@ -71,6 +71,19 @@ def check_context(ids: Sequence[str], dimension: int, declared: Container[str]) 
             raise ValueError(f"context references undeclared vector id {vid!r}")
 
 
+def check_vector(
+    vid: str, components: Sequence[object], dimension: int, declared: Container[str]
+) -> None:
+    """Raise DimensionMismatchError unless a vector has ``dimension``
+    components, then ValueError if its id is already in ``declared``."""
+    if len(components) != dimension:
+        raise DimensionMismatchError(
+            f"vector {vid!r} has {len(components)} components, expected {dimension}"
+        )
+    if vid in declared:
+        raise ValueError(f"duplicate vector id {vid!r}")
+
+
 def _exact(x: Rational) -> Fraction:
     """``Fraction(x)``, refusing a float (numpy's float64 is one): its binary
     value is not the decimal it was written as, so 0.1 + 0.2 - 0.3 != 0."""
@@ -258,8 +271,10 @@ class Incidence(NamedTuple):
 class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m_override")):
     """A named set of rays and orthogonal d-tuples, with optional M override.
 
-    The constructor enforces referential structure (declared ids, component
-    counts, one ring).  The mathematical invariants -- pairwise orthogonality
+    The constructor enforces referential structure with the checks the
+    parser runs too (:func:`check_vector` for each vector: its component
+    count, then a repeated id; :func:`check_context` for each context) and
+    one ring.  The mathematical invariants -- pairwise orthogonality
     inside each context, no two declared vectors on the same ray, no repeated
     context -- are checked by :func:`ksbound.coloring.validate_orthogonality`,
     so that a structurally sound but mathematically broken set can still be
@@ -282,13 +297,8 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
             raise ValueError("m_override must be non-negative")
         seen: set[str] = set()
         for v in vectors:
-            if v.id in seen:
-                raise ValueError(f"duplicate vector id {v.id!r}")
+            check_vector(v.id, v.components, dimension, seen)
             seen.add(v.id)
-            if v.dimension != dimension:
-                raise DimensionMismatchError(
-                    f"vector {v.id!r} has {v.dimension} components, expected {dimension}"
-                )
             if v.radicand != ring_radicand:
                 raise RingMismatchError(
                     f"vector {v.id!r} lives in ring sqrt({v.radicand}), "

@@ -49,8 +49,8 @@ def test_criterion_1_table_reproduction():
     t0 = time.perf_counter()
     rep = kb.table_report()
     elapsed = time.perf_counter() - t0
-    floors = [crit.floor4 for _, crit in rep.rows]
-    errors = [abs(crit.r - ref) for (_, crit), ref in zip(rep.rows, TRUE_CROSSINGS)]
+    floors = [crit.floor4 for _, crit in rep]
+    errors = [abs(crit.r - ref) for (_, crit), ref in zip(rep, TRUE_CROSSINGS)]
     ok = floors == PUBLISHED_FLOORS and max(errors) <= 5e-5 and elapsed < 1.0
     report(
         1,
@@ -236,8 +236,8 @@ def test_criterion_7_format_round_trip_and_mutations():
     round_trip_ok = True
     for name in kb.list_catalog():
         src = kb.catalog_text(name)
-        ks = kb.parse_set(src)
-        again = kb.parse_set(kb.serialize_set(ks))
+        ks = kb.parse_document(src).ks_set
+        again = kb.parse_document(kb.serialize_set(ks)).ks_set
         src_tokens = [
             ln.split("#", 1)[0].split()
             for ln in src.splitlines()
@@ -253,7 +253,7 @@ def test_criterion_7_format_round_trip_and_mutations():
         base_lines = rng.choice(texts).splitlines()
         mutated = _mutate_tokens(base_lines, rng)
         try:
-            ks = kb.parse_set(mutated)
+            ks = kb.parse_document(mutated).ks_set
         except kb.ParseError as exc:
             rejected += 1
             if not (isinstance(exc.line, int) and exc.line >= 1

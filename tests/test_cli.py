@@ -10,8 +10,15 @@ from pathlib import Path
 import pytest
 
 import ksbound
-from conftest import SURD_SET, fan_document
-from ksbound import build_stats, critical_rate, parse_set, serialize_set
+from conftest import SURD_SET, disjoint_union, fan_document
+from ksbound import (
+    assignment_defect,
+    build_stats,
+    critical_rate,
+    make_set,
+    parse_document,
+    serialize_set,
+)
 from ksbound.cli import main
 
 GOOD = """\
@@ -177,6 +184,31 @@ def test_defect_json(capsys):
     assert doc["d_min"] == 1
     assert doc["sum_defects"] + doc["connection_defects"] == 1
     assert len(doc["witness"]) == 9 * 4
+
+
+#: 5 times the left multiplication by the unit quaternion (1, 2, 2, 4)/5: it
+#: keeps orthogonality and moves every cabello18 ray off the set's own rays
+QUATERNION = ((1, -2, -2, -4), (2, 1, -4, 2), (2, 4, 1, -2), (4, -2, 2, 1))
+
+
+def test_defect_json_beyond_drop_one(tmp_path, capsys, cabello18):
+    # cabello18x2's second copy repeats the first one's rays, which a document
+    # refuses; a rotated copy has the same incidence, so the same search.  No
+    # drop-one witness exists, so the search drops pairs of contexts.
+    rotated = make_set("r", 4, [
+        (v.id, [sum(m * c.rational for m, c in zip(row, v.components)) for row in QUATERNION])
+        for v in cabello18.vectors
+    ], [ctx.vector_ids for ctx in cabello18.contexts])
+    ks = disjoint_union("cabello18x2", cabello18, rotated)
+    path = tmp_path / "cabello18x2.ksset"
+    path.write_text(serialize_set(ks))
+    assert main(["defect", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["d_min"], doc["nodes"]) == (2, 35222)
+    assert [entry[:2] for entry in doc["witness"]] == [[s // 4, s % 4] for s in range(18 * 4)]
+    witness = tuple(value for _, _, value in doc["witness"])
+    breakdown = (doc["sum_defects"], doc["connection_defects"])
+    assert breakdown == assignment_defect(ks, witness) == (2, 0)
 
 
 def test_bounds_text(capsys):
@@ -503,7 +535,7 @@ def test_cli_outputs_are_pinned(two_triads, tmp_path, monkeypatch, capsys):
     sources.update(files)
     runs = [["table"], ["critical-r", "--N", "40", "--M", "96", "--d", "3"]]
     for source, text in sources.items():
-        ks = parse_set(text)
+        ks = parse_document(text).ks_set
         runs += [[cmd, source] for cmd in ("validate", "stats", "color", "defect", "critical-r")]
         runs += [["bounds", source], ["bounds", source, "--delta", "0.005", "--epsilon", "0.01"]]
         st = build_stats(ks)

@@ -195,7 +195,6 @@ def test_min_defect_zero_on_colorable(triad, two_triads):
     for ks in (triad, two_triads):
         rep = min_defect(ks)
         assert rep.d_min == 0
-        assert (rep.sum_defects, rep.connection_defects) == (0, 0)
         assert assignment_defect(ks, rep.witness) == (0, 0)
 
 
@@ -213,9 +212,7 @@ def test_min_defect_catalog_is_one(catalog_sets):
     for ks in catalog_sets:
         rep = min_defect(ks)
         assert rep.d_min == 1, ks.name
-        s, c = assignment_defect(ks, rep.witness)
-        assert s + c == 1
-        assert (rep.sum_defects, rep.connection_defects) == (s, c)
+        assert assignment_defect(ks, rep.witness) == (1, 0)
 
 
 # Witness slots, context by context: each set's first colorable drop-one
@@ -236,7 +233,7 @@ def test_min_defect_catalog_witness_is_pinned(catalog_sets):
             "".join(map(str, rep.witness[s : s + d])) for s in range(0, len(rep.witness), d)
         )
         assert rows == CATALOG_WITNESSES[ks.name]
-        assert (rep.d_min, rep.sum_defects, rep.connection_defects) == (1, 1, 0)
+        assert rep.d_min == 1 and assignment_defect(ks, rep.witness) == (1, 0)
         assert rep.nodes == 0  # the drop-one witness is optimal; no search ran
 
 
@@ -246,8 +243,7 @@ def test_min_defect_branch_and_bound_on_two_disjoint_copies(cabello18x2):
     rep = min_defect(cabello18x2)
     assert rep.d_min == 2
     assert rep.nodes == 35222
-    assert assignment_defect(cabello18x2, rep.witness) == (rep.sum_defects, rep.connection_defects)
-    assert rep.sum_defects + rep.connection_defects == 2
+    assert assignment_defect(cabello18x2, rep.witness) == (2, 0)
 
 
 def test_min_defect_witness_is_total(cabello18):

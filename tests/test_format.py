@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ksbound as kb
-from ksbound import ParseError, parse_document, parse_set, serialize_set
+from ksbound import ParseError, parse_document, serialize_set
+from ksbound.model import check_vector
 
 GOOD = """\
 ksset 1
@@ -23,7 +24,7 @@ ctx a b c
 
 
 def parses(text):
-    return parse_set(text)
+    return parse_document(text).ks_set
 
 
 def rejects(text, fragment, line=None):
@@ -262,6 +263,23 @@ def test_model_checks_report_the_models_message(text, line, model_check):
     assert err.message == str(model.value)
 
 
+@pytest.mark.parametrize("vid, comps, message", [
+    pytest.param("d", ("0", "1"), "vector 'd' has 2 components, expected 3", id="count"),
+    pytest.param("a", ("0", "1", "1"), "duplicate vector id 'a'", id="repeated-id"),
+    # both at once: the count comes first, in KsSet as in the parser
+    pytest.param("a", ("0", "1"), "vector 'a' has 2 components, expected 3", id="both"),
+])
+def test_vector_checks_have_one_implementation(vid, comps, message):
+    with pytest.raises(ValueError) as model:
+        check_vector(vid, comps, 3, {"a", "b", "c"})
+    assert str(model.value) == message
+    err = rejects(DECLARED + f"vec {vid} {' '.join(comps)}\n", message, line=7)
+    assert err.message == message
+    with pytest.raises(type(model.value)) as built:
+        kb.make_set("x", 3, [*AXES, (vid, tuple(map(int, comps)))], [])
+    assert str(built.value) == message
+
+
 SOUP_TOKENS = ["ksset", "name", "dim", "field", "sqrt", "vec", "ctx", "m-override",
                "a", "b", "c", "d", "0", "1", "-1", "2", "3", "8", "1/2", "0:1", "1:1",
                "1/0", "1.5", "\u00b2", "x!", "#"]
@@ -297,7 +315,7 @@ def test_directive_soup_parses_or_names_a_line(head, vecs, ctxs, soup):
         return
     ks = doc.ks_set
     assert kb.validate_orthogonality(ks).ok
-    assert parse_set(serialize_set(ks)) == ks
+    assert parse_document(serialize_set(ks)).ks_set == ks
 
 
 # --- serialization ------------------------------------------------------------
@@ -305,7 +323,7 @@ def test_directive_soup_parses_or_names_a_line(head, vecs, ctxs, soup):
 
 def test_serialize_round_trip_small():
     ks = parses(GOOD)
-    assert parse_set(serialize_set(ks)) == ks
+    assert parse_document(serialize_set(ks)).ks_set == ks
 
 
 def test_serialize_formats_fractions_and_surds():
@@ -318,12 +336,12 @@ def test_serialize_formats_fractions_and_surds():
     assert "field sqrt 5" in out
     assert "vec a 1/2 0 0" in out
     assert "vec b 0 0:-2/3 0" in out
-    assert parse_set(out) == ks
+    assert parse_document(out).ks_set == ks
 
 
 def test_catalog_round_trip_identity(catalog_sets):
     for ks in catalog_sets:
-        assert parse_set(serialize_set(ks)) == ks
+        assert parse_document(serialize_set(ks)).ks_set == ks
 
 
 def test_catalog_serialization_matches_source_tokens(catalog_sets):

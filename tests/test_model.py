@@ -198,7 +198,7 @@ def test_incidence_matches_a_fresh_walk(name, request):
     rng = random.Random(21)
     value = {v.id: rng.randint(0, 1) for v in ks.vectors}
     witness = tuple(value[vid] for ctx in ks.contexts for vid in ctx.vector_ids)
-    base = kb.default_base(ks, kb.DefectReport(1, witness, 1, 0, 0))
+    base = kb.default_base(ks, kb.DefectReport(1, witness, 0))
     assert base == {v.id: value[v.id] if at else 1 for v, at in zip(ks.vectors, slots)}
 
 
@@ -254,13 +254,13 @@ PUBLIC_NAMES = """
     BISECTION_TOLERANCE BRUTE_FORCE_LIMIT ColoringResult Context CriticalRate
     DefectReport DeltaBound DimensionMismatchError ExactScalar InequalityVerdict
     KsSet MAX_RADICAND Margin ParseError RayVector RingMismatchError SetDocument
-    SetStats SimSummary TABLE_ROWS TableReport TableRow TrialModel
+    SetStats SimSummary TABLE_ROWS TableRow TrialModel
     ValidationReport Violation assignment_defect brute_force_coloring
     build_stats catalog_text critical_rate default_base delta_analytic
     delta_lower_bound empirical_inequality_check epsilon_analytic find_coloring
     independent_error_lhs inequality_margin inner_product
     is_square_free list_catalog load_catalog make_set min_defect orthogonal
-    parse_document parse_set same_ray serialize_set simulate_model table_report
+    parse_document same_ray serialize_set simulate_model table_report
     validate_orthogonality __version__
 """.split()
 
@@ -284,11 +284,10 @@ def test_records_are_immutable_hashable_values(two_triads):
         kb.delta_lower_bound(1, 2, 0), ("value", "vacuous"),
         kb.critical_rate(9, 18, 4), ("r", "floor4", "bracket_low", "bracket_high", "iterations"),
         kb.TABLE_ROWS[0], ("name", "d", "n_label", "N", "M"),
-        kb.table_report(), ("rows",),
         kb.Violation("duplicate-ray", "m"), ("kind", "message", "context_index", "vector_ids"),
         kb.validate_orthogonality(ks), ("ok", "violations"),
         kb.find_coloring(ks), ("satisfiable", "assignment", "nodes", "solutions"),
-        kb.min_defect(ks), ("d_min", "witness", "sum_defects", "connection_defects", "nodes"),
+        kb.min_defect(ks), ("d_min", "witness", "nodes"),
         kb.parse_document(kb.serialize_set(ks)), ("ks_set", "vec_lines", "ctx_lines"),
         kb.TrialModel(ks, kb.default_base(ks), 0.1, 1), ("ks_set", "base", "flip_rate", "seed"),
         _summary(), ("seed", "trials", "r", "context_error_counts",
@@ -297,7 +296,7 @@ def test_records_are_immutable_hashable_values(two_triads):
             "holds", "mean_total_defect", "min_trial_defect", "delta_hat_max",
             "epsilon_hat_max", "implied_lhs"),
     ]
-    assert len({type(r) for r in records[::2]}) == 18
+    assert len({type(r) for r in records[::2]}) == 17
     for record, names in zip(records[::2], records[1::2]):
         for name in names:
             with pytest.raises(AttributeError):
