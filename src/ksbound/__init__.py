@@ -13,7 +13,6 @@ from .bounds import (
     BISECTION_TOLERANCE,
     CriticalRate,
     DeltaBound,
-    Margin,
     TABLE_ROWS,
     TableRow,
     critical_rate,
@@ -62,11 +61,9 @@ from .model import (
     same_ray,
 )
 from .simulate import (
-    InequalityVerdict,
     SimSummary,
     TrialModel,
     default_base,
-    empirical_inequality_check,
     simulate_model,
 )
 

@@ -21,13 +21,8 @@ BISECTION_TOLERANCE = 1e-12
 _BRACKET_HIGH = 0.5
 
 
-class Margin(NamedTuple):
-    margin: float
-    contradiction: bool
-
-
-def inequality_margin(M: int, N: int, delta: Number, epsilon: Number) -> Margin:
-    """Margin 1 - M*delta - N*epsilon; contradiction iff strictly positive.
+def inequality_margin(M: int, N: int, delta: Number, epsilon: Number) -> Number:
+    """The margin 1 - M*delta - N*epsilon; a contradiction iff strictly positive.
 
     Arithmetic is type-preserving: exact inputs (int/Fraction) give an exact
     margin, floats give a float whose sign agrees bit-for-bit with
@@ -35,9 +30,7 @@ def inequality_margin(M: int, N: int, delta: Number, epsilon: Number) -> Margin:
     """
     if M < 0 or N < 0:
         raise ValueError("M and N must be non-negative")
-    lhs = M * delta + N * epsilon
-    margin = 1 - lhs
-    return Margin(margin, margin > 0)
+    return 1 - (M * delta + N * epsilon)
 
 
 class DeltaBound(NamedTuple):

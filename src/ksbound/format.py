@@ -50,11 +50,9 @@ class ParseError(ValueError):
 
 
 class SetDocument(NamedTuple):
-    """A parsed document: the set plus per-declaration source locations."""
+    """A parsed document: the set it declares, read as ``.ks_set``."""
 
     ks_set: KsSet
-    vec_lines: dict[str, int]
-    ctx_lines: tuple[int, ...]
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -108,9 +106,7 @@ def parse_document(text: str) -> SetDocument:
     vectors: dict[str, RayVector] = {}
     scalars: dict[str, ExactScalar] = {}  # each distinct component token, parsed once
     ray_ids: dict[tuple[int, ...], str] = {}
-    vec_lines: dict[str, int] = {}
     contexts: list[Context] = []
-    ctx_lines: list[int] = []
     ctx_key_seen: dict[frozenset, int] = {}
 
     last_line = max(1, len(raw_lines))
@@ -166,7 +162,6 @@ def parse_document(text: str) -> SetDocument:
                 if known != vid:
                     raise ValueError(f"duplicate ray: {vid!r} is a scalar multiple of {known!r}")
                 vectors[vid] = vec
-                vec_lines[vid] = lineno
             elif directive == "ctx":
                 if dim is None:
                     raise ValueError("dim must be declared before any ctx")
@@ -185,7 +180,6 @@ def parse_document(text: str) -> SetDocument:
                         raise ValueError(f"context not orthogonal ({a}·{b} != 0)")
                 ctx_key_seen[key] = lineno
                 contexts.append(ctx)
-                ctx_lines.append(lineno)
             elif directive == "m-override":
                 if len(tokens) != 2 or not _DIGITS.fullmatch(tokens[1]):
                     raise ValueError("m-override takes one non-negative integer")
@@ -204,19 +198,14 @@ def parse_document(text: str) -> SetDocument:
     if dim is None:
         raise ParseError("missing dim directive", last_line)
 
-    ks = KsSet(
+    return SetDocument(KsSet(
         name=name,
         dimension=dim,
         ring_radicand=radicand,
         vectors=tuple(vectors.values()),
         contexts=tuple(contexts),
         m_override=m_override,
-    )
-    return SetDocument(
-        ks_set=ks,
-        vec_lines=vec_lines,
-        ctx_lines=tuple(ctx_lines),
-    )
+    ))
 
 
 def _format_component(c: ExactScalar) -> str:

@@ -66,7 +66,14 @@ class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
 
 
 class SimSummary(NamedTuple):
-    """Exact counters of one simulation run; all rates derive from them."""
+    """Exact counters of one simulation run; all rates derive from them.
+
+    On a KS set every trial violates at least one constraint, so the
+    empirical inequality holds when ``min_trial_defect >= 1``; the
+    ``simulate`` command reports it, with the worst rates and the union
+    bound they imply, from these counters alone.  N and M are the lengths
+    of the two count tuples, so M is the all-pairs count, never an override.
+    """
 
     seed: int
     trials: int
@@ -488,48 +495,6 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     conn_counts = tuple(conn_mismatches.tolist())
     total = sum(ctx_counts) + sum(conn_counts)
     return SimSummary(model.seed, trials, model.flip_rate, ctx_counts, conn_counts, total, min_trial)
-
-
-class InequalityVerdict(NamedTuple):
-    """Empirical restatement of the defect floor on a verified KS set."""
-
-    holds: bool
-    mean_total_defect: float
-    min_trial_defect: int
-    delta_hat_max: float
-    epsilon_hat_max: float
-    implied_lhs: float  # M_all_pairs * delta_hat_max + N * epsilon_hat_max
-
-
-def empirical_inequality_check(summary: SimSummary, report: DefectReport) -> InequalityVerdict:
-    """Assert the simulated defect floor of an uncolorable set.
-
-    ``report`` is the set's ``min_defect`` proof; a set with ``d_min < 1`` is
-    colorable and its verdict undefined, so it is refused.  For a KS set every
-    single trial violates at least one of the constraints, so the per-trial
-    minimum (and with it the mean total defect) must be >= 1; also reports the
-    worst per-event rates and the union-bound form
-    M*max(delta_hat) + N*max(epsilon_hat) >= 1 they imply.  N and M are the
-    summary's context and connection counts, so M is the all-pairs count,
-    never an override.
-    """
-    if report.d_min < 1:
-        raise ValueError(
-            f"inequality check requires a KS-uncolorable set, got d_min {report.d_min}"
-        )
-    delta_max = max(summary.delta_hat, default=0.0)
-    epsilon_max = max(summary.epsilon_hat, default=0.0)
-    n_ctx, m_conn = len(summary.context_error_counts), len(summary.connection_mismatch_counts)
-    implied = m_conn * delta_max + n_ctx * epsilon_max
-    holds = summary.min_trial_defect >= 1
-    return InequalityVerdict(
-        holds=holds,
-        mean_total_defect=summary.mean_total_defect,
-        min_trial_defect=summary.min_trial_defect,
-        delta_hat_max=delta_max,
-        epsilon_hat_max=epsilon_max,
-        implied_lhs=implied,
-    )
 
 
 def default_base(ks: KsSet, report: Optional[DefectReport] = None) -> dict[str, int]:

@@ -99,7 +99,7 @@ def test_criterion_3_algebraic_identity():
         margin = kb.inequality_margin(
             M, N, kb.delta_analytic(r), kb.epsilon_analytic(r, d)
         )
-        if margin.contradiction != (g < 1):
+        if (margin > 0) != (g < 1):
             sign_mismatches += 1
     ok = worst <= 1e-12 and sign_mismatches == 0
     report(3, ok, f"10^4 samples, max identity error {worst:.1e}, "

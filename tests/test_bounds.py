@@ -50,18 +50,19 @@ def crossing_oracle(N: int, M: int, d: int) -> float:
 
 def test_margin_ideal_case():
     m = inequality_margin(18, 9, 0, 0)
-    assert m.margin == 1 and m.contradiction
+    assert m == 1 and m > 0
 
 
 def test_margin_boundary_no_contradiction():
     m = inequality_margin(18, 9, Fraction(1, 18), 0)
-    assert m.margin == 0 and not m.contradiction
+    assert m == 0 and not m > 0
+    assert isinstance(m, Fraction)
 
 
 def test_margin_arithmetic():
     m = inequality_margin(96, 40, 0.005, 0.01)
-    assert abs(m.margin - 0.12) < 1e-12
-    assert m.contradiction
+    assert abs(m - 0.12) < 1e-12
+    assert m > 0
     for M, N in ((-1, 40), (96, -1)):
         with pytest.raises(ValueError, match="M and N must be non-negative"):
             inequality_margin(M, N, 0.005, 0.01)
@@ -213,7 +214,7 @@ def test_margin_sign_agrees_with_lhs():
         M = int(rng.integers(1, 120))
         g = independent_error_lhs(r, N, M, d)
         m = inequality_margin(M, N, delta_analytic(r), epsilon_analytic(r, d))
-        assert m.contradiction == (g < 1)
+        assert (m > 0) == (g < 1)
 
 
 # --- table -----------------------------------------------------------------------

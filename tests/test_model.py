@@ -252,12 +252,12 @@ def test_connection_pairs_are_ordered(catalog_sets, fan50):
 
 PUBLIC_NAMES = """
     BISECTION_TOLERANCE BRUTE_FORCE_LIMIT ColoringResult Context CriticalRate
-    DefectReport DeltaBound DimensionMismatchError ExactScalar InequalityVerdict
-    KsSet MAX_RADICAND Margin ParseError RayVector RingMismatchError SetDocument
+    DefectReport DeltaBound DimensionMismatchError ExactScalar
+    KsSet MAX_RADICAND ParseError RayVector RingMismatchError SetDocument
     SetStats SimSummary TABLE_ROWS TableRow TrialModel
     ValidationReport Violation assignment_defect brute_force_coloring
     build_stats catalog_text critical_rate default_base delta_analytic
-    delta_lower_bound empirical_inequality_check epsilon_analytic find_coloring
+    delta_lower_bound epsilon_analytic find_coloring
     independent_error_lhs inequality_margin inner_product
     is_square_free list_catalog load_catalog make_set min_defect orthogonal
     parse_document same_ray serialize_set simulate_model table_report
@@ -280,7 +280,6 @@ def test_records_are_immutable_hashable_values(two_triads):
         ks.contexts[0], ("vector_ids",),
         ks, ("name", "dimension", "ring_radicand", "vectors", "contexts", "m_override"),
         stats, ("n", "N", "M", "multiplicities", "m_all_pairs"),
-        kb.inequality_margin(1, 1, 0.1, 0.1), ("margin", "contradiction"),
         kb.delta_lower_bound(1, 2, 0), ("value", "vacuous"),
         kb.critical_rate(9, 18, 4), ("r", "floor4", "bracket_low", "bracket_high", "iterations"),
         kb.TABLE_ROWS[0], ("name", "d", "n_label", "N", "M"),
@@ -288,15 +287,12 @@ def test_records_are_immutable_hashable_values(two_triads):
         kb.validate_orthogonality(ks), ("ok", "violations"),
         kb.find_coloring(ks), ("satisfiable", "assignment", "nodes", "solutions"),
         kb.min_defect(ks), ("d_min", "witness", "nodes"),
-        kb.parse_document(kb.serialize_set(ks)), ("ks_set", "vec_lines", "ctx_lines"),
+        kb.parse_document(kb.serialize_set(ks)), ("ks_set",),
         kb.TrialModel(ks, kb.default_base(ks), 0.1, 1), ("ks_set", "base", "flip_rate", "seed"),
         _summary(), ("seed", "trials", "r", "context_error_counts",
                      "connection_mismatch_counts", "total_defect", "min_trial_defect"),
-        kb.InequalityVerdict(True, 1.0, 1, 0.1, 0.1, 1.1), (
-            "holds", "mean_total_defect", "min_trial_defect", "delta_hat_max",
-            "epsilon_hat_max", "implied_lhs"),
     ]
-    assert len({type(r) for r in records[::2]}) == 17
+    assert len({type(r) for r in records[::2]}) == 15
     for record, names in zip(records[::2], records[1::2]):
         for name in names:
             with pytest.raises(AttributeError):

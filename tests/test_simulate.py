@@ -21,7 +21,6 @@ from ksbound import (
     critical_rate,
     default_base,
     delta_analytic,
-    empirical_inequality_check,
     epsilon_analytic,
     find_coloring,
     min_defect,
@@ -576,32 +575,42 @@ def test_json_payload_schema(cabello18, capsys):
 # --- the empirical inequality -----------------------------------------------------
 
 
-def test_inequality_check_requires_verification(triad):
-    summary = simulate_model(TrialModel(triad, default_base(triad), 0.1, seed=1), 100)
-    with pytest.raises(ValueError, match="KS-uncolorable set, got d_min 0"):
-        empirical_inequality_check(summary, min_defect(triad))
+INEQUALITY_KEYS = [
+    "holds", "mean_total_defect", "min_trial_defect", "delta_hat_max", "epsilon_hat_max",
+    "implied_lhs",
+]
 
 
-def test_inequality_check_reports(cabello18):
-    base = default_base(cabello18)
-    summary = simulate_model(TrialModel(cabello18, base, 0.0142, seed=1), 10_000)
-    st = build_stats(cabello18)
-    verdict = empirical_inequality_check(summary, min_defect(cabello18))
-    assert verdict.holds
-    assert verdict.min_trial_defect >= 1
-    assert verdict.mean_total_defect >= 1
-    assert verdict.implied_lhs == pytest.approx(
-        st.m_all_pairs * verdict.delta_hat_max + st.N * verdict.epsilon_hat_max
-    )
-    assert verdict.implied_lhs >= 1
+def simulate_inequality(capsys, ks, source, r, trials, seed):
+    """The ``"inequality"`` block of ``simulate --json`` and the summary of
+    the same run by ``simulate_model``."""
+    argv = ["simulate", source, "--r", str(r), "--trials", str(trials), "--seed", str(seed)]
+    assert main(argv + ["--json"]) == 0
+    block = json.loads(capsys.readouterr().out)["inequality"]
+    summary = simulate_model(TrialModel(ks, default_base(ks), r, seed), trials)
+    assert list(block) == INEQUALITY_KEYS
+    assert block["holds"] is (summary.min_trial_defect >= 1)
+    assert block["mean_total_defect"] == summary.mean_total_defect
+    assert block["min_trial_defect"] == summary.min_trial_defect
+    assert block["delta_hat_max"] == max(summary.delta_hat)
+    assert block["epsilon_hat_max"] == max(summary.epsilon_hat)
+    return block
 
 
-def test_inequality_check_counts_all_pairs_not_the_override(kp36):
-    summary = simulate_model(TrialModel(kp36, default_base(kp36), 0.01, seed=3), 1000)
-    verdict = empirical_inequality_check(summary, min_defect(kp36))
+def test_inequality_check_reports(cabello18, capsys):
+    block = simulate_inequality(capsys, cabello18, "catalog:cabello18", 0.0142, 10_000, 1)
+    assert block["holds"]
+    assert block["min_trial_defect"] >= 1
+    assert block["mean_total_defect"] >= 1
+    assert block["implied_lhs"] == 18 * block["delta_hat_max"] + 9 * block["epsilon_hat_max"]
+    assert block["implied_lhs"] >= 1
+
+
+def test_inequality_check_counts_all_pairs_not_the_override(kp36, capsys):
+    block = simulate_inequality(capsys, kp36, "catalog:kernaghan-peres36", 0.01, 1000, 3)
     st = build_stats(kp36)
     assert (st.M, st.m_all_pairs) == (72, 76)
-    assert verdict.implied_lhs == 76 * verdict.delta_hat_max + 11 * verdict.epsilon_hat_max
+    assert block["implied_lhs"] == 76 * block["delta_hat_max"] + 11 * block["epsilon_hat_max"]
 
 
 def test_default_base_on_colorable_set(triad):

@@ -6,9 +6,9 @@ Usage, from anywhere:
 
 The documents are the bundled catalog sets, a small Q(sqrt 2) set and every
 single-token mutant of each (see :func:`single_token_mutants`), in a fixed
-order from a fixed seed.  An outcome is the canonical document, every ray key
-and every source line of an accepted document, or the error's type, message
-and line of a rejected one.  The package is imported from this checkout's
+order from a fixed seed.  An outcome is the canonical document and every ray
+key of an accepted document, or the error's type, message and line of a
+rejected one.  The package is imported from this checkout's
 ``src`` and the Q(sqrt 2) set from its ``tests/conftest.py`` (which needs
 pytest), so ``diff`` of two checkouts' outputs shows which outcomes a change
 moved; ``tests/test_format.py`` pins the SHA-256 of the output.
@@ -51,19 +51,13 @@ def single_token_mutants(text: str, rng: random.Random) -> Iterator[str]:
 
 
 def parse_outcome(text: str) -> list:
-    """What parsing ``text`` gives: the canonical document, every ray key and
-    every source line, or the error's type, message and line."""
+    """What parsing ``text`` gives: the canonical document and every ray key,
+    or the error's type, message and line."""
     try:
-        doc = parse_document(text)
+        ks = parse_document(text).ks_set
     except Exception as exc:  # any type is an outcome to pin
         return [type(exc).__name__, str(exc), getattr(exc, "line", None)]
-    ks = doc.ks_set
-    return [
-        serialize_set(ks),
-        [list(v.key) for v in ks.vectors],
-        sorted(doc.vec_lines.items()),
-        list(doc.ctx_lines),
-    ]
+    return [serialize_set(ks), [list(v.key) for v in ks.vectors]]
 
 
 def outcome_lines() -> Iterator[str]:
