@@ -111,6 +111,7 @@ def test_name_directive_errors():
     rejects("ksset 1\nname a b\n", "name takes one identifier", line=2)
     rejects("ksset 1\nname de!mo\n", "name takes one identifier", line=2)
     rejects("ksset 1\nname x\nname y\n", "duplicate name", line=3)
+    rejects("ksset 1\nname x\nname y z\n", "name takes one identifier", line=3)  # shape first
     rejects("ksset 1\ndim 3\n", "missing name", line=2)
 
 
@@ -121,6 +122,7 @@ def test_dim_directive_errors():
     for digit in ("²", "³", "٣"):  # superscripts, and a non-ASCII decimal
         rejects(f"ksset 1\nname x\ndim {digit}\n", "dim takes one integer", line=3)
     rejects("ksset 1\nname x\ndim 3\ndim 4\n", "duplicate dim", line=4)
+    rejects("ksset 1\nname x\ndim 3\ndim x\n", "dim takes one integer", line=4)  # shape first
     rejects("ksset 1\nname x\n", "missing dim", line=2)
     rejects("ksset 1\nname x\nvec a 1 0 0\n", "dim must be declared before any vec", line=3)
     rejects("ksset 1\nname x\nctx a b c\n", "dim must be declared before any ctx", line=3)
@@ -136,6 +138,12 @@ def test_field_directive_errors():
         "ksset 1\nname x\ndim 3\nfield sqrt 2\nfield sqrt 3\n",
         "duplicate field",
         line=5,
+    )
+    rejects("ksset 1\nname x\ndim 3\nfield sqrt 2\nfield 3\n", "field directive must read", line=5)
+    rejects(  # the duplicate is reported before the vec that precedes it
+        "ksset 1\nname x\ndim 3\nfield sqrt 2\nvec a 1 0 0\nfield sqrt 3\n",
+        "duplicate field directive",
+        line=6,
     )
     rejects(
         "ksset 1\nname x\ndim 3\nvec a 1 0 0\nfield sqrt 2\n",
@@ -218,6 +226,7 @@ def test_m_override_errors():
     for digit in ("²", "³", "٣"):
         rejects(base + f"m-override {digit}\n", "m-override takes one non-negative integer", line=8)
     rejects(base + "m-override 5\nm-override 5\n", "duplicate m-override", line=9)
+    rejects(base + "m-override 5\nm-override -5\n", "m-override takes one non-negative", line=9)
     ks = parses(base + "m-override 5\n")
     assert ks.m_override == 5
 
@@ -354,13 +363,13 @@ def test_catalog_serialization_matches_source_tokens(catalog_sets):
 # --- pinned outcomes -----------------------------------------------------------
 
 #: SHA-256 of the output of ``tools/parse_outcomes.py``, one JSON line per outcome.
-PINNED_OUTCOMES = "9626756474aa40e5eec936e23f0a075927f7cea0341bd4fff8f1708a4224f55a"
+PINNED_OUTCOMES = "fe015faaf390043147df24fa73d654d22565ed6ac5d6e1ddc24c09b4db78978f"
 
 
 def test_parse_outcomes_are_pinned():
     # every message, line, key and canonical document over the catalog, a
-    # small Q(sqrt 2) set and all their single-token mutants must match across
-    # commits; `diff` two checkouts' tool output to see which moved
+    # small Q(sqrt 2) set and all their single-token and line mutants must
+    # match across commits; `diff` two checkouts' tool output to see which moved
     tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "parse_outcomes.py"))
     digest = hashlib.sha256("".join(tool["outcome_lines"]()).encode()).hexdigest()
     assert digest == PINNED_OUTCOMES

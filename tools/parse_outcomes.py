@@ -6,7 +6,8 @@ Usage, from anywhere:
 
 The documents are the bundled catalog sets, a small Q(sqrt 2) set and every
 single-token mutant of each (see :func:`single_token_mutants`), in a fixed
-order from a fixed seed.  An outcome is the canonical document and every ray
+order from a fixed seed, then every line mutant of each (see
+:func:`line_mutants`).  An outcome is the canonical document and every ray
 key of an accepted document, or the error's type, message and line of a
 rejected one.  The package is imported from this checkout's
 ``src`` and the Q(sqrt 2) set from its ``tests/conftest.py`` (which needs
@@ -50,6 +51,20 @@ def single_token_mutants(text: str, rng: random.Random) -> Iterator[str]:
                     yield "\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1:]) + "\n"
 
 
+def line_mutants(text: str) -> Iterator[str]:
+    """Every line-level edit of ``text``'s code lines: at each, delete it,
+    duplicate it and swap it with the next line, if there is one."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if not line.split("#", 1)[0].strip():
+            continue
+        edits = [lines[:i] + lines[i + 1:], lines[:i] + [line] + lines[i:]]
+        if i + 1 < len(lines):
+            edits.append(lines[:i] + [lines[i + 1], line] + lines[i + 2:])
+        for edited in edits:
+            yield "\n".join(edited) + "\n"
+
+
 def parse_outcome(text: str) -> list:
     """What parsing ``text`` gives: the canonical document and every ray key,
     or the error's type, message and line."""
@@ -62,11 +77,15 @@ def parse_outcome(text: str) -> list:
 
 def outcome_lines() -> Iterator[str]:
     """The JSON line of each outcome, over the catalog sets, the Q(sqrt 2)
-    set and all their single-token mutants, in order."""
+    set and all their single-token mutants, then all their line mutants, in
+    order."""
     rng = random.Random(1313)
     texts = [kb.catalog_text(name) for name in kb.list_catalog()] + [SURD_SET]
     for text in texts:
         for doc in (text, *single_token_mutants(text, rng)):
+            yield json.dumps(parse_outcome(doc)) + "\n"
+    for text in texts:
+        for doc in line_mutants(text):
             yield json.dumps(parse_outcome(doc)) + "\n"
 
 
