@@ -5,11 +5,12 @@ ignored, UTF-8; a line ends at LF, CRLF or CR and nowhere else):
 
     ksset 1                         first non-blank line, format version
     name <identifier>               required, once
-    dim <integer >= 3>              required, once, before any vec
-    field sqrt <square-free k>      optional, default 1, k <= 10**9, before any vec
+    dim <integer >= 3>              required, once, before any vec and any ctx
+    field sqrt <square-free k>      optional, at most once, default 1, k <= 10**9,
+                                    before any vec
     vec <id> <comp> ... <comp>      exactly d components
     ctx <id> ... <id>               exactly d previously declared ids
-    m-override <integer>            optional, at most once
+    m-override <integer >= 0>       optional, at most once
 
 A component is either a rational ``p`` / ``p/q`` or ``p/q:r/s`` meaning
 p/q + (r/s)*sqrt(k).  Every diagnostic carries the offending line number.
@@ -20,7 +21,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple
 
 from .model import (
     Context,
@@ -34,10 +35,19 @@ from .model import (
     check_vector,
 )
 
-_IDENT = re.compile(r"^[A-Za-z0-9_.-]+$")
+_IDENT_CHARS = "[A-Za-z0-9_.-]+"
+_IDENT = re.compile(f"^{_IDENT_CHARS}$")
 _RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
-_DIGITS = re.compile(r"[0-9]+")  # str.isdigit would admit '²', which int() refuses
 _CATALOG = Path(__file__).with_name("catalog")
+
+#: each header directive's one line shape, its value the group, and the message
+#: for any other shape; [0-9], as \d and str.isdigit admit '²', which int() refuses
+_HEADER_SHAPES = {
+    "name": (re.compile(f"name ({_IDENT_CHARS})"), "name takes one identifier"),
+    "dim": (re.compile("dim ([0-9]+)"), "dim takes one integer"),
+    "field": (re.compile("field sqrt ([0-9]+)"), "field directive must read 'field sqrt <k>'"),
+    "m-override": (re.compile("m-override ([0-9]+)"), "m-override takes one non-negative integer"),
+}
 
 
 class ParseError(ValueError):
@@ -77,6 +87,13 @@ def _parse_component(token: str, radicand: int) -> ExactScalar:
 def parse_document(text: str) -> SetDocument:
     """Parse a ``ksset 1`` document; raise :class:`ParseError` on any defect.
 
+    The four header directives (``name``, ``dim``, ``field``,
+    ``m-override``) fill one ``header`` record keyed by directive.  A
+    header line must first take its directive's one shape, or gets that
+    directive's message; only then is a directive already in the record a
+    ``duplicate <directive> directive``.  ``dim`` must precede every
+    ``vec`` and ``ctx``, and ``field`` every ``vec``.
+
     Beyond the grammar itself, the parser enforces the set invariants that a
     document can break: two declarations of the same ray, repeated
     contexts, and contexts that are not pairwise orthogonal (checked
@@ -98,11 +115,7 @@ def parse_document(text: str) -> SetDocument:
     if not raw_lines[-1]:
         raw_lines.pop()  # a final line end closes the last line; it opens no new one
     version_seen = False
-    name: Optional[str] = None
-    dim: Optional[int] = None
-    radicand = 1
-    field_seen = False
-    m_override: Optional[int] = None
+    header: dict[str, Any] = {}  # the value of each header directive seen, by directive
     vectors: dict[str, RayVector] = {}
     scalars: dict[str, ExactScalar] = {}  # each distinct component token, parsed once
     ray_ids: dict[tuple[int, ...], str] = {}
@@ -121,52 +134,43 @@ def parse_document(text: str) -> SetDocument:
                 if tokens != ["ksset", "1"]:
                     raise ValueError(f"expected 'ksset 1' header, got {stripped!r}")
                 version_seen = True
-            elif directive == "name":
-                if len(tokens) != 2 or not _IDENT.match(tokens[1]):
-                    raise ValueError("name takes one identifier")
-                if name is not None:
-                    raise ValueError("duplicate name directive")
-                name = tokens[1]
-            elif directive == "dim":
-                if len(tokens) != 2 or not _DIGITS.fullmatch(tokens[1]):
-                    raise ValueError("dim takes one integer")
-                if dim is not None:
-                    raise ValueError("duplicate dim directive")
-                dim = int(tokens[1])
-                check_dimension(dim)
-            elif directive == "field":
-                if len(tokens) != 3 or tokens[1] != "sqrt" or not _DIGITS.fullmatch(tokens[2]):
-                    raise ValueError("field directive must read 'field sqrt <k>'")
-                if field_seen:
-                    raise ValueError("duplicate field directive")
-                if vectors:
+            elif directive in _HEADER_SHAPES:
+                shape, message = _HEADER_SHAPES[directive]
+                match = shape.fullmatch(" ".join(tokens))
+                if not match:
+                    raise ValueError(message)
+                if directive in header:
+                    raise ValueError(f"duplicate {directive} directive")
+                if directive == "field" and vectors:
                     raise ValueError("field must be declared before any vec")
-                radicand = int(tokens[2])
-                check_radicand(radicand)
-                field_seen = True
+                header[directive] = match[1] if directive == "name" else int(match[1])
+                if directive == "dim":
+                    check_dimension(header["dim"])
+                elif directive == "field":
+                    check_radicand(header["field"])
+            elif directive not in ("vec", "ctx"):
+                raise ValueError(f"unknown directive {directive!r}")
+            elif "dim" not in header:
+                raise ValueError(f"dim must be declared before any {directive}")
             elif directive == "vec":
-                if dim is None:
-                    raise ValueError("dim must be declared before any vec")
                 if len(tokens) < 2:
                     raise ValueError("vec needs an id and components")
                 vid = tokens[1]
                 if not _IDENT.match(vid):
                     raise ValueError(f"malformed vector id {vid!r}")
                 comps = tokens[2:]
-                check_vector(vid, comps, dim, vectors)  # before any token is parsed
+                check_vector(vid, comps, header["dim"], vectors)  # before any token is parsed
                 for c in comps:  # a bad token raises at its first occurrence
                     if c not in scalars:
-                        scalars[c] = _parse_component(c, radicand)
+                        scalars[c] = _parse_component(c, header.get("field", 1))
                 vec = RayVector(vid, tuple(map(scalars.__getitem__, comps)))
                 known = ray_ids.setdefault(vec.key, vid)
                 if known != vid:
                     raise ValueError(f"duplicate ray: {vid!r} is a scalar multiple of {known!r}")
                 vectors[vid] = vec
-            elif directive == "ctx":
-                if dim is None:
-                    raise ValueError("dim must be declared before any ctx")
+            else:
                 ids = tokens[1:]
-                check_context(ids, dim, vectors)
+                check_context(ids, header["dim"], vectors)
                 ctx = Context(tuple(ids))
                 key = frozenset(ids)
                 if key in ctx_key_seen:
@@ -175,36 +179,28 @@ def parse_document(text: str) -> SetDocument:
                     )
                 # every vector has dim components over the field's ring, so only
                 # the keys are tested
+                radicand = header.get("field", 1)
                 for a, b in combinations(ids, 2):
                     if not _keys_orthogonal(vectors[a].key, vectors[b].key, radicand):
                         raise ValueError(f"context not orthogonal ({a}·{b} != 0)")
                 ctx_key_seen[key] = lineno
                 contexts.append(ctx)
-            elif directive == "m-override":
-                if len(tokens) != 2 or not _DIGITS.fullmatch(tokens[1]):
-                    raise ValueError("m-override takes one non-negative integer")
-                if m_override is not None:
-                    raise ValueError("duplicate m-override directive")
-                m_override = int(tokens[1])
-            else:
-                raise ValueError(f"unknown directive {directive!r}")
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
 
     if not version_seen:
         raise ParseError("missing 'ksset 1' header", last_line)
-    if name is None:
-        raise ParseError("missing name directive", last_line)
-    if dim is None:
-        raise ParseError("missing dim directive", last_line)
+    for directive in ("name", "dim"):
+        if directive not in header:
+            raise ParseError(f"missing {directive} directive", last_line)
 
     return SetDocument(KsSet(
-        name=name,
-        dimension=dim,
-        ring_radicand=radicand,
+        name=header["name"],
+        dimension=header["dim"],
+        ring_radicand=header.get("field", 1),
         vectors=tuple(vectors.values()),
         contexts=tuple(contexts),
-        m_override=m_override,
+        m_override=header.get("m-override"),
     ))
 
 
