@@ -59,6 +59,9 @@ class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
     ) -> TrialModel:
         if not 0 <= flip_rate <= 1:
             raise ValueError(f"flip rate must lie in [0, 1], got {flip_rate}")
+        # Philox would floor a float key and take key words past 2^64: both alias other seeds
+        if not (hasattr(seed, "__index__") and 0 <= seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         for v in ks_set.vectors:
             if base.get(v.id) not in (0, 1):
                 raise ValueError(f"base assignment must give 0/1 to vector {v.id!r}")

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import runpy
 import tracemalloc
 from itertools import combinations
@@ -61,6 +62,17 @@ def test_model_validation(triad):
         TrialModel(ks_set=triad, base={"a": 0, "b": 1}, flip_rate=0.1, seed=0)
     with pytest.raises(ValueError, match="base assignment"):
         TrialModel(ks_set=triad, base={"a": 0, "b": 1, "c": 2}, flip_rate=0.1, seed=0)
+
+
+def test_seed_must_be_a_64_bit_integer(triad):
+    # Philox floors a float key (1.5 ran seed 1's stream) and accepts keys past 2^64
+    base = {"a": 0, "b": 1, "c": 1}
+    for seed in (1.5, -1, 2**64):
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            TrialModel(ks_set=triad, base=base, flip_rate=0.1, seed=seed)
+    for seed in (0, 2**64 - 1):
+        summary = simulate_model(TrialModel(ks_set=triad, base=base, flip_rate=0.1, seed=seed), 10)
+        assert (summary.seed, summary.trials) == (seed, 10)
 
 
 def test_simulator_input_validation(triad):
