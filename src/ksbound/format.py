@@ -168,7 +168,7 @@ def parse_document(text: str) -> SetDocument:
                 if known != vid:
                     raise ValueError(f"duplicate ray: {vid!r} is a scalar multiple of {known!r}")
                 vectors[vid] = vec
-            else:
+            else:  # ctx
                 ids = tokens[1:]
                 check_context(ids, header["dim"], vectors)
                 ctx = Context(tuple(ids))

@@ -49,7 +49,8 @@ class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
     flips every (context, position) slot independently with probability
     ``flip_rate``.  On a KS set no base satisfies everything, so base sum
     defects mix with flip noise in the measured rates -- that mixing is the
-    point of the exercise.
+    point of the exercise.  ``seed`` keys the Philox stream and must be an
+    integer in [0, 2^64).
     """
 
     __slots__ = ()
@@ -59,7 +60,7 @@ class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
     ) -> TrialModel:
         if not 0 <= flip_rate <= 1:
             raise ValueError(f"flip rate must lie in [0, 1], got {flip_rate}")
-        # Philox would floor a float key and take key words past 2^64: both alias other seeds
+        # Philox would floor a float key (1.5 runs seed 1's stream) and take keys up to 2^128
         if not (hasattr(seed, "__index__") and 0 <= seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         for v in ks_set.vectors:

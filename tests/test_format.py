@@ -140,7 +140,7 @@ def test_field_directive_errors():
         line=5,
     )
     rejects("ksset 1\nname x\ndim 3\nfield sqrt 2\nfield 3\n", "field directive must read", line=5)
-    rejects(  # the duplicate is reported before the vec that precedes it
+    rejects(  # the duplicate check comes before the one for a preceding vec
         "ksset 1\nname x\ndim 3\nfield sqrt 2\nvec a 1 0 0\nfield sqrt 3\n",
         "duplicate field directive",
         line=6,

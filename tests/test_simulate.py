@@ -65,7 +65,7 @@ def test_model_validation(triad):
 
 
 def test_seed_must_be_a_64_bit_integer(triad):
-    # Philox floors a float key (1.5 ran seed 1's stream) and accepts keys past 2^64
+    # Philox floors a float key (1.5 ran seed 1's stream) and takes keys up to 2^128
     base = {"a": 0, "b": 1, "c": 1}
     for seed in (1.5, -1, 2**64):
         with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
