@@ -596,12 +596,14 @@ print(json.dumps([name for name in heavy if name in sys.modules]))
 """
 
 RUN_MAIN = """\
-import runpy, sys
+import os, runpy, sys
 sys.argv = ["ksbound", *sys.argv[1:]]
 try:
     runpy.run_module("ksbound", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
+if os.path.isdir("/proc/self/task"):
+    print("threads:", len(os.listdir("/proc/self/task")), file=sys.stderr)
 print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
@@ -641,6 +643,27 @@ def test_simulate_loads_numpy_and_prints_the_same_json(capsys):
     assert done.stderr.splitlines()[-1] == "numpy loaded: True"
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_simulate_runs_openblas_on_one_thread_unless_set(capsys, monkeypatch):
+    argv = ["simulate", "catalog:cabello18", "--r", "0.0142",
+            "--trials", "2000", "--seed", "7", "--json"]
+    outs = []
+    # a user's value first, so monkeypatch restores the variable's state from
+    # before the test: an in-process simulate sets it, and a child that
+    # inherited that "1" would pass for the wrong reason
+    for value, threads in (("2", 2), (None, 1)):
+        if value is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        done = _fresh_python(RUN_MAIN, *argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-2:] == [f"threads: {threads}", "numpy loaded: True"]
+        outs.append(done.stdout)
+    assert main(argv) == 0
+    assert outs == [capsys.readouterr().out] * 2
 
 
 def test_usage_errors_exit_one(capsys):
