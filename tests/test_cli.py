@@ -666,6 +666,18 @@ def test_simulate_runs_openblas_on_one_thread_unless_set(capsys, monkeypatch):
     assert outs == [capsys.readouterr().out] * 2
 
 
+def test_only_simulate_sets_openblas_threads_and_keeps_a_users_value(monkeypatch):
+    argv = ["simulate", "catalog:cabello18", "--r", "0.0142", "--trials", "200"]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert main(argv) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(["validate", "catalog:cabello18"]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert main(argv) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["nosuchcommand"])
