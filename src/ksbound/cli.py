@@ -234,7 +234,7 @@ def _cmd_critical_r(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     # ksbound calls no BLAS routine, and one thread keeps numpy's first import
-    # from starting OpenBLAS's worker pool: about 70 ms of a ~300 ms child (2 cores)
+    # from starting OpenBLAS's worker pool: about 70 ms of a ~280 ms child (2 cores)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
