@@ -435,3 +435,23 @@ def test_sources_parse_as_the_oldest_supported_python():
     assert root / "src" / "ksbound" / "model.py" in sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_only_simulate_imports_numpy():
+    # numpy is the simulator's dependency alone: every numpy import, at any
+    # depth (function bodies and TYPE_CHECKING blocks too), is in simulate.py
+    def is_numpy(name):
+        return name == "numpy" or name.startswith("numpy.")
+
+    importers = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ksbound").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(map(is_numpy, names)):
+                importers.add(path.name)
+    assert importers == {"simulate.py"}
