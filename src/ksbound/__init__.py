@@ -24,13 +24,11 @@ from .bounds import (
     table_report,
 )
 from .coloring import (
-    BRUTE_FORCE_LIMIT,
     ColoringResult,
     DefectReport,
     ValidationReport,
     Violation,
     assignment_defect,
-    brute_force_coloring,
     find_coloring,
     min_defect,
     validate_orthogonality,

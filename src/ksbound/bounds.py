@@ -101,6 +101,12 @@ def critical_rate(N: int, M: int, d: int) -> CriticalRate:
     truncates to 4 decimals for comparison against published tables (the
     rate is a supremum, so truncation, not rounding, is the faithful
     reduction).  Raises if g never reaches 1 on the bracket.
+
+    The stopping width is absolute: every call makes exactly 39 halvings and
+    ends at a width of 2^-40 (about 9.09e-13), so ``r`` is accurate only to
+    about 1e-12, absolute.  A root below that is not found: for N = 10^23 - 1,
+    M = 1, d = 3 the root is near 3.3e-24, but ``r`` is 2^-41 (4.55e-13).
+    ``floor4`` is still right.  ROADMAP.md item 2 plans the fix.
     """
     if N < 1 or M < 1:
         raise ValueError("N and M must be >= 1")

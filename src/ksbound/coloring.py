@@ -14,8 +14,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .model import KsSet, orthogonal
 
-BRUTE_FORCE_LIMIT = 25
-
 
 class Violation(NamedTuple):
     kind: str
@@ -75,14 +73,12 @@ class ColoringResult(NamedTuple):
     """Outcome of a colorability search.
 
     ``nodes`` is the search certificate: branch nodes expanded by the
-    backtracker, or assignments enumerated by the brute-force oracle.
-    ``solutions`` is only counted by the brute-force oracle.
+    backtracker.
     """
 
     satisfiable: bool
     assignment: Optional[dict[str, int]]
     nodes: int
-    solutions: Optional[int] = None
 
 
 def find_coloring(ks: KsSet) -> ColoringResult:
@@ -138,37 +134,6 @@ def find_coloring(ks: KsSet) -> ColoringResult:
         zero_at = options.pop()
         for vi in free:
             val[vi] = int(vi != zero_at)
-
-
-def brute_force_coloring(ks: KsSet) -> ColoringResult:
-    """Independent oracle: enumerate all 2^n vector assignments (n <= 25)."""
-    import numpy as np
-
-    n = len(ks.vectors)
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"set too large for 2^n enumeration (n={n} > {BRUTE_FORCE_LIMIT})")
-    d = ks.dimension
-    ctxs = ks._incidence.contexts
-    masks = np.array([sum(1 << vi for vi in ctx) for ctx in ctxs], dtype=np.uint64)
-    want = np.uint64(d - 1)
-    total = 1 << n
-    chunk = 1 << 20
-    solutions = 0
-    first: Optional[int] = None
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        xs = np.arange(lo, hi, dtype=np.uint64)
-        ok = np.ones(hi - lo, dtype=bool)
-        for mask in masks:
-            ok &= np.bitwise_count(xs & mask) == want
-        hit = int(np.count_nonzero(ok))
-        solutions += hit
-        if hit and first is None:
-            first = lo + int(np.argmax(ok))
-    if first is None:
-        return ColoringResult(False, None, total, solutions=0)
-    assignment = {v.id: (first >> i) & 1 for i, v in enumerate(ks.vectors)}
-    return ColoringResult(True, assignment, total, solutions=solutions)
 
 
 class DefectReport(NamedTuple):

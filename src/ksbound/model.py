@@ -254,7 +254,6 @@ class Incidence(NamedTuple):
     """Which rays sit in which contexts, by position: built from the ids once
     per set, on first use (``KsSet._incidence``), and read by every engine.
 
-    ``index`` maps each vector id to its position in ``vectors``;
     ``contexts`` gives each context's rays by position; ``slots`` gives
     each ray's slots in context order, empty for a ray in no context.  Slot
     c*d + p is position p of context c.  This is the one slot numbering:
@@ -263,7 +262,6 @@ class Incidence(NamedTuple):
     slot count, and each pair of its slots is one connection.
     """
 
-    index: Mapping[str, int]
     contexts: tuple[tuple[int, ...], ...]
     slots: tuple[tuple[int, ...], ...]
 
@@ -315,9 +313,6 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
         # the fields are the whole state; the derived record is rebuilt on first use
         return None
 
-    def vector(self, vid: str) -> RayVector:
-        return self.vectors[self._incidence.index[vid]]
-
     @cached_property  # in the instance dict, outside the fields: a _replace builds its own
     def _incidence(self) -> Incidence:
         index = {v.id: i for i, v in enumerate(self.vectors)}
@@ -325,7 +320,7 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
         slots: list[list[int]] = [[] for _ in self.vectors]
         for s, vi in enumerate(chain.from_iterable(contexts)):  # c*d + p: each context holds d
             slots[vi].append(s)
-        return Incidence(index, contexts, tuple(map(tuple, slots)))
+        return Incidence(contexts, tuple(map(tuple, slots)))
 
 
 class SetStats(NamedTuple):

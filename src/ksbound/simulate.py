@@ -27,6 +27,7 @@ does not load it.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional
 
@@ -471,6 +472,9 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     """
     import numpy as np
 
+    if not hasattr(trials, "__index__"):  # what operator.index accepts, as for the seed
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    trials = operator.index(trials)  # a numpy integer would overflow the int64 sums below
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = model.ks_set.dimension

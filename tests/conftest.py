@@ -1,9 +1,13 @@
 import math
 from itertools import combinations
+from typing import NamedTuple, Optional
 
+import numpy as np
 import pytest
 
 import ksbound as kb
+
+BRUTE_FORCE_LIMIT = 25
 
 
 def all_pairs_connections(ks):
@@ -25,6 +29,48 @@ def connection_slots(ks):
     d = ks.dimension
     at = [{vid: p for p, vid in enumerate(ctx.vector_ids)} for ctx in ks.contexts]
     return [(a * d + at[a][vid], b * d + at[b][vid]) for vid, (a, b) in all_pairs_connections(ks)]
+
+
+class BruteForce(NamedTuple):
+    """What ``brute_force_coloring`` found: ``nodes`` is the number of
+    assignments enumerated, ``solutions`` how many of them are colorings."""
+
+    satisfiable: bool
+    assignment: Optional[dict]
+    nodes: int
+    solutions: int
+
+
+def brute_force_coloring(ks):
+    """The tests' oracle for ``find_coloring``: enumerate all 2^n 0/1
+    assignments of the vectors (n <= 25), 2^20 at a time, and count those
+    that give every context exactly one zero.  The assignment returned is
+    the first such, bit i being vector i's value."""
+    n = len(ks.vectors)
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"set too large for 2^n enumeration (n={n} > {BRUTE_FORCE_LIMIT})")
+    d = ks.dimension
+    ctxs = ks._incidence.contexts
+    masks = np.array([sum(1 << vi for vi in ctx) for ctx in ctxs], dtype=np.uint64)
+    want = np.uint64(d - 1)
+    total = 1 << n
+    chunk = 1 << 20
+    solutions = 0
+    first = None
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        xs = np.arange(lo, hi, dtype=np.uint64)
+        ok = np.ones(hi - lo, dtype=bool)
+        for mask in masks:
+            ok &= np.bitwise_count(xs & mask) == want
+        hit = int(np.count_nonzero(ok))
+        solutions += hit
+        if hit and first is None:
+            first = lo + int(np.argmax(ok))
+    if first is None:
+        return BruteForce(False, None, total, 0)
+    assignment = {v.id: (first >> i) & 1 for i, v in enumerate(ks.vectors)}
+    return BruteForce(True, assignment, total, solutions)
 
 
 def fan_document(n_triads):

@@ -6,11 +6,10 @@ from itertools import combinations
 import pytest
 
 import ksbound as kb
-from conftest import connection_slots, disjoint_union
+from conftest import brute_force_coloring, connection_slots, disjoint_union
 from ksbound import (
     KsSet,
     assignment_defect,
-    brute_force_coloring,
     find_coloring,
     make_set,
     min_defect,

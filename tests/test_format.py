@@ -77,9 +77,9 @@ ctx a b c
 """
     ks = parses(text)
     assert ks.ring_radicand == 2
-    a = ks.vector("a")
+    a, _, c = ks.vectors
     assert a.components[1] == kb.ExactScalar(0, 1, 2)
-    assert ks.vector("c").components[2] == kb.ExactScalar(Fraction(1, 2), 0, 2)
+    assert c.components[2] == kb.ExactScalar(Fraction(1, 2), 0, 2)
 
 
 def test_error_in_seven_line_document_points_at_line_seven():

@@ -93,7 +93,7 @@ def test_make_set_refuses_float_components():
     # 1/10 + 2/10 - 3/10 is 0, but the binary floats 0.1 + 0.2 - 0.3 are not
     tenths = (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10))
     ks = make_set("t", 3, [("a", tenths), ("b", (1, 1, -1))], [])
-    assert kb.orthogonal(ks.vector("a"), ks.vector("b"))
+    assert kb.orthogonal(*ks.vectors)
     with pytest.raises(TypeError, match="float"):
         make_set("t", 3, [("a", (0.1, 0.2, 0.3)), ("b", (1, 1, -1))], [])
 
@@ -117,13 +117,6 @@ def test_set_structural_validation():
         KsSet("bad", 3, 1, (vec("a", 1, 0, 0, k=2),), ())
     with pytest.raises(ValueError, match="exceeds the limit"):
         KsSet("bad", 3, 10**18 + 3, (), ())
-
-
-def test_vector_lookup(triad, loose_ray):
-    assert triad.vector("b").id == "b"
-    assert loose_ray.vector("x") is loose_ray.vectors[3]
-    with pytest.raises(KeyError):
-        triad.vector("nope")
 
 
 def test_stats_single_triad(triad, loose_ray):
@@ -168,8 +161,8 @@ def test_stats_slot_count_identity(catalog_sets):
 
 def fresh_incidence(ks):
     """The incidence record of ``ks`` by a fresh walk over its contexts' ids:
-    each id's position, each context's rays by position, and each ray's
-    slots c*d + p in context order, found ray by ray."""
+    each context's rays by position, and each ray's slots c*d + p in context
+    order, found ray by ray."""
     index = {v.id: i for i, v in enumerate(ks.vectors)}
     contexts = tuple(tuple(index[vid] for vid in ctx.vector_ids) for ctx in ks.contexts)
     slots = tuple(
@@ -180,7 +173,7 @@ def fresh_incidence(ks):
         )
         for v in ks.vectors
     )
-    return index, contexts, slots
+    return contexts, slots
 
 
 @pytest.mark.parametrize(
@@ -190,9 +183,8 @@ def test_incidence_matches_a_fresh_walk(name, request):
     # every engine reads the set's one record: the coloring search and the
     # oracle its contexts, build_stats and the slot walks each ray's slots
     ks = request.getfixturevalue(name)
-    index, contexts, slots = fresh_incidence(ks)
-    assert ks._incidence == (index, contexts, slots)
-    assert all(ks.vector(v.id) is v for v in ks.vectors)
+    contexts, slots = fresh_incidence(ks)
+    assert ks._incidence == (contexts, slots)
     assert build_stats(ks).multiplicities == {v.id: len(at) for v, at in zip(ks.vectors, slots)}
     # default_base reads each ray's value off a witness by slot, 1 for none
     rng = random.Random(21)
@@ -251,11 +243,11 @@ def test_connection_pairs_are_ordered(catalog_sets, fan50):
 
 
 PUBLIC_NAMES = """
-    BISECTION_TOLERANCE BRUTE_FORCE_LIMIT ColoringResult Context CriticalRate
+    BISECTION_TOLERANCE ColoringResult Context CriticalRate
     DefectReport DeltaBound DimensionMismatchError ExactScalar
     KsSet MAX_RADICAND ParseError RayVector RingMismatchError SetDocument
     SetStats SimSummary TABLE_ROWS TableRow TrialModel
-    ValidationReport Violation assignment_defect brute_force_coloring
+    ValidationReport Violation assignment_defect
     build_stats catalog_text critical_rate default_base delta_analytic
     delta_lower_bound epsilon_analytic find_coloring
     independent_error_lhs inequality_margin inner_product
@@ -285,7 +277,7 @@ def test_records_are_immutable_hashable_values(two_triads):
         kb.TABLE_ROWS[0], ("name", "d", "n_label", "N", "M"),
         kb.Violation("duplicate-ray", "m"), ("kind", "message", "context_index", "vector_ids"),
         kb.validate_orthogonality(ks), ("ok", "violations"),
-        kb.find_coloring(ks), ("satisfiable", "assignment", "nodes", "solutions"),
+        kb.find_coloring(ks), ("satisfiable", "assignment", "nodes"),
         kb.min_defect(ks), ("d_min", "witness", "nodes"),
         kb.parse_document(kb.serialize_set(ks)), ("ks_set",),
         kb.TrialModel(ks, kb.default_base(ks), 0.1, 1), ("ks_set", "base", "flip_rate", "seed"),
@@ -327,13 +319,11 @@ def test_records_are_immutable_hashable_values(two_triads):
     assert same.m_override is None
     violation = kb.Violation(kind="k", message="m")
     assert (violation.context_index, violation.vector_ids) == (None, ())
-    assert kb.ColoringResult(True, {}, 0).solutions is None
     assert kb.TableRow(name="x", d=3, n_label="4", N=5, M=6) == kb.TableRow("x", 3, "4", 5, 6)
     assert kb.TrialModel(ks_set=ks, base=dict.fromkeys("abcde", 1), flip_rate=0.5, seed=2).seed == 2
 
     # copies and pickles rebuild through the constructor
     assert copy.deepcopy(ks) == ks == pickle.loads(pickle.dumps(ks))
-    assert copy.deepcopy(ks).vector("d") == ks.vector("d")
 
     # a scalar is no sequence to repeat
     with pytest.raises(TypeError):

@@ -73,6 +73,7 @@ def reference_outcome(text):
 def reference_violations(ks):
     """validate_orthogonality as it was: all pairs by minors, then each context."""
     out, vs, seen = [], ks.vectors, {}
+    by_id = {v.id: v for v in vs}
     for u, v in combinations(vs, 2):
         if minors_same_ray(u, v):
             out.append(Violation("duplicate-ray", f"{u.id!r} and {v.id!r} are the same ray", None, (u.id, v.id)))
@@ -84,7 +85,7 @@ def reference_violations(ks):
         else:
             seen[key] = ci
         for a, b in combinations(ctx.vector_ids, 2):
-            if not inner_product(ks.vector(a), ks.vector(b)).is_zero():
+            if not inner_product(by_id[a], by_id[b]).is_zero():
                 out.append(Violation("non-orthogonal", f"context {ci}: {a}·{b} != 0", ci, (a, b)))
     return tuple(out)
 

@@ -81,6 +81,15 @@ def test_simulator_input_validation(triad):
         simulate_model(model, 0)
 
 
+def test_trials_must_be_an_integer(cabello18):
+    # a float count used to build the layout and die with a TypeError in range()
+    model = TrialModel(cabello18, default_base(cabello18), 0.1, seed=0)
+    for trials in (1000.0, 2.5, "10"):
+        with pytest.raises(ValueError, match=re.escape(f"trials must be an integer, got {trials!r}")):
+            simulate_model(model, trials)
+    assert simulate_model(model, np.int64(10)) == simulate_model(model, 10)
+
+
 def test_noise_free_satisfying_base_has_zero_defect(two_triads):
     base = find_coloring(two_triads).assignment
     summary = simulate_model(TrialModel(two_triads, base, 0.0, seed=4), 500)
