@@ -53,6 +53,19 @@ def test_rational_ring_requires_zero_surd():
     ExactScalar(Fraction(3, 7), 0, 2)
 
 
+def test_scalars_have_no_arithmetic():
+    # a scalar is a checked value: as a tuple, x + y would join the parts and
+    # 2 * x repeat them, so every such operation raises instead
+    x, y = ExactScalar(1, 1, 5), ExactScalar(Fraction(1, 2), -1, 5)
+    for op in (lambda: x + y, lambda: x * y, lambda: x * 2, lambda: 2 * x,
+               lambda: x - y, lambda: -x, lambda: float(x)):
+        with pytest.raises(TypeError):
+            got = op()
+            assert not isinstance(got, tuple), got
+    assert not bool(ExactScalar(0, 0, 5))
+    assert bool(ExactScalar(0, 1, 5))
+
+
 def test_conjugate_product():
     # (1 + sqrt5)(1 - sqrt5) = 1 - 5 = -4
     x = ExactScalar(1, 1, 5)
