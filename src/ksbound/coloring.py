@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .model import KsSet, orthogonal
+from .model import KsSet, _keys_orthogonal
 
 
 class Violation(NamedTuple):
@@ -31,11 +31,11 @@ def validate_orthogonality(ks: KsSet) -> ValidationReport:
     """Full mathematical validation; every violation is reported, none raised.
 
     Checks the vector list for projective duplicates, then each context for
-    repeats and exact pairwise orthogonality.  Vectors are grouped by ray key,
-    and every duplicate pair is reported in declaration order.  Structural
-    problems (undeclared ids, wrong component counts, zero vectors) cannot
-    occur in a constructed KsSet.  ``parse_document`` rejects each of these
-    violations itself, so this is the check for sets built in code.
+    repeats and exact pairwise orthogonality, both on the ray keys as the
+    parser does; every duplicate pair is reported in declaration order.  A
+    constructed KsSet has no structural problem (undeclared ids, wrong
+    component counts, zero vectors).  ``parse_document`` rejects each of
+    these violations itself, so this is the check for sets built in code.
     """
     violations: list[Violation] = []
     rays: dict[tuple[int, ...], list[int]] = {}
@@ -61,7 +61,7 @@ def validate_orthogonality(ks: KsSet) -> ValidationReport:
         else:
             seen[key] = ci
         for u, v in combinations([ks.vectors[i] for i in at], 2):
-            if not orthogonal(u, v):
+            if not _keys_orthogonal(u.key, v.key, ks.ring_radicand):
                 a, b = u.id, v.id
                 violations.append(
                     Violation("non-orthogonal", f"context {ci}: {a}·{b} != 0", ci, (a, b))

@@ -1,13 +1,14 @@
 """Exact model of rays, contexts, and Kochen-Specker sets.
 
-Everything here is exact: vector components live in the quadratic ring
-Q(sqrt(k)) for a per-set square-free radicand k, so orthogonality and
-ray-equality tests never touch floating point.  Each :class:`RayVector`
-carries a canonical integer *ray key*, computed once: two vectors are the
-same ray exactly when their keys are equal, and orthogonal exactly when the
-integer dot product of their keys vanishes (see :func:`same_ray` and
-:func:`orthogonal`).  The derived statistics (n, N, M) parametrize every
-bound in :mod:`ksbound.bounds`.
+Everything here is exact: vector components are checked values in the
+quadratic ring Q(sqrt(k)) for a per-set square-free radicand k, with no
+arithmetic of their own.  Each :class:`RayVector` carries a canonical integer
+*ray key*, computed once, and the keys are the one exact arithmetic: two
+vectors are the same ray exactly when their keys are equal, and orthogonal
+exactly when the integer dot product of their keys vanishes (see
+:func:`same_ray` and :func:`orthogonal`), so neither test touches floating
+point.  The derived statistics (n, N, M) parametrize every bound in
+:mod:`ksbound.bounds`.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ Rational = Union[int, Fraction]
 
 
 class RingMismatchError(ValueError):
-    """Two scalars or vectors from different quadratic rings were combined."""
+    """Two vectors from different quadratic rings were combined."""
 
 
 class DimensionMismatchError(ValueError):
@@ -96,8 +97,9 @@ class ExactScalar(namedtuple("ExactScalar", "rational surd radicand")):
     """A number a + b*sqrt(k) with rational a, b and fixed square-free k >= 1.
 
     k = 1 degenerates to the rationals; in that case the surd part must be
-    zero.  Ring elements only combine with elements of the same ring.  The
-    parts are ints or Fractions; a float part raises TypeError.
+    zero.  The parts are ints or Fractions; a float part raises TypeError.
+    A checked value with no arithmetic: ``+``, ``-``, ``*``, negation and
+    ``float()`` raise TypeError.  It is false exactly when it is zero.
     """
 
     __slots__ = ()
@@ -113,41 +115,13 @@ class ExactScalar(namedtuple("ExactScalar", "rational surd radicand")):
             raise ValueError("surd part must be zero when the radicand is 1")
         return super().__new__(cls, rational, surd, radicand)
 
-    def _check(self, other: "ExactScalar") -> None:
-        if self.radicand != other.radicand:
-            raise RingMismatchError(
-                f"cannot combine ring sqrt({self.radicand}) with sqrt({other.radicand})"
-            )
+    def _no_arithmetic(self, other: object) -> NoReturn:  # a tuple's + joins, * repeats
+        raise TypeError("an ExactScalar has no arithmetic: compare rays with same_ray or orthogonal")
 
-    def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        self._check(other)
-        return ExactScalar(self.rational + other.rational, self.surd + other.surd, self.radicand)
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_arithmetic
 
-    def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        self._check(other)
-        return ExactScalar(self.rational - other.rational, self.surd - other.surd, self.radicand)
-
-    def __mul__(self, other: "ExactScalar") -> "ExactScalar":
-        # (a + b sqrt k)(c + e sqrt k) = (ac + bek) + (ae + bc) sqrt k
-        self._check(other)
-        a, b, c, e = self.rational, self.surd, other.rational, other.surd
-        return ExactScalar(a * c + b * e * self.radicand, a * e + b * c, self.radicand)
-
-    def __rmul__(self, other: object) -> NoReturn:  # a tuple's would repeat it
-        other_type = type(other).__name__
-        raise TypeError(f"unsupported operand type(s) for *: {other_type!r} and 'ExactScalar'")
-
-    def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.rational, -self.surd, self.radicand)
-
-    def is_zero(self) -> bool:
-        return self.rational == 0 and self.surd == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __float__(self) -> float:
-        return float(self.rational) + float(self.surd) * self.radicand ** 0.5
+    def __bool__(self) -> bool:  # a tuple of three parts would always be true
+        return self.rational != 0 or self.surd != 0
 
     def __repr__(self) -> str:
         if self.surd == 0:
@@ -353,12 +327,13 @@ def _check_pair(u: RayVector, v: RayVector) -> None:
 
 
 def inner_product(u: RayVector, v: RayVector) -> ExactScalar:
-    """Exact real inner product (no conjugation; components are real)."""
+    """Exact real inner product (no conjugation; components are real), from
+    the parts: sum(a*c + k*b*e) + sum(a*e + b*c)*sqrt(k) over u's a + b*sqrt(k)
+    and v's c + e*sqrt(k)."""
     _check_pair(u, v)
-    total = ExactScalar(0, 0, u.radicand)
-    for a, b in zip(u.components, v.components):
-        total = total + a * b
-    return total
+    k, pairs = u.radicand, tuple(zip(u.components, v.components))
+    rational = sum(a.rational * c.rational + k * a.surd * c.surd for a, c in pairs)
+    return ExactScalar(rational, sum(a.rational * c.surd + a.surd * c.rational for a, c in pairs), k)
 
 
 def same_ray(u: RayVector, v: RayVector) -> bool:
@@ -386,8 +361,8 @@ def _keys_orthogonal(x: tuple[int, ...], y: tuple[int, ...], k: int) -> bool:
     Each key is its vector times a nonzero field element, so the keys'
     product sum(A*C + k*B*D) + sum(A*D + B*C)*sqrt(k) vanishes exactly when
     the vectors' does; both parts are integers.  Over Q (k = 1) every B and
-    D is 0, so the test is the plain dot product.  The caller vouches for the
-    dimension and the ring, as ``orthogonal`` and the parser do.
+    D is 0, so the test is the plain dot product.  Callers vouch for the
+    dimension and ring: ``orthogonal``, the parser, ``validate_orthogonality``.
     """
     if k == 1:
         return sum(map(mul, x, y)) == 0

@@ -73,6 +73,50 @@ def brute_force_coloring(ks):
     return BruteForce(True, assignment, total, solutions)
 
 
+# The tests' field oracle: exact arithmetic in Q(sqrt k) over ExactScalar
+# parts, which carries none of its own.  The ray-key tests decide ray
+# equality by 2x2 minors and orthogonality by ``dot`` with it.
+
+
+def _ring(x, y):
+    if x.radicand != y.radicand:
+        raise kb.RingMismatchError(f"cannot combine ring sqrt({x.radicand}) with sqrt({y.radicand})")
+    return x.radicand
+
+
+def add(x, y):
+    return kb.ExactScalar(x.rational + y.rational, x.surd + y.surd, _ring(x, y))
+
+
+def neg(x):
+    return kb.ExactScalar(-x.rational, -x.surd, x.radicand)
+
+
+def sub(x, y):
+    return add(x, neg(y))
+
+
+def mul(x, y):
+    # (a + b sqrt k)(c + e sqrt k) = (ac + bek) + (ae + bc) sqrt k
+    k = _ring(x, y)
+    a, b, c, e = x.rational, x.surd, y.rational, y.surd
+    return kb.ExactScalar(a * c + b * e * k, a * e + b * c, k)
+
+
+def inverse(x):
+    """1/x for a nonzero x: its conjugate over its rational norm a^2 - k*b^2."""
+    norm = x.rational ** 2 - x.radicand * x.surd ** 2
+    return kb.ExactScalar(x.rational / norm, -x.surd / norm, x.radicand)
+
+
+def dot(u, v):
+    """The sum of ``mul`` over the components of two vectors of one dimension."""
+    total = kb.ExactScalar(0, 0, u.radicand)
+    for a, b in zip(u.components, v.components):
+        total = add(total, mul(a, b))
+    return total
+
+
 def fan_document(n_triads):
     """A valid colorable set: triads (a, b, 0), (-b, a, 0), z all sharing z."""
     pairs = [(a, s - a) for s in range(2, 100) for a in range(1, s) if math.gcd(a, s - a) == 1]

@@ -1,8 +1,8 @@
 """Canonical integer ray keys against the exact definitions they replace.
 
 The references below are the checks the parser and ``validate_orthogonality``
-made with ``ExactScalar`` arithmetic before rays carried keys: 2x2 minors for
-ray equality and the ``Fraction`` inner product for orthogonality.
+made before rays carried keys, on the tests' field oracle (``conftest``): 2x2
+minors for ray equality and the exact inner product ``dot`` for orthogonality.
 """
 import hashlib
 import json
@@ -14,6 +14,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 import ksbound as kb
+from conftest import add, dot, inverse, mul, sub
 from ksbound import (
     Context,
     ExactScalar,
@@ -33,7 +34,7 @@ from ksbound.format import _parse_component
 def minors_same_ray(u, v):
     """u and v are proportional iff every 2x2 minor u_i v_j - u_j v_i vanishes."""
     a, b = u.components, v.components
-    return all((a[i] * b[j] - a[j] * b[i]).is_zero() for i, j in combinations(range(len(a)), 2))
+    return not any(sub(mul(a[i], b[j]), mul(a[j], b[i])) for i, j in combinations(range(len(a)), 2))
 
 
 def reference_outcome(text):
@@ -65,7 +66,7 @@ def reference_outcome(text):
             vecs[vec.id] = vec
         elif tokens[:1] == ["ctx"]:
             for a, b in combinations(tokens[1:], 2):
-                if not inner_product(vecs[a], vecs[b]).is_zero():
+                if dot(vecs[a], vecs[b]):
                     return f"context not orthogonal ({a}·{b} != 0)", lineno
     return None
 
@@ -85,7 +86,7 @@ def reference_violations(ks):
         else:
             seen[key] = ci
         for a, b in combinations(ctx.vector_ids, 2):
-            if not inner_product(by_id[a], by_id[b]).is_zero():
+            if dot(by_id[a], by_id[b]):
                 out.append(Violation("non-orthogonal", f"context {ci}: {a}·{b} != 0", ci, (a, b)))
     return tuple(out)
 
@@ -98,12 +99,7 @@ def scalar(r, s=0, k=2):
 
 
 def scaled(c, u, vid="v"):
-    return RayVector(vid, tuple(c * x for x in u.components))
-
-
-def inverse(x):
-    norm = x.rational ** 2 - x.radicand * x.surd ** 2
-    return ExactScalar(x.rational / norm, -x.surd / norm, x.radicand)
+    return RayVector(vid, tuple(mul(c, x) for x in u.components))
 
 
 small = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7)))
@@ -120,7 +116,7 @@ def related_pair(draw):
 
     def vector(vid):
         comps = tuple(element() for _ in range(d))
-        if all(c.is_zero() for c in comps):
+        if not any(comps):
             comps = (ExactScalar(1, 0, k),) + comps[1:]
         return RayVector(vid, comps)
 
@@ -130,17 +126,17 @@ def related_pair(draw):
         return u, vector("v")
     if how == "orthogonal":
         w = vector("w")
-        c = inner_product(w, u) * inverse(inner_product(u, u))
-        comps = tuple(x - c * y for x, y in zip(w.components, u.components))
+        c = mul(dot(w, u), inverse(dot(u, u)))
+        comps = tuple(sub(x, mul(c, y)) for x, y in zip(w.components, u.components))
         return u, (RayVector("v", comps) if any(comps) else w)
     c = element()
-    if c.is_zero():
+    if not c:
         c = ExactScalar(-1, 0, k)
     v = scaled(c, u)
     if how == "nudged":
         i = draw(st.integers(0, d - 1))
         comps = list(v.components)
-        comps[i] = comps[i] + element()
+        comps[i] = add(comps[i], element())
         if any(comps):
             v = RayVector("v", tuple(comps))
     return u, v
@@ -151,7 +147,15 @@ def related_pair(draw):
 def test_key_decides_what_minors_and_inner_products_decide(pair):
     u, v = pair
     assert same_ray(u, v) == (u.key == v.key) == minors_same_ray(u, v)
-    assert orthogonal(u, v) == inner_product(u, v).is_zero()
+    assert orthogonal(u, v) == (not dot(u, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(related_pair())
+def test_inner_product_is_the_oracle_sum_of_products(pair):
+    # the value itself, not only whether it is zero, and symmetric
+    u, v = pair
+    assert inner_product(u, v) == dot(u, v) == inner_product(v, u)
 
 
 def test_key_survives_units_of_either_norm_sign():
@@ -332,8 +336,8 @@ def pinned_vectors(k, d, rng):
         c = ExactScalar(r, rng.choice((1, 2, -7)) if k > 1 else 0, k)
         out.append(scaled(c if c else ExactScalar(-1, 0, k), u, f"m{i}"))
         w = out[(i + 5) % 14]
-        c = inner_product(w, u) * inverse(inner_product(u, u))
-        comps = tuple(x - c * y for x, y in zip(w.components, u.components))
+        c = mul(dot(w, u), inverse(dot(u, u)))
+        comps = tuple(sub(x, mul(c, y)) for x, y in zip(w.components, u.components))
         if any(comps):
             out.append(RayVector(f"o{i}", comps))
     return out
@@ -351,7 +355,7 @@ def test_keys_and_orthogonality_are_pinned():
             keys = [kb.model._ray_key(v.components, k) for v in vs]
             assert keys == [v.key for v in vs]
             verdicts = [orthogonal(u, v) for u, v in combinations(vs, 2)]
-            assert verdicts == [inner_product(u, v).is_zero() for u, v in combinations(vs, 2)]
+            assert verdicts == [not dot(u, v) for u, v in combinations(vs, 2)]
             hits += sum(verdicts)
             record.append([k, d, keys, "".join("01"[b] for b in verdicts)])
     assert hits >= 100, hits
