@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -688,3 +689,74 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as ei:
         main([])
     assert ei.value.code == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_blocks():
+    """Each fenced block of README.md as (language, lines)."""
+    blocks, lang, block = [], None, None
+    for line in README.read_text().splitlines():
+        if block is None and line.startswith("```"):
+            lang, block = line[3:], []
+        elif line == "```":
+            blocks.append((lang, block))
+            block = None
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
+def test_readme_transcripts_are_true(capsys, monkeypatch):
+    # each `$ ksbound ...` whose input ships runs through main: stdout matches
+    # line by line up to a `...` line, or up to a trailing `...)` within a
+    # line, and each `$ echo $?` shows the exit code
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    ran, skipped = [], []
+    for lang, lines in _readme_blocks():
+        if lang or not lines or not lines[0].startswith("$ ksbound "):
+            continue
+        steps = []
+        for line in lines:
+            if line.startswith("$ "):
+                steps.append((line[2:], []))
+            else:
+                steps[-1][1].append(line)
+        code = None
+        for command, expected in steps:
+            if command == "echo $?":
+                assert code is None or expected == [str(code)], (lines[0], expected)
+                continue
+            argv = shlex.split(command)[1:]
+            if argv[0] != "table" and not any(a.startswith("catalog:") for a in argv):
+                skipped.append(command)
+                code = None
+                continue
+            code = main(argv)
+            got = capsys.readouterr().out.splitlines()
+            for i, want in enumerate(expected):
+                if want.strip() == "...":
+                    break
+                assert i < len(got), (command, want)
+                if want.endswith("...)"):
+                    assert got[i].startswith(want[:-4]), (command, got[i])
+                else:
+                    assert got[i] == want, (command, got[i])
+            else:
+                assert len(got) == len(expected), (command, got)
+            ran.append(argv[0])
+    assert ran == ["table", "stats", "color", "defect", "bounds", "critical-r", "simulate"]
+    assert skipped == ["ksbound validate bad.ksset"]
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    (code,) = [lines for lang, lines in _readme_blocks() if lang == "python"]
+    exec(compile("\n".join(code), str(README), "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "False"
+    r, floor4 = out[1].split()
+    assert r.startswith("0.0142136134") and floor4 == "0.0142"
+    mean, least = out[2].split()
+    assert round(float(mean), 2) == 1.92 and least == "1"
+    assert out[3:] == ["1", "(1, 0)"]
