@@ -67,6 +67,19 @@ def test_scalars_have_no_arithmetic():
     assert bool(ExactScalar(0, 1, 5))
 
 
+def test_scalars_have_no_order():
+    # as a tuple, 1 + sqrt2 < 2 would compare the parts (1 < 2), not the
+    # numbers, and -1 < -sqrt2 likewise; so every ordering raises, either side
+    x, y = ExactScalar(1, 1, 2), ExactScalar(2, 0, 2)
+    for op in (lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y,
+               lambda: ExactScalar(-1, 0, 2) < ExactScalar(0, -1, 2),
+               lambda: x < 2, lambda: 2 < x, lambda: (1, 1, 2) <= x,
+               lambda: sorted([y, x])):
+        with pytest.raises(TypeError):
+            op()
+    assert x == ExactScalar(1, 1, 2) and x != y
+
+
 def test_conjugate_product():
     # (1 + sqrt5)(1 - sqrt5) = 1 - 5 = -4
     x = ExactScalar(1, 1, 5)
