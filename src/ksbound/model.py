@@ -98,8 +98,9 @@ class ExactScalar(namedtuple("ExactScalar", "rational surd radicand")):
 
     k = 1 degenerates to the rationals; in that case the surd part must be
     zero.  The parts are ints or Fractions; a float part raises TypeError.
-    A checked value with no arithmetic: ``+``, ``-``, ``*``, negation and
-    ``float()`` raise TypeError.  It is false exactly when it is zero.
+    A checked value with no arithmetic and no order: ``+``, ``-``, ``*``,
+    negation, ``float()``, ``<``, ``<=``, ``>`` and ``>=`` raise TypeError.  It
+    is false exactly when it is zero.
     """
 
     __slots__ = ()
@@ -119,6 +120,11 @@ class ExactScalar(namedtuple("ExactScalar", "rational surd radicand")):
         raise TypeError("an ExactScalar has no arithmetic: compare rays with same_ray or orthogonal")
 
     __add__ = __radd__ = __mul__ = __rmul__ = _no_arithmetic
+
+    def _no_order(self, other: object) -> NoReturn:  # a tuple orders the parts: 1 + sqrt2 < 2
+        raise TypeError("an ExactScalar has no order: its parts do not order the numbers")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _no_order
 
     def __bool__(self) -> bool:  # a tuple of three parts would always be true
         return self.rational != 0 or self.surd != 0
