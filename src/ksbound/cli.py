@@ -6,16 +6,23 @@ parse errors.  Parse diagnostics carry ``source:line:`` prefixes.  ``--json``
 emits a schema-stable document that is byte-deterministic for fixed inputs
 and seed.  Stdout carries one report, empty on exit 1; diagnostics go to
 stderr.  A reader that closes stdout early gets exit 1 and no diagnostic.
+
+:func:`main` is the library entry and leaves the garbage collector alone.
+:func:`run` is the process entry (``python -m ksbound`` and the installed
+``ksbound`` command): it freezes the collector's view of the heap before and
+after the command, so no collection walks the start-up objects or, at exit,
+what the command built.  Output is byte-identical either way.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from .bounds import (
     critical_rate,
@@ -386,5 +393,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """Run :func:`main` as the whole process, then exit with its code.
+
+    The first ``gc.freeze()`` keeps the command's collections, numpy's import
+    in ``simulate`` among them, from walking the interpreter's and ksbound's
+    objects, which live until exit anyway.  The second keeps the collections
+    at interpreter exit from walking what the command built.  The collector
+    stays enabled, so the command's own cycles are still freed.  Exit goes
+    through ``sys.exit``, so ``atexit`` callbacks run, and a usage error or
+    ``--help`` leaves ``main`` by ``SystemExit`` as before.
+    """
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,5 +1,7 @@
 """CLI behavior: commands, exit codes, diagnostics, JSON determinism."""
+import gc
 import hashlib
+import importlib
 import json
 import os
 import runpy
@@ -20,7 +22,7 @@ from ksbound import (
     parse_document,
     serialize_set,
 )
-from ksbound.cli import main
+from ksbound.cli import main, run
 
 GOOD = """\
 ksset 1
@@ -597,12 +599,13 @@ print(json.dumps([name for name in heavy if name in sys.modules]))
 """
 
 RUN_MAIN = """\
-import os, runpy, sys
+import gc, os, runpy, sys
 sys.argv = ["ksbound", *sys.argv[1:]]
 try:
     runpy.run_module("ksbound", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
+print("gc enabled:", gc.isenabled(), "frozen:", gc.get_freeze_count() > 0, file=sys.stderr)
 if os.path.isdir("/proc/self/task"):
     print("threads:", len(os.listdir("/proc/self/task")), file=sys.stderr)
 print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
@@ -644,6 +647,32 @@ def test_simulate_loads_numpy_and_prints_the_same_json(capsys):
     assert done.stderr.splitlines()[-1] == "numpy loaded: True"
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+# the process entry freezes the heap before and after the command; the
+# collector stays on, and in-process main() leaves it as it found it
+@pytest.mark.parametrize("argv, code", [
+    (["color", "catalog:cabello18"], 2),
+    (["simulate", "catalog:cabello18", "--r", "0.0142", "--trials", "2000", "--seed", "7"], 0),
+])
+def test_process_entry_freezes_the_heap_and_prints_what_main_prints(argv, code, capsys):
+    done = _fresh_python(RUN_MAIN, *argv)
+    assert done.returncode == code, done.stderr
+    assert "gc enabled: True frozen: True" in done.stderr.splitlines()
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(argv) == code
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert done.stdout == capsys.readouterr().out
+
+
+def test_installed_command_is_the_process_entry():
+    # read as text: tomllib is not in Python 3.10's standard library
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    entries = [line.split(" = ") for line in section.splitlines() if line.strip()]
+    assert entries == [["ksbound", '"ksbound.cli:run"']]
+    module, _, name = entries[0][1].strip('"').partition(":")
+    assert getattr(importlib.import_module(module), name) is run
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
