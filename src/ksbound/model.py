@@ -116,15 +116,15 @@ class ExactScalar(namedtuple("ExactScalar", "rational surd radicand")):
             raise ValueError("surd part must be zero when the radicand is 1")
         return super().__new__(cls, rational, surd, radicand)
 
-    def _no_arithmetic(self, other: object) -> NoReturn:  # a tuple's + joins, * repeats
-        raise TypeError("an ExactScalar has no arithmetic: compare rays with same_ray or orthogonal")
+    # as a tuple, + would join the parts, * repeat them and < compare them
+    # (1 + sqrt2 < 2 would be true), so each raises instead
+    def _refuse(self, other: object) -> NoReturn:
+        raise TypeError(
+            "an ExactScalar has no arithmetic and no order: compare rays with same_ray or orthogonal"
+        )
 
-    __add__ = __radd__ = __mul__ = __rmul__ = _no_arithmetic
-
-    def _no_order(self, other: object) -> NoReturn:  # a tuple orders the parts: 1 + sqrt2 < 2
-        raise TypeError("an ExactScalar has no order: its parts do not order the numbers")
-
-    __lt__ = __le__ = __gt__ = __ge__ = _no_order
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse
+    __lt__ = __le__ = __gt__ = __ge__ = _refuse
 
     def __bool__(self) -> bool:  # a tuple of three parts would always be true
         return self.rational != 0 or self.surd != 0
