@@ -321,6 +321,30 @@ def test_failing_command_prints_nothing_on_stdout(argv, tmp_path, monkeypatch, c
         assert captured.out == "" and captured.err.startswith("error: "), args
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["color", "catalog:cabello18"], "find_coloring"),
+    (["stats", "catalog:cabello18"], "build_stats"),
+    (["table"], "table_report"),
+], ids=["color", "stats", "table"])
+def test_main_reports_every_rejected_input_once(argv, target, monkeypatch, capsys):
+    # a rejected input is a ValueError or an OverflowError from wherever the
+    # handler meets it, and main alone reports it; an internal fault is an
+    # AssertionError and keeps its traceback
+    for error in (ValueError, OverflowError, AssertionError):
+        def fail(*args, **kwargs):
+            raise error("probe")
+
+        monkeypatch.setattr(f"ksbound.cli.{target}", fail)
+        for args in (argv, argv + ["--json"]):
+            if error is AssertionError:
+                with pytest.raises(AssertionError, match="probe"):
+                    main(args)
+                continue
+            assert main(args) == 1, (error, args)
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: probe\n"), (error, args)
+
+
 #: A fresh ksbound with block-buffered stdout, as from a shell.
 BUFFERED_ENV = {
     **os.environ,
