@@ -59,7 +59,7 @@ def delta_analytic(r: float) -> float:
 
     Agreement survives when neither copy flips or both do: (1-r)^2 + r^2.
     """
-    _check_rate(r)
+    check_rate(r)
     return 2 * r - 2 * r * r
 
 
@@ -69,7 +69,7 @@ def epsilon_analytic(r: float, d: int) -> float:
     A valid pattern stays valid when nothing flips, or the zero and exactly
     one of the d-1 ones flip together: (1-r)^d + (d-1)(1-r)^(d-2) r^2.
     """
-    _check_rate(r)
+    check_rate(r)
     check_dimension(d)
     t = 1 - r
     return 1 - t**d - (d - 1) * t ** (d - 2) * r * r
@@ -159,6 +159,9 @@ def table_report() -> tuple[tuple[TableRow, CriticalRate], ...]:
     return tuple((row, critical_rate(row.N, row.M, row.d)) for row in TABLE_ROWS)
 
 
-def _check_rate(r: float) -> None:
+def check_rate(r: float, name: str = "rate") -> None:
+    """Raise ValueError unless 0 <= r <= 1; a nan fails, as every comparison
+    with it does.  ``name`` is what the message calls the value, such as a
+    command-line flag."""
     if not 0 <= r <= 1:
-        raise ValueError(f"rate must lie in [0, 1], got {r}")
+        raise ValueError(f"{name} must lie in [0, 1], got {r}")

@@ -7,6 +7,13 @@ emits a schema-stable document that is byte-deterministic for fixed inputs
 and seed.  Stdout carries one report, empty on exit 1; diagnostics go to
 stderr.  A reader that closes stdout early gets exit 1 and no diagnostic.
 
+One error path: a rejected input, whether a flag, a file or a set, raises
+``ValueError`` (a ``ParseError`` is one) or ``OverflowError`` (a count past
+float range meeting a float rate), and :func:`main` alone prints it as
+``error: <message>`` and returns 1.  The flags' rules are the library's own
+checks, given the flag's name.  An internal fault is an ``AssertionError``
+and ends in a traceback.
+
 :func:`main` is the library entry and leaves the garbage collector alone.
 :func:`run` is the process entry (``python -m ksbound`` and the installed
 ``ksbound`` command): it freezes the collector's view of the heap before and
@@ -25,6 +32,7 @@ from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
 from .bounds import (
+    check_rate,
     critical_rate,
     delta_lower_bound,
     inequality_margin,
@@ -33,13 +41,9 @@ from .bounds import (
 from .coloring import find_coloring, min_defect
 from .format import ParseError, catalog_text, parse_document
 from .model import KsSet, build_stats
-from .simulate import TrialModel, default_base, simulate_model
+from .simulate import TrialModel, check_seed, check_trials, default_base, simulate_model
 
 CATALOG_PREFIX = "catalog:"
-
-
-class CliError(Exception):
-    """Fatal CLI failure; message goes to stderr, exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,22 +55,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_set(source: str) -> KsSet:
     if source.startswith(CATALOG_PREFIX):
-        try:
-            text = catalog_text(source[len(CATALOG_PREFIX) :])
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        text = catalog_text(source[len(CATALOG_PREFIX) :])
     else:
         try:
             text = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
             reason = exc.strerror or exc.__class__.__name__
-            raise CliError(f"cannot read {source}: {reason}") from exc
+            raise ValueError(f"cannot read {source}: {reason}") from exc
         except UnicodeDecodeError as exc:
-            raise CliError(f"cannot read {source}: not valid UTF-8") from exc
+            raise ValueError(f"cannot read {source}: not valid UTF-8") from exc
     try:
         return parse_document(text).ks_set
     except ParseError as exc:
-        raise CliError(f"{source}:{exc.line}: {exc.message}") from exc
+        raise ValueError(f"{source}:{exc.line}: {exc.message}") from exc
 
 
 # Each handler returns (exit code, JSON document, text lines) and does no I/O;
@@ -164,18 +165,12 @@ def _cmd_defect(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
-    for flag, rate in (("--delta", args.delta), ("--epsilon", args.epsilon)):
-        if not 0 <= rate <= 1:  # also rejects nan
-            raise CliError(f"{flag} must lie in [0, 1]")
+    check_rate(args.delta, "--delta")
+    check_rate(args.epsilon, "--epsilon")
     ks = _load_set(args.set)
     stats = build_stats(ks)
-    try:
-        margin = inequality_margin(stats.M, stats.N, args.delta, args.epsilon)
-        floor = delta_lower_bound(stats.N, stats.M, args.epsilon)
-    # ValueError: a set with no connections has no delta floor;
-    # OverflowError: a count past float range meets a float rate
-    except (ValueError, OverflowError) as exc:
-        raise CliError(str(exc)) from exc
+    margin = inequality_margin(stats.M, stats.N, args.delta, args.epsilon)
+    floor = delta_lower_bound(stats.N, stats.M, args.epsilon)
     doc = {
         "set": ks.name,
         "d": ks.dimension,
@@ -206,18 +201,15 @@ def _cmd_critical_r(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     name: Optional[str] = None
     if args.set is not None:
         if args.N is not None or args.M is not None or args.d is not None:
-            raise CliError("give either a set or explicit --N/--M/--d, not both")
+            raise ValueError("give either a set or explicit --N/--M/--d, not both")
         ks = _load_set(args.set)
         stats = build_stats(ks)
         name, n_ctx, m_conn, dim = ks.name, stats.N, stats.M, ks.dimension
     else:
         if args.N is None or args.M is None or args.d is None:
-            raise CliError("critical-r needs a set or all of --N, --M, --d")
+            raise ValueError("critical-r needs a set or all of --N, --M, --d")
         n_ctx, m_conn, dim = args.N, args.M, args.d
-    try:
-        rate = critical_rate(n_ctx, m_conn, dim)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a count past float range
-        raise CliError(str(exc)) from exc
+    rate = critical_rate(n_ctx, m_conn, dim)
     doc = {
         "set": name,
         "d": dim,
@@ -243,21 +235,15 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     # ksbound calls no BLAS routine, and one thread keeps numpy's first import
     # from starting OpenBLAS's worker pool: about 70 ms of a ~280 ms child (2 cores)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    if args.trials < 1:
-        raise CliError("--trials must be >= 1")
-    if not 0 <= args.r <= 1:
-        raise CliError("--r must lie in [0, 1]")
-    if not 0 <= args.seed < 2**64:
-        raise CliError("--seed must lie in [0, 2^64)")
+    check_trials(args.trials, "--trials")
+    check_rate(args.r, "--r")
+    check_seed(args.seed, "--seed")
     ks = _load_set(args.set)
     report = min_defect(ks)
     colorable = report.d_min == 0
     base = default_base(ks, report)
     model = TrialModel(ks_set=ks, base=base, flip_rate=args.r, seed=args.seed)
-    try:
-        summary = simulate_model(model, args.trials)
-    except ValueError as exc:  # trials * slots past the int64 position range
-        raise CliError(str(exc)) from exc
+    summary = simulate_model(model, args.trials)
     delta_max = max(summary.delta_hat, default=0.0)
     epsilon_max = max(summary.epsilon_hat, default=0.0)
     inequality = None
@@ -378,7 +364,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc, text = args.func(args)
-    except CliError as exc:
+    # a rejected input raises ValueError (a ParseError is one; so are a set
+    # with no connections, which has no delta floor, and a simulate run past
+    # int64 positions) or OverflowError (a count past float range meets a
+    # float rate); an internal fault is an AssertionError and keeps its traceback
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

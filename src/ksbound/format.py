@@ -209,7 +209,16 @@ def _format_component(c: ExactScalar) -> str:
 
 
 def serialize_set(ks: KsSet) -> str:
-    """Canonical document for a set; ``parse_document`` of the result round-trips."""
+    """Canonical document for a set; ``parse_document`` of the result round-trips.
+
+    Raises ValueError, naming it, on the first of the set's name and vector
+    ids that is not an identifier (one or more of ``A-Z a-z 0-9 _ . -``): a
+    ``name`` line would refuse a space, and a ``#`` in an id would turn the
+    rest of its ``vec`` and ``ctx`` lines into a comment.
+    """
+    for ident in (ks.name, *(v.id for v in ks.vectors)):
+        if not _IDENT.fullmatch(ident):  # not match: "$" also matches before a final "\n"
+            raise ValueError(f"cannot serialize {ident!r}: not an identifier ({_IDENT_CHARS})")
     lines = ["ksset 1", f"name {ks.name}", f"dim {ks.dimension}"]
     if ks.ring_radicand != 1:
         lines.append(f"field sqrt {ks.ring_radicand}")

@@ -256,8 +256,10 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
     inside each context, no two declared vectors on the same ray, no repeated
     context -- are checked by :func:`ksbound.coloring.validate_orthogonality`,
     so that a structurally sound but mathematically broken set can still be
-    built and *reported on* rather than just rejected.  ``_replace`` skips
-    the constructor's checks.
+    built and *reported on* rather than just rejected.  ``m_override``, if
+    given, is an integer (what ``operator.index`` accepts) of at least 0, the
+    value a ``m-override`` line can hold.  ``_replace`` skips the
+    constructor's checks.
     """
 
     def __new__(
@@ -271,8 +273,11 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
     ) -> KsSet:
         check_dimension(dimension)
         check_radicand(ring_radicand)
-        if m_override is not None and m_override < 0:
-            raise ValueError("m_override must be non-negative")
+        if m_override is not None:  # the format holds a non-negative integer
+            if not hasattr(m_override, "__index__"):
+                raise ValueError(f"m_override must be an integer, got {m_override!r}")
+            if m_override < 0:
+                raise ValueError("m_override must be non-negative")
         seen: set[str] = set()
         for v in vectors:
             check_vector(v.id, v.components, dimension, seen)

@@ -31,6 +31,7 @@ import operator
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional
 
+from .bounds import check_rate
 from .coloring import DefectReport, min_defect
 from .model import KsSet
 
@@ -41,6 +42,29 @@ if TYPE_CHECKING:
 SPARSE_WORK = 1 << 16
 #: ``simulate_model`` counts densely from this many flips per (slot + connection).
 DENSE_FLIPS = 72
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise ValueError unless ``seed`` is an integer in [0, 2^64), a key of
+    the Philox stream.  An integer is what ``operator.index`` accepts, so a
+    numpy integer is one.  ``name`` is what the message calls the value,
+    such as a command-line flag."""
+    # Philox would floor a float key (1.5 runs seed 1's stream) and take keys up to 2^128
+    if not hasattr(seed, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {seed!r}")
+
+
+def check_trials(trials: int, name: str = "trials") -> int:
+    """Return ``trials`` as a Python int; raise ValueError unless it is an
+    integer (what ``operator.index`` accepts) of at least 1.  ``name`` is
+    what the message calls the value, such as a command-line flag."""
+    if not hasattr(trials, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"{name} must be >= 1, got {trials}")
+    return operator.index(trials)  # a numpy integer would overflow the int64 sums
 
 
 class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
@@ -59,11 +83,8 @@ class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
     def __new__(
         cls, ks_set: KsSet, base: Mapping[str, int], flip_rate: float, seed: int
     ) -> TrialModel:
-        if not 0 <= flip_rate <= 1:
-            raise ValueError(f"flip rate must lie in [0, 1], got {flip_rate}")
-        # Philox would floor a float key (1.5 runs seed 1's stream) and take keys up to 2^128
-        if not (hasattr(seed, "__index__") and 0 <= seed < 2**64):
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+        check_rate(flip_rate, "flip rate")
+        check_seed(seed)
         for v in ks_set.vectors:
             if base.get(v.id) not in (0, 1):
                 raise ValueError(f"base assignment must give 0/1 to vector {v.id!r}")
@@ -472,11 +493,7 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     """
     import numpy as np
 
-    if not hasattr(trials, "__index__"):  # what operator.index accepts, as for the seed
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    trials = operator.index(trials)  # a numpy integer would overflow the int64 sums below
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_trials(trials)
     d = model.ks_set.dimension
     n_ctx = len(model.ks_set.contexts)
     slots = n_ctx * d

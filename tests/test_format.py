@@ -1,5 +1,6 @@
 """The ``ksset 1`` text format: grammar, diagnostics, round-trips, catalog."""
 import hashlib
+import re
 import runpy
 import sys
 from fractions import Fraction
@@ -327,6 +328,20 @@ def test_directive_soup_parses_or_names_a_line(head, vecs, ctxs, soup):
 def test_serialize_round_trip_small():
     ks = parses(GOOD)
     assert parse_document(serialize_set(ks)).ks_set == ks
+
+
+@pytest.mark.parametrize("name, ids, bad", [
+    ("my set", ("a", "b", "c"), "my set"),
+    ("demo\n", ("a", "b", "c"), "demo\n"),
+    ("demo", ("a", "c#", "d#"), "c#"),
+    ("demo", ("a", "b", ""), ""),
+])
+def test_serialize_refuses_what_the_format_cannot_hold(name, ids, bad):
+    # "name my set" and "vec c# ..." would not parse back to the same set
+    vecs = zip(ids, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    ks = kb.make_set(name, 3, vecs, [ids])
+    with pytest.raises(ValueError, match=re.escape(f"cannot serialize {bad!r}")):
+        serialize_set(ks)
 
 
 def test_serialize_formats_fractions_and_surds():

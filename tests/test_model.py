@@ -5,6 +5,7 @@ import importlib
 import os
 import pickle
 import random
+import re
 import runpy
 import subprocess
 import sys
@@ -117,6 +118,16 @@ def test_set_structural_validation():
         KsSet("bad", 3, 1, (vec("a", 1, 0, 0, k=2),), ())
     with pytest.raises(ValueError, match="exceeds the limit"):
         KsSet("bad", 3, 10**18 + 3, (), ())
+
+
+def test_m_override_must_be_an_integer():
+    # serialize_set would write "m-override 1.5", which the parser refuses
+    vs = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
+    for value in (1.5, 2.0, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"m_override must be an integer, got {value!r}")):
+            make_set("bad", 3, vs, [("a", "b", "c")], m_override=value)
+    ks = make_set("ok", 3, vs, [("a", "b", "c")], m_override=0)
+    assert build_stats(ks).M == 0
 
 
 def test_stats_single_triad(triad, loose_ray):
