@@ -258,7 +258,7 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
     so that a structurally sound but mathematically broken set can still be
     built and *reported on* rather than just rejected.  ``m_override``, if
     given, is an integer (what ``operator.index`` accepts) of at least 0, the
-    value a ``m-override`` line can hold.  ``_replace`` skips the
+    value an ``m-override`` line can hold.  ``_replace`` skips the
     constructor's checks.
     """
 
@@ -273,7 +273,7 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
     ) -> KsSet:
         check_dimension(dimension)
         check_radicand(ring_radicand)
-        if m_override is not None:  # the format holds a non-negative integer
+        if m_override is not None:
             if not hasattr(m_override, "__index__"):
                 raise ValueError(f"m_override must be an integer, got {m_override!r}")
             if m_override < 0:
