@@ -12,7 +12,6 @@ from types import ModuleType as _ModuleType
 from .bounds import (
     BISECTION_TOLERANCE,
     CriticalRate,
-    DeltaBound,
     TABLE_ROWS,
     TableRow,
     critical_rate,

@@ -33,25 +33,17 @@ def inequality_margin(M: int, N: int, delta: Number, epsilon: Number) -> Number:
     return 1 - (M * delta + N * epsilon)
 
 
-class DeltaBound(NamedTuple):
-    value: Number
-    vacuous: bool
-
-
-def delta_lower_bound(N: int, M: int, epsilon: Number) -> DeltaBound:
+def delta_lower_bound(N: int, M: int, epsilon: Number) -> Fraction:
     """Least rotation-error rate (1 - N*epsilon)/M compatible with no contradiction.
 
-    Clamped below at zero; the bound is vacuous once epsilon >= 1/N.  Exact
-    inputs give an exact Fraction (epsilon = 0 returns exactly 1/M).
+    Clamped below at zero, so the floor is 0, a vacuous bound, exactly when
+    epsilon >= 1/N.  The floor is a Fraction: exact for an exact epsilon
+    (epsilon = 0 gives exactly 1/M), and for a float epsilon the exact
+    quotient of the float difference 1 - N*epsilon by M.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    num = 1 - N * epsilon
-    vacuous = num <= 0
-    if isinstance(num, float):
-        return DeltaBound(max(0.0, num) / M, vacuous)
-    value = Fraction(max(0, num)) / M
-    return DeltaBound(value, vacuous)
+    return Fraction(max(0, 1 - N * epsilon)) / M
 
 
 def delta_analytic(r: float) -> float:
@@ -159,9 +151,25 @@ def table_report() -> tuple[tuple[TableRow, CriticalRate], ...]:
     return tuple((row, critical_rate(row.N, row.M, row.d)) for row in TABLE_ROWS)
 
 
-def check_rate(r: float, name: str = "rate") -> None:
+def check_rate(r: Number, name: str = "rate") -> None:
     """Raise ValueError unless 0 <= r <= 1; a nan fails, as every comparison
     with it does.  ``name`` is what the message calls the value, such as a
     command-line flag."""
     if not 0 <= r <= 1:
         raise ValueError(f"{name} must lie in [0, 1], got {r}")
+
+
+def exact_rate(text: str, name: str = "rate") -> Fraction:
+    """The rate a string names, as the exact Fraction: a decimal such as
+    ``0.026`` or ``1e-3``, or a ratio such as ``1/72``.  Anything that is not
+    a number in [0, 1], ``nan``, ``inf`` and ``1/0`` among them, raises
+    ValueError; ``name`` is what the message calls the value."""
+    # Fraction writes out 10**|exponent| before any check can run
+    if len(text.lower().partition("e")[2].strip().lstrip("+-")) > 4:
+        raise ValueError(f"{name} takes an exponent of at most 4 digits, got {text}")
+    try:
+        rate = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must lie in [0, 1], got {text}") from None
+    check_rate(rate, name)
+    return rate

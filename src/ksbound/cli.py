@@ -9,7 +9,8 @@ stderr.  A reader that closes stdout early gets exit 1 and no diagnostic.
 
 One error path: a rejected input, whether a flag, a file or a set, raises
 ``ValueError`` (a ``ParseError`` is one) or ``OverflowError`` (a count past
-float range meeting a float rate), and :func:`main` alone prints it as
+float range meeting a float rate, or an exact value that a reported float
+cannot carry), and :func:`main` alone prints it as
 ``error: <message>`` and returns 1.  The flags' rules are the library's own
 checks, given the flag's name.  An internal fault is an ``AssertionError``
 and ends in a traceback.
@@ -28,6 +29,7 @@ import json
 import os
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
@@ -35,6 +37,7 @@ from .bounds import (
     check_rate,
     critical_rate,
     delta_lower_bound,
+    exact_rate,
     inequality_margin,
     table_report,
 )
@@ -164,35 +167,45 @@ def _cmd_defect(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     return 0, doc, text
 
 
+def _reported(value: Fraction, name: str) -> float:
+    # the correctly rounded float of an exact value; float() refuses one past
+    # float range with OverflowError, and a nonzero value that rounds to 0 is
+    # refused the same way
+    rounded = float(value)
+    if value and not rounded:
+        raise OverflowError(f"{name} is too small for a float")
+    return rounded
+
+
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
-    check_rate(args.delta, "--delta")
-    check_rate(args.epsilon, "--epsilon")
+    delta = exact_rate(args.delta, "--delta")
+    epsilon = exact_rate(args.epsilon, "--epsilon")
     ks = _load_set(args.set)
     stats = build_stats(ks)
-    margin = inequality_margin(stats.M, stats.N, args.delta, args.epsilon)
-    floor = delta_lower_bound(stats.N, stats.M, args.epsilon)
+    margin = inequality_margin(stats.M, stats.N, delta, epsilon)
+    floor = delta_lower_bound(stats.N, stats.M, epsilon)
     doc = {
         "set": ks.name,
         "d": ks.dimension,
         "N": stats.N,
         "M": stats.M,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
-        "margin": margin,
+        "delta": _reported(delta, "delta"),
+        "epsilon": _reported(epsilon, "epsilon"),
+        "margin": _reported(margin, "margin"),
         "contradiction": margin > 0,
-        "delta_min": floor.value,
-        "delta_min_vacuous": floor.vacuous,
+        "delta_min": _reported(floor, "delta_min"),
+        "delta_min_vacuous": floor == 0,
     }
     text = [
         f"set {ks.name}: d={ks.dimension} N={stats.N} M={stats.M}",
-        f"delta={args.delta} epsilon={args.epsilon}",
-        f"margin 1 - M*delta - N*epsilon = {margin}",
+        f"delta={doc['delta']} epsilon={doc['epsilon']}",
+        f"margin 1 - M*delta - N*epsilon = {doc['margin']}",
         "verdict: contradiction (no non-contextual model fits these rates)"
         if margin > 0
         else "verdict: no contradiction at these rates",
         "delta floor: vacuous (epsilon >= 1/N)"
-        if floor.vacuous
-        else f"delta floor: any non-contextual model needs delta >= {floor.value}",
+        if floor == 0
+        else f"delta floor: any non-contextual model needs delta >= {doc['delta_min']}",
     ]
     return 0, doc, text
 
@@ -339,8 +352,8 @@ def build_parser() -> _Parser:
     add("defect", "minimum combined constraint-violation count", _cmd_defect)
 
     p = add("bounds", "inequality margin and delta floor at given error rates", _cmd_bounds)
-    p.add_argument("--delta", type=float, default=0.0, help="rotation mismatch rate")
-    p.add_argument("--epsilon", type=float, default=0.0, help="context sum error rate")
+    p.add_argument("--delta", default="0", help="rotation mismatch rate, such as 0.026 or 1/72")
+    p.add_argument("--epsilon", default="0", help="context sum error rate, read as --delta")
 
     p = add(
         "critical-r", "largest flip rate still forcing a contradiction", _cmd_critical_r, nargs="?"
@@ -367,7 +380,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # a rejected input raises ValueError (a ParseError is one; so are a set
     # with no connections, which has no delta floor, and a simulate run past
     # int64 positions) or OverflowError (a count past float range meets a
-    # float rate); an internal fault is an AssertionError and keeps its traceback
+    # float rate, or a bounds value that no float carries); an internal fault
+    # is an AssertionError and keeps its traceback
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

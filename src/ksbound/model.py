@@ -48,8 +48,17 @@ def is_square_free(k: int) -> bool:
     return True
 
 
+def check_integer(x: object, name: str) -> None:
+    """Raise ValueError unless x is an integer (what ``operator.index``
+    accepts) and not a bool: the file format writes ``3.0`` and ``True``
+    back as words that do not parse as the number."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
 def check_radicand(k: int) -> None:
     """Raise ValueError unless k is a square-free integer in [1, MAX_RADICAND]."""
+    check_integer(k, "radicand")
     if k > MAX_RADICAND:
         raise ValueError(f"radicand {k} exceeds the limit {MAX_RADICAND}")
     if not is_square_free(k):
@@ -57,7 +66,9 @@ def check_radicand(k: int) -> None:
 
 
 def check_dimension(d: int) -> None:
-    """Raise ValueError unless d >= 3, the least dimension with a KS set."""
+    """Raise ValueError unless d is an integer >= 3, the least dimension with
+    a KS set."""
+    check_integer(d, "dimension")
     if d < 3:
         raise ValueError(f"dimension must be >= 3, got {d}")
 
@@ -257,9 +268,10 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
     context -- are checked by :func:`ksbound.coloring.validate_orthogonality`,
     so that a structurally sound but mathematically broken set can still be
     built and *reported on* rather than just rejected.  ``m_override``, if
-    given, is an integer (what ``operator.index`` accepts) of at least 0, the
-    value an ``m-override`` line can hold.  ``_replace`` skips the
-    constructor's checks.
+    given, is at least 0, the value an ``m-override`` line can hold.  It, the
+    dimension and the radicand must be integers and not bools
+    (:func:`check_integer`), so that the set writes out as a file that parses
+    back.  ``_replace`` skips the constructor's checks.
     """
 
     def __new__(
@@ -274,8 +286,7 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
         check_dimension(dimension)
         check_radicand(ring_radicand)
         if m_override is not None:
-            if not hasattr(m_override, "__index__"):
-                raise ValueError(f"m_override must be an integer, got {m_override!r}")
+            check_integer(m_override, "m_override")
             if m_override < 0:
                 raise ValueError("m_override must be non-negative")
         seen: set[str] = set()

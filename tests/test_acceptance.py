@@ -113,11 +113,9 @@ def test_criterion_4_delta_floor_boundaries():
     for name in kb.list_catalog():
         st = kb.build_stats(kb.load_catalog(name))
         at_zero = kb.delta_lower_bound(st.N, st.M, 0)
-        exact_zero = at_zero.value == Fraction(1, st.M) and not at_zero.vacuous
-        at_inv_n = kb.delta_lower_bound(st.N, st.M, Fraction(1, st.N))
-        exact_inv = at_inv_n.value == 0 and at_inv_n.vacuous
-        float_inv = kb.delta_lower_bound(st.N, st.M, 1.0 / st.N)
-        float_ok = float_inv.value == 0.0 and float_inv.vacuous
+        exact_zero = at_zero == Fraction(1, st.M) and at_zero != 0
+        exact_inv = kb.delta_lower_bound(st.N, st.M, Fraction(1, st.N)) == 0
+        float_ok = kb.delta_lower_bound(st.N, st.M, 1.0 / st.N) == 0
         ok = ok and exact_zero and exact_inv and float_ok
         details.append(f"{name}: 1/M={exact_zero} vacuous={exact_inv and float_ok}")
     report(4, ok, "; ".join(details))

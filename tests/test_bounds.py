@@ -1,6 +1,7 @@
 """Inequality margin, delta floor, analytic error model, critical rates."""
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from ksbound import (
     independent_error_lhs,
     inequality_margin,
 )
+from ksbound.bounds import exact_rate
 from ksbound.cli import main
 
 # Independently frozen crossings (exact-rational bisection to 2^-120, see the
@@ -70,20 +72,19 @@ def test_margin_arithmetic():
 
 def test_delta_bound_at_zero_epsilon():
     b = delta_lower_bound(9, 18, 0)
-    assert b.value == Fraction(1, 18)
-    assert not b.vacuous
+    assert b == Fraction(1, 18) and isinstance(b, Fraction)
+    assert b != 0
 
 
 def test_delta_bound_vacuous():
-    b = delta_lower_bound(9, 18, Fraction(1, 9))
-    assert b.value == 0 and b.vacuous
-    b2 = delta_lower_bound(9, 18, 0.5)
-    assert b2.value == 0.0 and b2.vacuous
+    assert delta_lower_bound(9, 18, Fraction(1, 9)) == 0
+    assert delta_lower_bound(9, 18, 0.5) == 0
 
 
 def test_delta_bound_arithmetic():
     b = delta_lower_bound(40, 96, 0.01)
-    assert abs(b.value - 0.00625) < 1e-15
+    assert abs(b - 0.00625) < 1e-15
+    assert delta_lower_bound(40, 96, Fraction("0.01")) == Fraction(1, 160)
 
 
 def test_delta_bound_requires_connections():
@@ -92,8 +93,18 @@ def test_delta_bound_requires_connections():
 
 
 def test_delta_bound_monotone_in_epsilon():
-    values = [delta_lower_bound(9, 18, e).value for e in np.linspace(0, 0.2, 50)]
+    values = [delta_lower_bound(9, 18, e) for e in np.linspace(0, 0.2, 50)]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def test_exact_rate_reads_the_named_rational():
+    for text, value in (("0.026", Fraction(13, 500)), ("1/72", Fraction(1, 72)),
+                        (" 1e-3 ", Fraction(1, 1000)), ("1", 1), ("0E-4", 0)):
+        rate = exact_rate(text, "--delta")
+        assert rate == value and isinstance(rate, Fraction), text
+    for text in ("nan", "inf", "abc", "1/0", "-0.001", "1.0001", "3/2"):
+        with pytest.raises(ValueError, match=re.escape("--delta must lie in [0, 1], got")):
+            exact_rate(text, "--delta")
 
 
 def test_delta_analytic_values():

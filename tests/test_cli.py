@@ -1,16 +1,21 @@
 """CLI behavior: commands, exit codes, diagnostics, JSON determinism."""
+import contextlib
 import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import runpy
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ksbound
 from conftest import SURD_SET, disjoint_union, fan_document
@@ -242,6 +247,75 @@ def test_bounds_rejects_bad_rates(capsys):
     assert main(["bounds", "catalog:cabello18", "--delta", "1", "--epsilon", "0"]) == 0
 
 
+@pytest.mark.parametrize("source, delta, epsilon", [
+    ("catalog:kernaghan20", "0.026", "0.02"),
+    ("catalog:kernaghan20", "0.0073", "0.0710"),
+    ("catalog:kernaghan20", "0.0326", "0.002"),
+    ("catalog:kernaghan-peres36", "0.009", "0.032"),
+])
+def test_bounds_decides_the_boundary_exactly(source, delta, epsilon, capsys):
+    # M*delta + N*epsilon is exactly 1 here, so the margin is 0 and no
+    # contradiction follows; in floats the margin came out 1.1e-16 or so
+    argv = ["bounds", source, "--delta", delta, "--epsilon", epsilon]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:] == [
+        "margin 1 - M*delta - N*epsilon = 0.0",
+        "verdict: no contradiction at these rates",
+        f"delta floor: any non-contextual model needs delta >= {float(delta)}",
+    ]
+    assert main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["margin"], doc["contradiction"], doc["delta_min"]) == (0.0, False, float(delta))
+
+
+#: (N, M) of each catalog set, as ``stats`` reports them.
+CATALOG_N_M = {"cabello18": (9, 18), "kernaghan20": (11, 30), "kernaghan-peres36": (11, 72)}
+
+rate_strings = st.one_of(
+    st.integers(0, 1000).map(lambda k: str(Decimal(k).scaleb(-4))),  # 0.0073, 0E-4
+    st.decimals(0, 1, places=8).map(str),
+)
+
+
+@given(st.sampled_from(sorted(CATALOG_N_M)), rate_strings, rate_strings)
+@example("kernaghan20", "0.026", "0.02")
+@example("kernaghan-peres36", "0.009", "0.032")
+@example("cabello18", "0.0", "0.1111")
+@settings(max_examples=150, deadline=None)
+def test_bounds_verdict_is_the_sign_of_the_exact_margin(name, delta, epsilon):
+    N, M = CATALOG_N_M[name]
+    margin = 1 - M * Fraction(Decimal(delta)) - N * Fraction(Decimal(epsilon))
+    floor = max(0, 1 - N * Fraction(Decimal(epsilon))) / Fraction(M)
+    argv = ["bounds", f"catalog:{name}", "--delta", delta, "--epsilon", epsilon, "--json"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["contradiction"] == (margin > 0)
+    assert (doc["margin"], doc["delta_min"]) == (float(margin), float(floor))
+    assert doc["delta_min_vacuous"] == (floor == 0)
+
+
+def test_bounds_reads_ratios_and_refuses_non_numbers(capsys):
+    assert main(["bounds", "catalog:cabello18", "--delta", "1/72", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["delta"], doc["margin"]) == (1 / 72, 0.75)
+    for value in ("1/0", "abc", "1/-2", ""):
+        assert main(["bounds", "catalog:cabello18", "--delta", value]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --delta must lie in [0, 1], got {value}\n")
+    # the exponent is capped before the exact value is built, and a rate below
+    # float range is refused by the report
+    for value, message in (
+        ("1e-10000", "--epsilon takes an exponent of at most 4 digits, got 1e-10000"),
+        ("1e-9999", "epsilon is too small for a float"),
+    ):
+        assert main(["bounds", "catalog:cabello18", "--epsilon", value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["bounds", "catalog:cabello18", "--epsilon", "0e-9999"]) == 0
+    assert "verdict: contradiction" in capsys.readouterr().out
+
+
 def test_bounds_without_connections_exits_1(good_file, capsys):
     assert main(["bounds", good_file, "--delta", "0.01"]) == 1
     captured = capsys.readouterr()
@@ -274,6 +348,16 @@ def test_critical_r_huge_parameter_exits_1(flag, capsys):
     assert err == "error: int too large to convert to float\n"
 
 
+#: Each case's message.  critical-r meets M in float arithmetic; bounds decides
+#: exactly and refuses a value its report cannot carry as a float.
+HUGE_M_ERRORS = {
+    "critical-r": "int too large to convert to float",
+    "bounds": "delta_min is too small for a float",  # 1/M rounds to 0
+    # the margin 1 - M/100 is past float range
+    "bounds --delta 0.01 --json": "integer division result too large for a float",
+}
+
+
 @pytest.mark.parametrize(
     "argv", [["critical-r"], ["bounds"], ["bounds", "--delta", "0.01", "--json"]]
 )
@@ -283,7 +367,7 @@ def test_huge_m_override_exits_1(argv, tmp_path, capsys):
     assert main([argv[0], str(p), *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: int too large to convert to float\n"
+    assert captured.err == f"error: {HUGE_M_ERRORS[' '.join(argv)]}\n"
 
 
 def test_critical_r_requires_parameters_or_set(capsys):
@@ -537,7 +621,7 @@ def test_command_searches_the_full_set_once(argv, cabello18, monkeypatch, capsys
 
 
 #: SHA-256 of every (argv, exit code, stdout, stderr) in ``test_cli_outputs_are_pinned``.
-PINNED_CLI = "59fb4f90656511a9763e5f6cf04de3580664141663e913505bd8290c743d5257"
+PINNED_CLI = "dd39bc80e0ae9e6ddb61771b99e3fb24e4553083188ffa9d5c206e0ae1726524"
 
 #: The flip rates ``test_cli_outputs_are_pinned`` simulates at; "r*" is the set's critical rate.
 PINNED_RATES = (0.0, 1e-3, "r*", 0.02, 0.1, 0.5, 1.0)

@@ -130,6 +130,23 @@ def test_m_override_must_be_an_integer():
     assert build_stats(ks).M == 0
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dimension", 3.0, "dimension must be an integer, got 3.0"),
+    ("ring_radicand", 2.0, "radicand must be an integer, got 2.0"),
+    ("m_override", True, "m_override must be an integer, got True"),
+])
+def test_integer_fields_refuse_floats_and_bools(field, value, message):
+    # each is equal to an integer without being one, and would be written
+    # back as "dim 3.0", "field sqrt 2.0" or "m-override True", which the
+    # parser refuses; the integer itself round-trips
+    vs = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
+    fields = dict(name="x", dimension=3, vectors=vs, contexts=[("a", "b", "c")])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_set(**{**fields, field: value})
+    ks = make_set(**{**fields, field: int(value)})
+    assert kb.parse_document(kb.serialize_set(ks)).ks_set == ks
+
+
 def test_stats_single_triad(triad, loose_ray):
     st = build_stats(triad)
     assert (st.n, st.N, st.M) == (3, 1, 0)
@@ -255,7 +272,7 @@ def test_connection_pairs_are_ordered(catalog_sets, fan50):
 
 PUBLIC_NAMES = """
     BISECTION_TOLERANCE ColoringResult Context CriticalRate
-    DefectReport DeltaBound DimensionMismatchError ExactScalar
+    DefectReport DimensionMismatchError ExactScalar
     KsSet MAX_RADICAND ParseError RayVector RingMismatchError SetDocument
     SetStats SimSummary TABLE_ROWS TableRow TrialModel
     ValidationReport Violation assignment_defect
@@ -283,7 +300,6 @@ def test_records_are_immutable_hashable_values(two_triads):
         ks.contexts[0], ("vector_ids",),
         ks, ("name", "dimension", "ring_radicand", "vectors", "contexts", "m_override"),
         stats, ("n", "N", "M", "multiplicities", "m_all_pairs"),
-        kb.delta_lower_bound(1, 2, 0), ("value", "vacuous"),
         kb.critical_rate(9, 18, 4), ("r", "floor4", "bracket_low", "bracket_high", "iterations"),
         kb.TABLE_ROWS[0], ("name", "d", "n_label", "N", "M"),
         kb.Violation("duplicate-ray", "m"), ("kind", "message", "context_index", "vector_ids"),
@@ -295,7 +311,7 @@ def test_records_are_immutable_hashable_values(two_triads):
         _summary(), ("seed", "trials", "r", "context_error_counts",
                      "connection_mismatch_counts", "total_defect", "min_trial_defect"),
     ]
-    assert len({type(r) for r in records[::2]}) == 15
+    assert len({type(r) for r in records[::2]}) == 14
     for record, names in zip(records[::2], records[1::2]):
         for name in names:
             with pytest.raises(AttributeError):
