@@ -159,13 +159,13 @@ def check_rate(r: Number, name: str = "rate") -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {r}")
 
 
-def exact_rate(text: str, name: str = "rate") -> Fraction:
+def exact_rate(text: str, name: str) -> Fraction:
     """The rate a string names, as the exact Fraction: a decimal such as
     ``0.026`` or ``1e-3``, or a ratio such as ``1/72``.  Anything that is not
     a number in [0, 1], ``nan``, ``inf`` and ``1/0`` among them, raises
     ValueError; ``name`` is what the message calls the value."""
     # Fraction writes out 10**|exponent| before any check can run
-    if len(text.lower().partition("e")[2].strip().lstrip("+-")) > 4:
+    if len(text.lower().partition("e")[2].strip().lstrip("+-0")) > 4:
         raise ValueError(f"{name} takes an exponent of at most 4 digits, got {text}")
     try:
         rate = Fraction(text)

@@ -99,7 +99,8 @@ def test_delta_bound_monotone_in_epsilon():
 
 def test_exact_rate_reads_the_named_rational():
     for text, value in (("0.026", Fraction(13, 500)), ("1/72", Fraction(1, 72)),
-                        (" 1e-3 ", Fraction(1, 1000)), ("1", 1), ("0E-4", 0)):
+                        (" 1e-3 ", Fraction(1, 1000)), ("1e-00005", Fraction(1, 10**5)),
+                        ("1", 1), ("0E-4", 0)):
         rate = exact_rate(text, "--delta")
         assert rate == value and isinstance(rate, Fraction), text
     for text in ("nan", "inf", "abc", "1/0", "-0.001", "1.0001", "3/2"):

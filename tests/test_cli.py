@@ -255,7 +255,7 @@ def test_bounds_rejects_bad_rates(capsys):
 ])
 def test_bounds_decides_the_boundary_exactly(source, delta, epsilon, capsys):
     # M*delta + N*epsilon is exactly 1 here, so the margin is 0 and no
-    # contradiction follows; in floats the margin came out 1.1e-16 or so
+    # contradiction follows, though a float sum of the same decimals is not 1
     argv = ["bounds", source, "--delta", delta, "--epsilon", epsilon]
     assert main(argv) == 0
     out = capsys.readouterr().out.splitlines()
