@@ -17,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import mul
+from operator import index, mul
 from typing import Container, Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -48,12 +48,18 @@ def is_square_free(k: int) -> bool:
     return True
 
 
-def check_integer(x: object, name: str) -> None:
-    """Raise ValueError unless x is an integer (what ``operator.index``
-    accepts) and not a bool: the file format writes ``3.0`` and ``True``
-    back as words that do not parse as the number."""
+def check_integer(x: object, name: str, least: Optional[int] = None) -> int:
+    """Return x as a Python int; raise ValueError unless it is an integer
+    (what ``operator.index`` accepts) and not a bool, and, given ``least``,
+    at least ``least``.  The library's one integer rule: the file format
+    writes ``3.0`` and ``True`` back as words that do not parse as the
+    number, and a seed of ``True`` would run seed 1's stream.  ``name`` is
+    what the message calls the value, such as a command-line flag."""
     if isinstance(x, bool) or not hasattr(x, "__index__"):
         raise ValueError(f"{name} must be an integer, got {x!r}")
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be >= {least}, got {x}")
+    return index(x)
 
 
 def check_radicand(k: int) -> None:
@@ -68,9 +74,7 @@ def check_radicand(k: int) -> None:
 def check_dimension(d: int) -> None:
     """Raise ValueError unless d is an integer >= 3, the least dimension with
     a KS set."""
-    check_integer(d, "dimension")
-    if d < 3:
-        raise ValueError(f"dimension must be >= 3, got {d}")
+    check_integer(d, "dimension", 3)
 
 
 def check_context(ids: Sequence[str], dimension: int, declared: Container[str]) -> None:

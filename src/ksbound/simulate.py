@@ -27,13 +27,12 @@ does not load it.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .bounds import check_rate
 from .coloring import DefectReport, min_defect
-from .model import KsSet
+from .model import KsSet, check_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,25 +45,20 @@ DENSE_FLIPS = 72
 
 def check_seed(seed: int, name: str = "seed") -> None:
     """Raise ValueError unless ``seed`` is an integer in [0, 2^64), a key of
-    the Philox stream.  An integer is what ``operator.index`` accepts, so a
-    numpy integer is one.  ``name`` is what the message calls the value,
-    such as a command-line flag."""
+    the Philox stream.  An integer is what ``check_integer`` accepts, so a
+    numpy integer is one and a bool is not.  ``name`` is what the message
+    calls the value, such as a command-line flag."""
     # Philox would floor a float key (1.5 runs seed 1's stream) and take keys up to 2^128
-    if not hasattr(seed, "__index__"):
-        raise ValueError(f"{name} must be an integer, got {seed!r}")
+    check_integer(seed, name)
     if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must lie in [0, 2^64), got {seed!r}")
 
 
 def check_trials(trials: int, name: str = "trials") -> int:
     """Return ``trials`` as a Python int; raise ValueError unless it is an
-    integer (what ``operator.index`` accepts) of at least 1.  ``name`` is
+    integer (what ``check_integer`` accepts) of at least 1.  ``name`` is
     what the message calls the value, such as a command-line flag."""
-    if not hasattr(trials, "__index__"):
-        raise ValueError(f"{name} must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"{name} must be >= 1, got {trials}")
-    return operator.index(trials)  # a numpy integer would overflow the int64 sums
+    return check_integer(trials, name, 1)  # a numpy integer would overflow the int64 sums
 
 
 class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):

@@ -75,6 +75,12 @@ def test_seed_must_be_a_64_bit_integer(triad):
         assert (summary.seed, summary.trials) == (seed, 10)
 
 
+def test_bool_seed_is_refused(cabello18):
+    # True is an int that check_integer refuses: it would run seed 1's stream
+    with pytest.raises(ValueError, match=re.escape("seed must be an integer, got True")):
+        TrialModel(cabello18, default_base(cabello18), 0.01, True)
+
+
 def test_simulator_input_validation(triad):
     model = TrialModel(ks_set=triad, base={"a": 0, "b": 1, "c": 1}, flip_rate=0.1, seed=0)
     with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -88,6 +94,13 @@ def test_trials_must_be_an_integer(cabello18):
         with pytest.raises(ValueError, match=re.escape(f"trials must be an integer, got {trials!r}")):
             simulate_model(model, trials)
     assert simulate_model(model, np.int64(10)) == simulate_model(model, 10)
+
+
+def test_bool_trial_count_is_refused(cabello18):
+    # True is an int that check_integer refuses: it would run one trial
+    model = TrialModel(cabello18, default_base(cabello18), 0.01, seed=0)
+    with pytest.raises(ValueError, match=re.escape("trials must be an integer, got True")):
+        simulate_model(model, True)
 
 
 def test_noise_free_satisfying_base_has_zero_defect(two_triads):
