@@ -43,7 +43,7 @@ from .bounds import (
 )
 from .coloring import find_coloring, min_defect
 from .format import ParseError, catalog_text, parse_document
-from .model import KsSet, build_stats
+from .model import KsSet, build_stats, check_dimension, check_integer
 from .simulate import TrialModel, check_seed, check_trials, default_base, simulate_model
 
 CATALOG_PREFIX = "catalog:"
@@ -221,7 +221,8 @@ def _cmd_critical_r(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     else:
         if args.N is None or args.M is None or args.d is None:
             raise ValueError("critical-r needs a set or all of --N, --M, --d")
-        n_ctx, m_conn, dim = args.N, args.M, args.d
+        n_ctx, m_conn, dim = check_integer(args.N, "--N", 1), check_integer(args.M, "--M", 1), args.d
+        check_dimension(dim, "--d")
     rate = critical_rate(n_ctx, m_conn, dim)
     doc = {
         "set": name,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .model import KsSet, _keys_orthogonal
+from .model import KsSet, _keys_orthogonal, check_integer
 
 
 class Violation(NamedTuple):
@@ -157,7 +157,9 @@ def assignment_defect(ks: KsSet, slots: Sequence[int]) -> tuple[int, int]:
 
     ``slots`` holds one 0 or 1 per slot, numbered as in the set's
     :class:`~ksbound.model.Incidence`, so context c's sum is that of
-    ``slots[c*d : c*d + d]``; any other length or value raises ValueError.
+    ``slots[c*d : c*d + d]``; any other length or value raises ValueError,
+    and so does a 0 or 1 that is not an integer (:func:`check_integer`),
+    such as ``1.0`` or ``True``.
     Connections are all pairs of a ray's slots, so a ray whose slots hold a
     zeros and b ones has a*b disagreeing ones; an m_override never changes
     which agreements are counted.
@@ -168,6 +170,8 @@ def assignment_defect(ks: KsSet, slots: Sequence[int]) -> tuple[int, int]:
         raise ValueError(f"{len(slots)} slot values for {size} slots")
     if not set(slots) <= {0, 1}:
         raise ValueError(f"slot values must be 0 or 1, got {set(slots) - {0, 1}}")
+    for x in slots:
+        check_integer(x, "slot value")
     sum_defects = sum(sum(slots[s : s + d]) != d - 1 for s in range(0, size, d))
     connection_defects = 0
     for at in ks._incidence.slots:

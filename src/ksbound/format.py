@@ -212,12 +212,14 @@ def serialize_set(ks: KsSet) -> str:
     """Canonical document for a set; ``parse_document`` of the result round-trips.
 
     Raises ValueError, naming it, on the first of the set's name and vector
-    ids that is not an identifier (one or more of ``A-Z a-z 0-9 _ . -``): a
-    ``name`` line would refuse a space, and a ``#`` in an id would turn the
-    rest of its ``vec`` and ``ctx`` lines into a comment.
+    ids that is not an identifier (a string of one or more of
+    ``A-Z a-z 0-9 _ . -``): a ``name`` line would refuse a space, a ``#`` in
+    an id would turn the rest of its ``vec`` and ``ctx`` lines into a
+    comment, and a name or id of ``123`` would parse back as ``"123"``.
     """
     for ident in (ks.name, *(v.id for v in ks.vectors)):
-        if not _IDENT.fullmatch(ident):  # not match: "$" also matches before a final "\n"
+        # not match: "$" also matches before a final "\n"
+        if not (isinstance(ident, str) and _IDENT.fullmatch(ident)):
             raise ValueError(f"cannot serialize {ident!r}: not an identifier ({_IDENT_CHARS})")
     lines = ["ksset 1", f"name {ks.name}", f"dim {ks.dimension}"]
     if ks.ring_radicand != 1:

@@ -71,10 +71,11 @@ def check_radicand(k: int) -> None:
         raise ValueError(f"radicand {k} is not a square-free positive integer")
 
 
-def check_dimension(d: int) -> None:
+def check_dimension(d: int, name: str = "dimension") -> None:
     """Raise ValueError unless d is an integer >= 3, the least dimension with
-    a KS set."""
-    check_integer(d, "dimension", 3)
+    a KS set.  ``name`` is what the message calls the value, such as a
+    command-line flag."""
+    check_integer(d, name, 3)
 
 
 def check_context(ids: Sequence[str], dimension: int, declared: Container[str]) -> None:

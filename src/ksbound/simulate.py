@@ -64,12 +64,13 @@ def check_trials(trials: int, name: str = "trials") -> int:
 class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
     """A hypothetical non-contextual value table plus independent slot noise.
 
-    ``base`` assigns an error-free 0/1 value to every vector id; each trial
-    flips every (context, position) slot independently with probability
-    ``flip_rate``.  On a KS set no base satisfies everything, so base sum
-    defects mix with flip noise in the measured rates -- that mixing is the
-    point of the exercise.  ``seed`` keys the Philox stream and must be an
-    integer in [0, 2^64).
+    ``base`` assigns an error-free 0/1 value to every vector id, an integer
+    and not ``True`` or ``1.0`` (:func:`~ksbound.model.check_integer`); each
+    trial flips every (context, position) slot independently with
+    probability ``flip_rate``.  On a KS set no base satisfies everything, so
+    base sum defects mix with flip noise in the measured rates -- that
+    mixing is the point of the exercise.  ``seed`` keys the Philox stream
+    and must be an integer in [0, 2^64), and not a bool.
     """
 
     __slots__ = ()
@@ -82,6 +83,7 @@ class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
         for v in ks_set.vectors:
             if base.get(v.id) not in (0, 1):
                 raise ValueError(f"base assignment must give 0/1 to vector {v.id!r}")
+            check_integer(base[v.id], f"base value of vector {v.id!r}")
         return super().__new__(cls, ks_set, base, flip_rate, seed)
 
 

@@ -370,6 +370,16 @@ def test_huge_m_override_exits_1(argv, tmp_path, capsys):
     assert captured.err == f"error: {HUGE_M_ERRORS[' '.join(argv)]}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--N", "0", "--M", "1", "--d", "3"], "--N must be >= 1, got 0"),
+    (["--N", "1", "--M", "0", "--d", "3"], "--M must be >= 1, got 0"),
+    (["--N", "1", "--M", "1", "--d", "2"], "--d must be >= 3, got 2"),
+])
+def test_critical_r_names_the_bad_flag(flags, message, capsys):
+    assert main(["critical-r", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_critical_r_requires_parameters_or_set(capsys):
     assert main(["critical-r"]) == 1
     assert "needs a set or all of" in capsys.readouterr().err

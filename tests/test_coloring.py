@@ -1,6 +1,7 @@
 """Validation, coloring search, brute-force oracle, and minimum defect."""
 import hashlib
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -205,6 +206,13 @@ def test_assignment_defect_refuses_a_wrong_length_or_value(cabello18):
             assignment_defect(cabello18, slots)
     with pytest.raises(ValueError, match="must be 0 or 1"):
         assignment_defect(cabello18, (2,) + witness[1:])
+
+
+def test_assignment_defect_refuses_a_0_or_1_that_is_not_an_integer(cabello18):
+    # 1.0 scored as (9, 0.0), a float connection count; True is a bool
+    for value in (1.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"slot value must be an integer, got {value!r}")):
+            assignment_defect(cabello18, [value] * 36)
 
 
 def test_min_defect_catalog_is_one(catalog_sets):

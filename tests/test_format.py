@@ -7,11 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ksbound as kb
 from ksbound import ParseError, parse_document, serialize_set
-from ksbound.model import check_vector
+from ksbound.model import Context, ExactScalar, KsSet, RayVector, check_vector
 
 GOOD = """\
 ksset 1
@@ -342,6 +342,78 @@ def test_serialize_refuses_what_the_format_cannot_hold(name, ids, bad):
     ks = kb.make_set(name, 3, vecs, [ids])
     with pytest.raises(ValueError, match=re.escape(f"cannot serialize {bad!r}")):
         serialize_set(ks)
+
+
+def unchecked_document(ks):
+    """The document ``serialize_set`` would write for ``ks`` without its
+    identifier check: every field as Python formats it."""
+    def word(c):
+        return str(c.rational) if c.surd == 0 else f"{c.rational}:{c.surd}"
+
+    lines = ["ksset 1", f"name {ks.name}", f"dim {ks.dimension}", f"field sqrt {ks.ring_radicand}"]
+    lines += [f"vec {v.id} " + " ".join(map(word, v.components)) for v in ks.vectors]
+    lines += ["ctx " + " ".join(map(str, ctx.vector_ids)) for ctx in ks.contexts]
+    if ks.m_override is not None:
+        lines.append(f"m-override {ks.m_override}")
+    return "\n".join(lines) + "\n"
+
+
+IDENTS = st.from_regex(r"[A-Za-z0-9_.-]{1,4}", fullmatch=True)
+SCALES = st.tuples(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]),
+                   st.sampled_from([0, 1, -1, Fraction(2, 3)]))
+#: values a field may be given by mistake: equal to an integer without being
+#: one, a word with a newline, a comment mark or a space, and integers that
+#: print as identifiers
+NEAR_VALID = [3.0, True, 2, "a\n", "c#", "my set", "", "\u00e9", 123, 5]
+FLAWS = st.dictionaries(st.sampled_from(["name", "dimension", "radicand", "id", "m_override"]),
+                        st.sampled_from(NEAR_VALID), max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=IDENTS, dimension=st.sampled_from([3, 4]), radicand=st.sampled_from([1, 2, 5]),
+       ids=st.lists(IDENTS, min_size=4, max_size=4, unique=True),
+       scales=st.lists(SCALES, min_size=4, max_size=4), mixed=st.booleans(),
+       with_context=st.booleans(), m_override=st.sampled_from([None, 0, 7]), flaws=FLAWS)
+@example(name="s", dimension=3, radicand=1, ids=["a", "b", "c", "d"], scales=[(1, 0)] * 4,
+         mixed=False, with_context=True, m_override=None, flaws={"name": 123})
+@example(name="s", dimension=3, radicand=2, ids=["a", "b", "c", "d"], scales=[(1, 1)] * 4,
+         mixed=True, with_context=True, m_override=0, flaws={"id": 5})
+def test_every_valid_set_round_trips_or_is_refused(
+    name, dimension, radicand, ids, scales, mixed, with_context, m_override, flaws
+):
+    # a valid set with up to two fields replaced by near-valid values: the
+    # rows of a basis, the first two mixed into (1, 1, 0, ...) and
+    # (1, -1, 0, ...) when ``mixed``, each scaled by a + b*sqrt(k)
+    rows = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
+    if mixed:
+        rows[0][1], rows[1][0], rows[1][1] = 1, 1, -1
+    radicand = flaws.get("radicand", radicand)
+    ids[1] = flaws.get("id", ids[1])
+    try:
+        vectors = tuple(
+            RayVector(vid, tuple(ExactScalar(x * a, x * b if radicand != 1 else 0, radicand) for x in row))
+            for vid, row, (a, b) in zip(ids, rows, scales)
+        )
+        contexts = (Context(tuple(ids[:dimension])),) if with_context else ()
+        ks = KsSet(flaws.get("name", name), flaws.get("dimension", dimension), radicand,
+                   vectors, contexts, flaws.get("m_override", m_override))
+    except ValueError:
+        return  # the model refuses these fields: there is no set to write
+    if not kb.validate_orthogonality(ks).ok:
+        return  # the parser refuses a repeated ray or a non-orthogonal context
+    try:
+        text = serialize_set(ks)
+    except ValueError:
+        # refused: the same words written unchecked do not read back as ks
+        try:
+            back = parse_document(unchecked_document(ks)).ks_set
+        except ParseError:
+            return
+        assert back != ks
+        return
+    back = parse_document(text).ks_set
+    assert back == ks
+    assert serialize_set(back) == text
 
 
 def test_serialize_formats_fractions_and_surds():

@@ -454,6 +454,29 @@ def test_sources_parse_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+def test_only_check_integer_asks_for_index():
+    # the integer rule is written once: every mention of __index__ in the
+    # code of src/ksbound (docstrings and comments aside) is in check_integer
+    def mentions_index(node):
+        return (
+            isinstance(node, ast.Constant) and node.value == "__index__"
+            or isinstance(node, ast.Attribute) and node.attr == "__index__"
+            or isinstance(node, ast.Name) and node.id == "__index__"
+            or isinstance(node, ast.FunctionDef) and node.name == "__index__"
+        )
+
+    places = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ksbound").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in filter(mentions_index, ast.walk(tree)):
+            scope = parent.get(node)
+            while scope is not None and not isinstance(scope, ast.FunctionDef):
+                scope = parent.get(scope)
+            places.add((path.name, scope.name if scope else None))
+    assert places == {("model.py", "check_integer")}
+
+
 def test_only_simulate_imports_numpy():
     # numpy is the simulator's dependency alone: every numpy import, at any
     # depth (function bodies and TYPE_CHECKING blocks too), is in simulate.py

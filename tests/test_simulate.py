@@ -64,6 +64,12 @@ def test_model_validation(triad):
         TrialModel(ks_set=triad, base={"a": 0, "b": 1, "c": 2}, flip_rate=0.1, seed=0)
 
 
+def test_base_values_must_be_integers(triad):
+    for value in (True, 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"base value of vector 'c' must be an integer, got {value!r}")):
+            TrialModel(ks_set=triad, base={"a": 0, "b": 1, "c": value}, flip_rate=0.1, seed=0)
+
+
 def test_seed_must_be_a_64_bit_integer(triad):
     # Philox floors a float key (1.5 ran seed 1's stream) and takes keys up to 2^128
     base = {"a": 0, "b": 1, "c": 1}
