@@ -65,8 +65,10 @@ def test_model_validation(triad):
 
 
 def test_base_values_must_be_integers(triad):
+    # True and 1.0 equal 1 without being integers, as in check_integer
     for value in (True, 1.0):
-        with pytest.raises(ValueError, match=re.escape(f"base value of vector 'c' must be an integer, got {value!r}")):
+        message = f"base value of vector 'c' must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             TrialModel(ks_set=triad, base={"a": 0, "b": 1, "c": value}, flip_rate=0.1, seed=0)
 
 
