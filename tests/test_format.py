@@ -388,7 +388,7 @@ def test_every_valid_set_round_trips_or_is_refused(
     if mixed:
         rows[0][1], rows[1][0], rows[1][1] = 1, 1, -1
     radicand = flaws.get("radicand", radicand)
-    ids[1] = flaws.get("id", ids[1])
+    ids = [ids[0], flaws.get("id", ids[1]), *ids[2:]]
     try:
         vectors = tuple(
             RayVector(vid, tuple(ExactScalar(x * a, x * b if radicand != 1 else 0, radicand) for x in row))
