@@ -11,9 +11,10 @@ other evaluates a slot-major 0/1 table of every slot of the chunk's trials,
 its rows padded to whole 8-byte words so that bit counts sum them (see
 ``simulate_model`` for the rule and its measured crossover).  Each gives
 a chunk's per-context errors, per-connection mismatches and least trial
-defect; the total defect is the sum of the two counters.  The stream, the
-chunks (sized by ``_chunk_rows``, one rule for both) and every counter are
-the same whichever kernel runs.
+defect; the total defect is the sum of the two counters.  ``_chunk_rows``
+is the one rule that sizes the chunks, by their expected flips, and caps a
+dense chunk's table at DENSE_TABLE bytes.  The stream and every counter
+are the same whichever kernel runs and however the chunks fall.
 One connection (two triads sharing a ray) and one context (a lone triad) are
 sets like any other, so the analytic rates delta(r) and epsilon(r, d) are
 checked on this engine too.  Results are reproducible across runs and chunk
@@ -41,17 +42,22 @@ if TYPE_CHECKING:
 SPARSE_WORK = 1 << 16
 #: ``simulate_model`` counts densely from this many flips per (slot + connection).
 DENSE_FLIPS = 72
+#: A dense chunk's 0/1 table holds at most this many bytes, beside its pad to
+#: whole 8-byte words (``_chunk_rows``).
+DENSE_TABLE = 1 << 18
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Raise ValueError unless ``seed`` is an integer in [0, 2^64), a key of
-    the Philox stream.  An integer is what ``check_integer`` accepts, so a
-    numpy integer is one and a bool is not.  ``name`` is what the message
-    calls the value, such as a command-line flag."""
+def check_seed(seed: int, name: str = "seed") -> int:
+    """Return ``seed`` as a Python int; raise ValueError unless it is an
+    integer in [0, 2^64), a key of the Philox stream.  An integer is what
+    ``check_integer`` accepts, so a numpy integer is one and a bool is not.
+    ``name`` is what the message calls the value, such as a command-line
+    flag."""
     # Philox would floor a float key (1.5 runs seed 1's stream) and take keys up to 2^128
-    check_integer(seed, name)
+    seed = check_integer(seed, name)
     if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must lie in [0, 2^64), got {seed!r}")
+    return seed
 
 
 def check_trials(trials: int, name: str = "trials") -> int:
@@ -70,7 +76,8 @@ class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
     probability ``flip_rate``.  On a KS set no base satisfies everything, so
     base sum defects mix with flip noise in the measured rates -- that
     mixing is the point of the exercise.  ``seed`` keys the Philox stream
-    and must be an integer in [0, 2^64), and not a bool.
+    and must be an integer in [0, 2^64), and not a bool; it is kept as a
+    Python int, so a summary's seed writes to JSON.
     """
 
     __slots__ = ()
@@ -79,7 +86,7 @@ class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
         cls, ks_set: KsSet, base: Mapping[str, int], flip_rate: float, seed: int
     ) -> TrialModel:
         check_rate(flip_rate, "flip rate")
-        check_seed(seed)
+        seed = check_seed(seed)
         for v in ks_set.vectors:
             if base.get(v.id) not in (0, 1):
                 raise ValueError(f"base assignment must give 0/1 to vector {v.id!r}")
@@ -297,6 +304,23 @@ def _sparse_kernel(
         start = start[:-1]
         return per_slot, np.count_nonzero(start), ts, slot.take(shared), np.flatnonzero(start[shared])
 
+    def shared_contexts(key: np.ndarray, ss: np.ndarray, change: np.ndarray) -> np.ndarray:
+        """Per context, the errors of each (trial, context) with two or more
+        shared flips less those flips' solo ones, each such group's
+        correction also added to ``change`` at its first flip.  ``key`` is
+        each shared flip's trial * n_ctx + context, sorted.  Its arrays are
+        freed when it returns, before the pairs on a ray make theirs."""
+        at, bounds = repeats(key)
+        if not len(at):
+            return 0
+        first = bounds[:-1]
+        s_at, g_ctx = ss[at], ss[at[first]] // d
+        broken = base_ones[g_ctx] + np.add.reduceat(step[s_at], first) != d - 1
+        g_fix = broken - base_broken[g_ctx] - np.add.reduceat(solo_delta[s_at], first)
+        change[at[first]] += g_fix
+        # float64 weights; the sums are small integers, so exact
+        return np.bincount(g_ctx, weights=g_fix, minlength=n_ctx).astype(np.int64)
+
     def count(q: np.ndarray, n: int) -> tuple:
         per_slot, busy, ts, ss, runs = split(q)
         ctx_errors = n * base_broken + (per_slot * solo_delta).reshape(n_ctx, d).sum(axis=1)
@@ -306,20 +330,13 @@ def _sparse_kernel(
         conn_mismatches = per_slot.take(left)
         conn_mismatches += per_slot.take(right)
         if len(ss):
+            ss = ss.astype(np.intp)  # once: numpy would copy int32 indices at each use
             alone = per_slot - np.bincount(ss, minlength=slots)
-            fix = np.zeros(len(ss), dtype=np.int32)  # each shared flip's correction
+            change = solo_change.take(ss)  # each shared flip's, corrected below
 
             # contexts with two or more flips in one trial, fixed at the first;
-            # the key is trial * n_ctx + context, sorted because q is
-            at, bounds = repeats((ts + ss) // d)
-            if len(at):
-                first = bounds[:-1]
-                s_at, g_ctx = ss[at], ss[at[first]] // d
-                broken = base_ones[g_ctx] + np.add.reduceat(step[s_at], first) != d - 1
-                g_fix = broken - base_broken[g_ctx] - np.add.reduceat(solo_delta[s_at], first)
-                fix[at[first]] = g_fix
-                # float64 weights; the sums are small integers, so exact
-                ctx_errors += np.bincount(g_ctx, weights=g_fix, minlength=n_ctx).astype(np.int64)
+            # the key is trial * n_ctx + context, int32 as ts, sorted because q is
+            ctx_errors += shared_contexts(np.add(ts, ss, dtype=np.int32) // d, ss, change)
 
             # flips on one ray in one trial: keyed by trial * slots + root and
             # sorted stably, so that each ray's flips keep their slot order
@@ -332,7 +349,7 @@ def _sparse_kernel(
                 # its group; each pair takes 2 off its trial's defect, here at i
                 after = np.arange(1, len(at) + 1)
                 later = np.repeat(bounds[1:], bounds[1:] - bounds[:-1]) - after
-                fix[order] -= 2 * later
+                change[order] -= 2 * later
                 # pair p of flip i is (i, i + 1 + p - the first pair of i)
                 j = np.repeat(after - (np.cumsum(later) - later), later)
                 j += np.arange(len(j))  # in place: these grow with the pairs
@@ -341,9 +358,9 @@ def _sparse_kernel(
                 conn += rank.take(s_grouped).take(j)
                 np.subtract.at(conn_mismatches, conn, 2)  # its ends agree
 
-            # the change of each trial with two or more flips
-            per_trial = np.add.reduceat(solo_change.take(ss) + fix, runs)
-            least = per_trial.min()
+            # the change of each trial with two or more flips; int32, not an
+            # int64 copy, holds it: it is at most slots + 2 * connections
+            least = np.add.reduceat(change, runs, dtype=np.int32).min()
         least = solo_change[alone > 0].min(initial=least)  # or of a trial with one flip
         if busy < n:  # a trial without flips keeps the base defect
             least = min(least, 0)
@@ -369,11 +386,12 @@ def _dense_kernel(
     d strided row adds, and connections compare rows ``left`` and ``right``
     in blocks of at most ``slots`` connections.  Its cost grows with trials
     * (slots + connections), whatever the flip count.  Its largest arrays
-    are three uint8 buffers of slots * width bytes (``simulate_model``
-    bounds them), made once per run and reused by every chunk, and a
-    block's 2^20 bytes of table offsets; every other array it makes is no
-    larger, beside the counts, 8 bytes per context or connection.  ``count``
-    has the signature and results of ``_sparse_kernel``'s.
+    are three uint8 buffers of slots * width bytes, at most DENSE_TABLE
+    each beside the pad (``_chunk_rows`` caps ``rows``), made once per run
+    and reused by every chunk, and a block's 2^20 bytes of table offsets;
+    every other array it makes is no larger, beside the counts, 8 bytes per
+    context or connection.  ``count`` has the signature and results of
+    ``_sparse_kernel``'s.
     """
     import numpy as np
 
@@ -438,11 +456,19 @@ def _chunk_rows(flip_rate: float, slots: int, connections: int) -> int:
     connection.  So a chunk takes about max(SPARSE_WORK, slots +
     connections) of that expected work, which keeps the per-chunk cost paid
     back and bounds a chunk's memory at any rate; and at most 2^30
-    trial-slots, so that the sparse kernel's int32 offsets hold.
+    trial-slots, so that the sparse kernel's int32 offsets hold.  Where
+    ``_dense_wins``, a chunk also takes at most DENSE_TABLE // slots trials
+    (one at least), so the dense kernel's 0/1 table holds at most
+    DENSE_TABLE bytes beside its pad: at r = 0.1 and just past the switch,
+    where the work budget alone would make it 2.3-2.4x and 9-12x larger on
+    the benchmark sets, a call's three tables of 256 KiB then fit in a 2 MiB
+    L2 cache.
     """
     work = flip_rate * slots + flip_rate**2 * connections
     budget = max(SPARSE_WORK, slots + connections)
     most = max(1, (1 << 30) // slots)
+    if _dense_wins(flip_rate, slots, connections):
+        most = min(most, max(1, DENSE_TABLE // slots))
     return most if work * most <= budget else max(1, int(budget / work))
 
 
@@ -474,13 +500,13 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     sparse with a 1.4x margin and r = 0.1 dense with a 3.8x one; a set with
     many connections per slot, such as a fan of 1000 triads on one ray,
     stays sparse at every rate.  Memory per chunk is bounded either way.
-    The dense kernel runs only from 1/DENSE_FLIPS expected flips per slot
-    plus connection, so its chunk holds at most DENSE_FLIPS *
-    max(SPARSE_WORK, slots) trial-slots (4.5 Mi on the four sets), and no
-    array it makes, beside its counts, holds more than that plus 8 * slots
-    bytes, its pad to whole words.  The
-    sparse kernel's arrays hold a few entries per expected flip and pair,
-    beside per-slot and per-connection counts.  Both kernels give the same
+    A dense chunk holds at most max(DENSE_TABLE, slots) trial-slots
+    (``_chunk_rows``), and no array the dense kernel makes, beside its
+    counts, holds more than that plus 8 * slots bytes, its pad to whole
+    words: one call peaks at about 1.1 MiB traced just past the switch and
+    1.6 MiB at r = 0.1 on the four sets.  The sparse kernel's arrays hold a
+    few entries per expected flip and pair, beside per-slot and
+    per-connection counts.  Both kernels give the same
     counters from the same flips, so the kernel changes no counter.
     A set without contexts has no slots: nothing is drawn, and every counter
     and the per-trial minimum are 0.

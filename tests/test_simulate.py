@@ -83,6 +83,16 @@ def test_seed_must_be_a_64_bit_integer(triad):
         assert (summary.seed, summary.trials) == (seed, 10)
 
 
+def test_numpy_seed_is_kept_as_a_python_int(cabello18):
+    # a numpy.uint64 seed used to reach SimSummary as given, and json.dumps refused it
+    base = default_base(cabello18)
+    model = TrialModel(cabello18, base, 0.01, np.uint64(5))
+    summary = simulate_model(model, 1000)
+    assert type(model.seed) is type(summary.seed) is int
+    assert json.loads(json.dumps(list(summary)))[0] == 5
+    assert summary == simulate_model(TrialModel(cabello18, base, 0.01, 5), 1000)
+
+
 def test_bool_seed_is_refused(cabello18):
     # True is an int that check_integer refuses: it would run seed 1's stream
     with pytest.raises(ValueError, match=re.escape("seed must be an integer, got True")):
@@ -490,26 +500,48 @@ def test_kernel_rule_is_sparse_at_r_star_and_dense_at_0_1(catalog_sets):
     assert not sim._dense_wins(1.0, 3 * 1000, 1000 * 999 // 2)
 
 
+def least_dense_rate(slots, n_conn):
+    """The least rate at which the dense kernel runs, up to float rounding."""
+    switch = (slots + n_conn) / (slots * sim.DENSE_FLIPS)
+    while not sim._dense_wins(switch, slots, n_conn):  # rounded below it
+        switch = math.nextafter(switch, 1)
+    return switch
+
+
 def test_dense_tables_stay_within_their_bound(catalog_sets):
-    # the dense kernel runs from 1 / DENSE_FLIPS flips per slot plus
-    # connection, so _chunk_rows' one rule keeps its table, slots * width
-    # bytes with rows padded to whole words, within DENSE_FLIPS *
-    # max(SPARSE_WORK, slots) + 8 * slots bytes at every rate it runs at
+    # _chunk_rows caps a dense chunk at DENSE_TABLE // slots trials, so the
+    # dense table, slots * width bytes with rows padded to whole words, stays
+    # within DENSE_TABLE + 8 * slots bytes at every rate the kernel runs at
     peres = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "peres57.py"))
     sets = [*catalog_sets, kb.parse_document(peres["peres57_document"]()).ks_set]
     for ks in sets:
         slots = len(ks.contexts) * ks.dimension
         n_conn = build_stats(ks).m_all_pairs
-        bound = sim.DENSE_FLIPS * max(sim.SPARSE_WORK, slots) + 8 * slots
-        switch = (slots + n_conn) / (slots * sim.DENSE_FLIPS)  # the least dense rate
-        while not sim._dense_wins(switch, slots, n_conn):  # rounded below it
-            switch = math.nextafter(switch, 1)
+        bound = sim.DENSE_TABLE + 8 * slots
+        switch = least_dense_rate(slots, n_conn)
         for rate in [*np.geomspace(switch, 1, 50).tolist(), 0.1]:
             assert sim._dense_wins(rate, slots, n_conn), (ks.name, rate)
             rows = sim._chunk_rows(rate, slots, n_conn)
             table = slots * -(-rows // 8) * 8
             assert table <= bound, (ks.name, rate)
         assert table < 1 << 20, ks.name  # at r = 0.1
+
+
+def test_dense_calls_peak_under_2_mib(kp36):
+    # one call of 4 * 10^6 trial-slots, as in a benchmark op: chunks sized by
+    # their flips alone peaked at 9.6 MiB traced just past the switch and
+    # 3.5 MiB at r = 0.1; capped tables peak at about 1.1 and 1.6 MiB
+    slots = len(kp36.contexts) * kp36.dimension
+    base = default_base(kp36)
+    for rate in (least_dense_rate(slots, build_stats(kp36).m_all_pairs), 0.1):
+        model = TrialModel(kp36, base, rate, seed=0)
+        tracemalloc.start()
+        try:
+            simulate_model(model, 4_000_000 // slots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, rate
 
 
 def test_zero_rate_repeats_the_base_defect(kp36, monkeypatch):
