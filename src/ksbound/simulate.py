@@ -304,7 +304,7 @@ def _sparse_kernel(
         start = start[:-1]
         return per_slot, np.count_nonzero(start), ts, slot.take(shared), np.flatnonzero(start[shared])
 
-    def shared_contexts(key: np.ndarray, ss: np.ndarray, change: np.ndarray) -> np.ndarray:
+    def shared_contexts(key: np.ndarray, ss: np.ndarray, change: np.ndarray) -> np.ndarray | int:
         """Per context, the errors of each (trial, context) with two or more
         shared flips less those flips' solo ones, each such group's
         correction also added to ``change`` at its first flip.  ``key`` is
@@ -330,9 +330,11 @@ def _sparse_kernel(
         conn_mismatches = per_slot.take(left)
         conn_mismatches += per_slot.take(right)
         if len(ss):
-            ss = ss.astype(np.intp)  # once: numpy would copy int32 indices at each use
+            # once, after split has freed its per-flip arrays: numpy would
+            # copy int32 indices to intp at each use below
+            ss = ss.astype(np.intp)
             alone = per_slot - np.bincount(ss, minlength=slots)
-            change = solo_change.take(ss)  # each shared flip's, corrected below
+            change = solo_change.take(ss)  # each shared flip's solo change, corrected below
 
             # contexts with two or more flips in one trial, fixed at the first;
             # the key is trial * n_ctx + context, int32 as ts, sorted because q is
@@ -457,12 +459,11 @@ def _chunk_rows(flip_rate: float, slots: int, connections: int) -> int:
     connections) of that expected work, which keeps the per-chunk cost paid
     back and bounds a chunk's memory at any rate; and at most 2^30
     trial-slots, so that the sparse kernel's int32 offsets hold.  Where
-    ``_dense_wins``, a chunk also takes at most DENSE_TABLE // slots trials
-    (one at least), so the dense kernel's 0/1 table holds at most
-    DENSE_TABLE bytes beside its pad: at r = 0.1 and just past the switch,
-    where the work budget alone would make it 2.3-2.4x and 9-12x larger on
-    the benchmark sets, a call's three tables of 256 KiB then fit in a 2 MiB
-    L2 cache.
+    ``_dense_wins``, a chunk also takes at most DENSE_TABLE // slots trials,
+    and one at least, so the dense kernel's 0/1 table holds at most
+    DENSE_TABLE bytes beside its pad.  At r = 0.1 and just past the switch
+    the work budget alone made it 2.3-2.4x and 9-12x larger on the
+    benchmark sets; capped, a call's three tables fit in a 2 MiB L2 cache.
     """
     work = flip_rate * slots + flip_rate**2 * connections
     budget = max(SPARSE_WORK, slots + connections)
@@ -501,13 +502,14 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     many connections per slot, such as a fan of 1000 triads on one ray,
     stays sparse at every rate.  Memory per chunk is bounded either way.
     A dense chunk holds at most max(DENSE_TABLE, slots) trial-slots
-    (``_chunk_rows``), and no array the dense kernel makes, beside its
-    counts, holds more than that plus 8 * slots bytes, its pad to whole
-    words: one call peaks at about 1.1 MiB traced just past the switch and
-    1.6 MiB at r = 0.1 on the four sets.  The sparse kernel's arrays hold a
-    few entries per expected flip and pair, beside per-slot and
-    per-connection counts.  Both kernels give the same
-    counters from the same flips, so the kernel changes no counter.
+    (``_chunk_rows``), so each of the dense kernel's three 0/1 tables holds
+    at most that plus 8 * slots bytes, its pad to whole words, and its flip
+    offsets at most 2^20 bytes a block (``_dense_kernel``): one call of
+    4 * 10^6 trial-slots peaks at about 1.1 MiB traced just past the switch
+    and 1.6 MiB at r = 0.1 on the four sets.  The sparse kernel's arrays
+    hold a few entries per expected flip and pair, beside per-slot and
+    per-connection counts.  Both kernels give the same counters from the
+    same flips, so the kernel changes no counter.
     A set without contexts has no slots: nothing is drawn, and every counter
     and the per-trial minimum are 0.
     The counters are exact integers and reproducible from (seed, trials)
