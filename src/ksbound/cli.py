@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
 from .bounds import (
-    check_rate,
     critical_rate,
     delta_lower_bound,
     exact_rate,
@@ -250,13 +249,13 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     # from starting OpenBLAS's worker pool: about 70 ms of a ~280 ms child (2 cores)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     check_trials(args.trials, "--trials")
-    check_rate(args.r, "--r")
+    r = _reported(exact_rate(args.r, "--r"), "--r")
     check_seed(args.seed, "--seed")
     ks = _load_set(args.set)
     report = min_defect(ks)
     colorable = report.d_min == 0
     base = default_base(ks, report)
-    model = TrialModel(ks_set=ks, base=base, flip_rate=args.r, seed=args.seed)
+    model = TrialModel(ks_set=ks, base=base, flip_rate=r, seed=args.seed)
     summary = simulate_model(model, args.trials)
     delta_max = max(summary.delta_hat, default=0.0)
     epsilon_max = max(summary.epsilon_hat, default=0.0)
@@ -287,7 +286,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     }
     kind = "a satisfying coloring" if colorable else "a minimum-defect witness"
     text = [
-        f"set {ks.name}: {args.trials} trials, r={args.r}, seed={args.seed}",
+        f"set {ks.name}: {args.trials} trials, r={r}, seed={args.seed}",
         f"base assignment: {kind}",
         f"mean total defect   {summary.mean_total_defect:.6f}",
         f"min per-trial defect {summary.min_trial_defect}",
@@ -364,7 +363,7 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, default=None, help="dimension")
 
     p = add("simulate", "seeded Monte Carlo run of the independent-error model", _cmd_simulate)
-    p.add_argument("--r", type=float, required=True, help="independent flip rate")
+    p.add_argument("--r", required=True, help="independent flip rate, read as bounds --delta")
     p.add_argument("--trials", type=int, default=100_000, help="number of trials")
     p.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
 

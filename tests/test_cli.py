@@ -1,4 +1,5 @@
 """CLI behavior: commands, exit codes, diagnostics, JSON determinism."""
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -27,7 +28,7 @@ from ksbound import (
     parse_document,
     serialize_set,
 )
-from ksbound.cli import main, run
+from ksbound.cli import build_parser, main, run
 
 GOOD = """\
 ksset 1
@@ -551,6 +552,51 @@ def test_simulate_rejects_bad_rate(capsys):
     assert "--r must lie in [0, 1]" in capsys.readouterr().err
     assert main(["simulate", "catalog:cabello18", "--r", "0.1", "--trials", "0"]) == 1
     assert "--trials must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1e-400", "--r is too small for a float"),
+    ("2e-324", "--r is too small for a float"),  # under half the least subnormal
+    ("1e-99999", "--r takes an exponent of at most 4 digits, got 1e-99999"),
+    ("abc", "--r must lie in [0, 1], got abc"),
+    ("1/0", "--r must lie in [0, 1], got 1/0"),
+], ids=["below-float-range", "rounds-to-0", "long-exponent", "not-a-number", "ratio-over-0"])
+def test_simulate_refuses_a_rate_as_bounds_does(value, message, capsys):
+    # --r is read exactly, as bounds reads --delta, and refused through main's
+    # one error path: no usage line, nothing on stdout, and never a run at r = 0
+    for extra in ([], ["--json"]):
+        assert main(["simulate", "catalog:cabello18", f"--r={value}", *extra]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_simulate_reads_a_rate_once_to_the_nearest_float(capsys):
+    # a ratio gives the bytes of its float's decimal, and -0 reads as 0
+    argv = ["simulate", "catalog:cabello18", "--trials", "2000", "--seed", "7"]
+    for extra in ([], ["--json"]):
+        outs = []
+        for value in ("1/72", "0.013888888888888888"):
+            assert main([*argv, "--r", value, *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+    assert outs[0].count('\n  "r": 0.013888888888888888,\n') == 1
+    assert main([*argv, "--r=-0"]) == 0
+    assert capsys.readouterr().out.startswith("set cabello18: 2000 trials, r=0.0, seed=7\n")
+    assert main([*argv, "--r=-0", "--json"]) == 0
+    assert capsys.readouterr().out.count('\n  "r": 0.0,\n') == 1
+
+
+def test_no_flag_is_read_as_a_float():
+    # a rate flag is read exactly by exact_rate and checked by the library;
+    # argparse's float would round it first and refuse it with its own usage error
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    floats = [
+        (name, action.dest)
+        for name, sub in [("ksbound", parser), *commands.choices.items()]
+        for action in sub._actions
+        if action.type is float
+    ]
+    assert floats == []
 
 
 def test_simulate_rejects_bad_seed(capsys):
