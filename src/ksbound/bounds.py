@@ -89,10 +89,11 @@ def critical_rate(N: int, M: int, d: int) -> CriticalRate:
     """Smallest r > 0 with g(r) = 1, by bisection on [0, 1/2] to 1e-12.
 
     g(0) = 0 and g is strictly increasing at the scales of interest, so the
-    root is the largest rate that still certifies a contradiction.  floor4
-    truncates to 4 decimals for comparison against published tables (the
-    rate is a supremum, so truncation, not rounding, is the faithful
-    reduction).  Raises if g never reaches 1 on the bracket.
+    root is the largest rate that still certifies a contradiction.  The
+    bracket always holds it: g(1/2) = M/2 + N(1 - d/2^d) >= 9/8 for every
+    N, M >= 1 and d >= 3.  floor4 truncates to 4 decimals for comparison
+    against published tables (the rate is a supremum, so truncation, not
+    rounding, is the faithful reduction).
 
     The stopping width is absolute: every call makes exactly 39 halvings and
     ends at a width of 2^-40 (about 9.09e-13), so ``r`` is accurate only to
@@ -104,8 +105,6 @@ def critical_rate(N: int, M: int, d: int) -> CriticalRate:
         raise ValueError("N and M must be >= 1")
     check_dimension(d)
     lo, hi = 0.0, _BRACKET_HIGH
-    if independent_error_lhs(hi, N, M, d) < 1:
-        raise ValueError(f"no crossing: g({hi}) < 1 for N={N}, M={M}, d={d}")
     iterations = 0
     while hi - lo > BISECTION_TOLERANCE:
         mid = 0.5 * (lo + hi)
