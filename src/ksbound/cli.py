@@ -380,8 +380,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # a rejected input raises ValueError (a ParseError is one; so are a set
     # with no connections, which has no delta floor, and a simulate run past
     # int64 positions) or OverflowError (a count past float range meets a
-    # float rate, or a bounds value that no float carries); an internal fault
-    # is an AssertionError and keeps its traceback
+    # float rate, or a rate or bounds value that no float carries); an
+    # internal fault is an AssertionError and keeps its traceback
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -221,8 +221,8 @@ def test_critical_rate_preconditions():
 def test_bisection_bracket_always_holds_the_crossing(N, M):
     # critical_rate bisects [0, 1/2] without checking that g crosses 1 there:
     # g(1/2) = M/2 + N(1 - d/2^d) >= 1/2 + 5/8 for every N, M >= 1 and d >= 3
+    half = Fraction(1, 2)
     for d in range(3, 65):
-        half = Fraction(1, 2)
         assert g_exact(half, N, M, d) == M * half + N * (1 - Fraction(d, 2**d))
         assert independent_error_lhs(0.5, N, M, d) >= 9 / 8, d
 
