@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .model import check_dimension
+from .model import check_dimension, check_integer
 
 Number = Union[int, float, Fraction]
 
@@ -28,8 +28,7 @@ def inequality_margin(M: int, N: int, delta: Number, epsilon: Number) -> Number:
     margin, floats give a float whose sign agrees bit-for-bit with
     ``independent_error_lhs`` when the rates come from the analytic model.
     """
-    if M < 0 or N < 0:
-        raise ValueError("M and N must be non-negative")
+    M, N = check_integer(M, "M", 0), check_integer(N, "N", 0)
     return 1 - (M * delta + N * epsilon)
 
 
@@ -41,8 +40,7 @@ def delta_lower_bound(N: int, M: int, epsilon: Number) -> Fraction:
     (epsilon = 0 gives exactly 1/M), and for a float epsilon the exact
     quotient of the float difference 1 - N*epsilon by M.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    N, M = check_integer(N, "N", 0), check_integer(M, "M", 1)
     return Fraction(max(0, 1 - N * epsilon)) / M
 
 
@@ -101,8 +99,7 @@ def critical_rate(N: int, M: int, d: int) -> CriticalRate:
     M = 1, d = 3 the root is near 3.3e-24, but ``r`` is 2^-41 (4.55e-13).
     ``floor4`` is still right.  ROADMAP.md item 2 plans the fix.
     """
-    if N < 1 or M < 1:
-        raise ValueError("N and M must be >= 1")
+    N, M = check_integer(N, "N", 1), check_integer(M, "M", 1)
     check_dimension(d)
     lo, hi = 0.0, _BRACKET_HIGH
     iterations = 0
@@ -150,25 +147,10 @@ def table_report() -> tuple[tuple[TableRow, CriticalRate], ...]:
     return tuple((row, critical_rate(row.N, row.M, row.d)) for row in TABLE_ROWS)
 
 
-def check_rate(r: Number, name: str = "rate") -> None:
-    """Raise ValueError unless 0 <= r <= 1; a nan fails, as every comparison
-    with it does.  ``name`` is what the message calls the value, such as a
-    command-line flag."""
+def check_rate(r: Number, name: str = "rate") -> Number:
+    """Return r; raise ValueError unless 0 <= r <= 1.  A nan fails, as every
+    comparison with it does.  ``name`` is what the message calls the value,
+    such as a command-line flag."""
     if not 0 <= r <= 1:
         raise ValueError(f"{name} must lie in [0, 1], got {r}")
-
-
-def exact_rate(text: str, name: str) -> Fraction:
-    """The rate a string names, as the exact Fraction: a decimal such as
-    ``0.026`` or ``1e-3``, or a ratio such as ``1/72``.  Anything that is not
-    a number in [0, 1], ``nan``, ``inf`` and ``1/0`` among them, raises
-    ValueError; ``name`` is what the message calls the value."""
-    # Fraction writes out 10**|exponent| before any check can run
-    if len(text.lower().partition("e")[2].strip().lstrip("+-0")) > 4:
-        raise ValueError(f"{name} takes an exponent of at most 4 digits, got {text}")
-    try:
-        rate = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{name} must lie in [0, 1], got {text}") from None
-    check_rate(rate, name)
-    return rate
+    return r

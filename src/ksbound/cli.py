@@ -15,6 +15,13 @@ cannot carry), and :func:`main` alone prints it as
 checks, given the flag's name.  An internal fault is an ``AssertionError``
 and ends in a traceback.
 
+Every numeric flag, a rate or a count, is read by one reader,
+:func:`_flag`, in one grammar: a decimal such as ``0.026`` or ``1e3``, or a
+ratio such as ``1/72``, as the exact number it names.  A count (``--N``,
+``--M``, ``--d``, ``--trials``, ``--seed``) must name an integer, so
+``--trials 1e3`` reads 1000 and ``--N 1.5`` is refused.  A refused value is
+named as typed: ``error: --N must be an integer, got 1.5``.
+
 :func:`main` is the library entry and leaves the garbage collector alone.
 :func:`run` is the process entry (``python -m ksbound`` and the installed
 ``ksbound`` command): it freezes the collector's view of the heap before and
@@ -31,15 +38,9 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NoReturn, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
-from .bounds import (
-    critical_rate,
-    delta_lower_bound,
-    exact_rate,
-    inequality_margin,
-    table_report,
-)
+from .bounds import check_rate, critical_rate, delta_lower_bound, inequality_margin, table_report
 from .coloring import find_coloring, min_defect
 from .format import ParseError, catalog_text, parse_document
 from .model import KsSet, build_stats, check_dimension, check_integer
@@ -70,6 +71,38 @@ def _load_set(source: str) -> KsSet:
         return parse_document(text).ks_set
     except ParseError as exc:
         raise ValueError(f"{source}:{exc.line}: {exc.message}") from exc
+
+
+def _flag(text: str, name: str, check: Callable[..., Any], *least: int) -> Any:
+    """The value of a numeric flag, as the library's ``check`` returns it
+    given the flag's name (and ``least``, for ``check_integer``).
+
+    The text is read as the exact number it names: a decimal such as
+    ``0.026``, one with an exponent of at most 4 digits such as ``1e-3``, or
+    a ratio such as ``1/72``; every spelling ``int()`` takes reads as it
+    does.  An integer reads as an int, so ``1e3``, ``1000.0`` and ``2000/2``
+    all read 1000, and any other number as a Fraction, which the integer
+    checks refuse.  Text that names no number, ``nan``, ``inf`` and ``1/0``
+    among them, reads as nan, which every check refuses.  A refused value's
+    message ends in the text as typed.
+    """
+    # Fraction writes out 10**|exponent| before any check can run
+    if len(text.lower().partition("e")[2].strip().lstrip("+-0")) > 4:
+        raise ValueError(f"{name} takes an exponent of at most 4 digits, got {text}")
+    try:
+        number = Fraction(text)
+        value = number.numerator if number.denominator == 1 else number
+    except (ValueError, ZeroDivisionError):
+        value = float("nan")
+    try:
+        return check(value, name, *least)
+    except ValueError as exc:
+        # every check's message ends in "got <value>"; a value past Python's
+        # int string limit fails the message itself, which is raised as it is
+        rule, got, _ = str(exc).rpartition(" got ")
+        if not got:
+            raise
+        raise ValueError(f"{rule} got {text}") from None
 
 
 # Each handler returns (exit code, JSON document, text lines) and does no I/O;
@@ -166,7 +199,7 @@ def _cmd_defect(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     return 0, doc, text
 
 
-def _reported(value: Fraction, name: str) -> float:
+def _reported(value: Fraction | int, name: str) -> float:
     # the correctly rounded float of an exact value; float() refuses one past
     # float range with OverflowError, and a nonzero value that rounds to 0 is
     # refused the same way
@@ -177,8 +210,8 @@ def _reported(value: Fraction, name: str) -> float:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
-    delta = exact_rate(args.delta, "--delta")
-    epsilon = exact_rate(args.epsilon, "--epsilon")
+    delta = _flag(args.delta, "--delta", check_rate)
+    epsilon = _flag(args.epsilon, "--epsilon", check_rate)
     ks = _load_set(args.set)
     stats = build_stats(ks)
     margin = inequality_margin(stats.M, stats.N, delta, epsilon)
@@ -211,17 +244,17 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 def _cmd_critical_r(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     name: Optional[str] = None
+    n_ctx = None if args.N is None else _flag(args.N, "--N", check_integer, 1)
+    m_conn = None if args.M is None else _flag(args.M, "--M", check_integer, 1)
+    dim = None if args.d is None else _flag(args.d, "--d", check_dimension)
     if args.set is not None:
-        if args.N is not None or args.M is not None or args.d is not None:
+        if n_ctx is not None or m_conn is not None or dim is not None:
             raise ValueError("give either a set or explicit --N/--M/--d, not both")
         ks = _load_set(args.set)
         stats = build_stats(ks)
         name, n_ctx, m_conn, dim = ks.name, stats.N, stats.M, ks.dimension
-    else:
-        if args.N is None or args.M is None or args.d is None:
-            raise ValueError("critical-r needs a set or all of --N, --M, --d")
-        n_ctx, m_conn, dim = check_integer(args.N, "--N", 1), check_integer(args.M, "--M", 1), args.d
-        check_dimension(dim, "--d")
+    elif n_ctx is None or m_conn is None or dim is None:
+        raise ValueError("critical-r needs a set or all of --N, --M, --d")
     rate = critical_rate(n_ctx, m_conn, dim)
     doc = {
         "set": name,
@@ -248,15 +281,15 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     # ksbound calls no BLAS routine, and one thread keeps numpy's first import
     # from starting OpenBLAS's worker pool: about 70 ms of a ~280 ms child (2 cores)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    check_trials(args.trials, "--trials")
-    r = _reported(exact_rate(args.r, "--r"), "--r")
-    check_seed(args.seed, "--seed")
+    trials = _flag(args.trials, "--trials", check_trials)
+    r = _reported(_flag(args.r, "--r", check_rate), "--r")
+    seed = _flag(args.seed, "--seed", check_seed)
     ks = _load_set(args.set)
     report = min_defect(ks)
     colorable = report.d_min == 0
     base = default_base(ks, report)
-    model = TrialModel(ks_set=ks, base=base, flip_rate=r, seed=args.seed)
-    summary = simulate_model(model, args.trials)
+    model = TrialModel(ks_set=ks, base=base, flip_rate=r, seed=seed)
+    summary = simulate_model(model, trials)
     delta_max = max(summary.delta_hat, default=0.0)
     epsilon_max = max(summary.epsilon_hat, default=0.0)
     inequality = None
@@ -286,7 +319,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     }
     kind = "a satisfying coloring" if colorable else "a minimum-defect witness"
     text = [
-        f"set {ks.name}: {args.trials} trials, r={r}, seed={args.seed}",
+        f"set {ks.name}: {trials} trials, r={r}, seed={seed}",
         f"base assignment: {kind}",
         f"mean total defect   {summary.mean_total_defect:.6f}",
         f"min per-trial defect {summary.min_trial_defect}",
@@ -358,14 +391,14 @@ def build_parser() -> _Parser:
     p = add(
         "critical-r", "largest flip rate still forcing a contradiction", _cmd_critical_r, nargs="?"
     )
-    p.add_argument("--N", type=int, default=None, help="context count")
-    p.add_argument("--M", type=int, default=None, help="connection count")
-    p.add_argument("--d", type=int, default=None, help="dimension")
+    p.add_argument("--N", help="context count: an integer >= 1, such as 9 or 1e3")
+    p.add_argument("--M", help="connection count: an integer >= 1")
+    p.add_argument("--d", help="dimension: an integer >= 3")
 
     p = add("simulate", "seeded Monte Carlo run of the independent-error model", _cmd_simulate)
     p.add_argument("--r", required=True, help="independent flip rate, read as bounds --delta")
-    p.add_argument("--trials", type=int, default=100_000, help="number of trials")
-    p.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
+    p.add_argument("--trials", default="100000", help="number of trials: an integer >= 1, such as 1e5")
+    p.add_argument("--seed", default="0", help="stream seed: an integer in [0, 2^64)")
 
     add(
         "table", "published parameter rows with computed critical rates", _cmd_table, with_set=False

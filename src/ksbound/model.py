@@ -71,11 +71,11 @@ def check_radicand(k: int) -> None:
         raise ValueError(f"radicand {k} is not a square-free positive integer")
 
 
-def check_dimension(d: int, name: str = "dimension") -> None:
-    """Raise ValueError unless d is an integer >= 3, the least dimension with
-    a KS set.  ``name`` is what the message calls the value, such as a
-    command-line flag."""
-    check_integer(d, name, 3)
+def check_dimension(d: int, name: str = "dimension") -> int:
+    """Return d as a Python int; raise ValueError unless it is an integer >=
+    3, the least dimension with a KS set.  ``name`` is what the message calls
+    the value, such as a command-line flag."""
+    return check_integer(d, name, 3)
 
 
 def check_context(ids: Sequence[str], dimension: int, declared: Container[str]) -> None:
@@ -291,9 +291,7 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
         check_dimension(dimension)
         check_radicand(ring_radicand)
         if m_override is not None:
-            check_integer(m_override, "m_override")
-            if m_override < 0:
-                raise ValueError("m_override must be non-negative")
+            check_integer(m_override, "m_override", 0)
         seen: set[str] = set()
         for v in vectors:
             check_vector(v.id, v.components, dimension, seen)

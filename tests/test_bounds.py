@@ -17,7 +17,6 @@ from ksbound import (
     independent_error_lhs,
     inequality_margin,
 )
-from ksbound.bounds import exact_rate
 from ksbound.cli import main
 
 # Independently frozen crossings (exact-rational bisection to 2^-120, see the
@@ -65,8 +64,8 @@ def test_margin_arithmetic():
     m = inequality_margin(96, 40, 0.005, 0.01)
     assert abs(m - 0.12) < 1e-12
     assert m > 0
-    for M, N in ((-1, 40), (96, -1)):
-        with pytest.raises(ValueError, match="M and N must be non-negative"):
+    for M, N, message in ((-1, 40, "M must be >= 0, got -1"), (96, -1, "N must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             inequality_margin(M, N, 0.005, 0.01)
 
 
@@ -95,17 +94,6 @@ def test_delta_bound_requires_connections():
 def test_delta_bound_monotone_in_epsilon():
     values = [delta_lower_bound(9, 18, e) for e in np.linspace(0, 0.2, 50)]
     assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_exact_rate_reads_the_named_rational():
-    for text, value in (("0.026", Fraction(13, 500)), ("1/72", Fraction(1, 72)),
-                        (" 1e-3 ", Fraction(1, 1000)), ("1e-00005", Fraction(1, 10**5)),
-                        ("1", 1), ("0E-4", 0)):
-        rate = exact_rate(text, "--delta")
-        assert rate == value and isinstance(rate, Fraction), text
-    for text in ("nan", "inf", "abc", "1/0", "-0.001", "1.0001", "3/2"):
-        with pytest.raises(ValueError, match=re.escape("--delta must lie in [0, 1], got")):
-            exact_rate(text, "--delta")
 
 
 def test_delta_analytic_values():
@@ -215,6 +203,28 @@ def test_critical_rate_preconditions():
         critical_rate(9, 0, 4)
     with pytest.raises(ValueError, match="dimension must be >= 3, got 2"):
         critical_rate(9, 18, 2)
+
+
+COUNT_CALLS = {
+    "critical_rate N": (lambda x: critical_rate(x, 18, 4), "N", 1),
+    "critical_rate M": (lambda x: critical_rate(9, x, 4), "M", 1),
+    "inequality_margin M": (lambda x: inequality_margin(x, 9, 0, 0), "M", 0),
+    "inequality_margin N": (lambda x: inequality_margin(18, x, 0, 0), "N", 0),
+    "delta_lower_bound N": (lambda x: delta_lower_bound(x, 18, 0), "N", 0),
+    "delta_lower_bound M": (lambda x: delta_lower_bound(9, x, 0), "M", 1),
+}
+
+
+@pytest.mark.parametrize("call, name, least", COUNT_CALLS.values(), ids=list(COUNT_CALLS))
+def test_counts_follow_the_one_integer_rule(call, name, least):
+    # each count is checked by check_integer: a bool or a number that only
+    # equals an integer is refused by name, and a numpy integer is one
+    for value in (True, 9.5, Fraction(3, 2)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+            call(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be >= {least}, got {least - 1}')}$"):
+        call(least - 1)
+    assert call(np.int64(9)) == call(9)
 
 
 @pytest.mark.parametrize("N, M", [(1, 1), (9, 18), (1, 10**300), (10**300, 1), (10**300, 10**300)])

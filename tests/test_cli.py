@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import runpy
 import shlex
 import subprocess
@@ -28,7 +29,9 @@ from ksbound import (
     parse_document,
     serialize_set,
 )
-from ksbound.cli import build_parser, main, run
+from ksbound.bounds import check_rate
+from ksbound.cli import _flag, build_parser, main, run
+from ksbound.model import check_integer
 
 GOOD = """\
 ksset 1
@@ -586,17 +589,109 @@ def test_simulate_reads_a_rate_once_to_the_nearest_float(capsys):
 
 
 def test_no_flag_is_read_as_a_float():
-    # a rate flag is read exactly by exact_rate and checked by the library;
-    # argparse's float would round it first and refuse it with its own usage error
+    # every numeric flag is read exactly by cli._flag and checked by the
+    # library; argparse's float would round a rate first, and its float or
+    # int would refuse a value with its own usage error, so no action sets a type
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    floats = [
-        (name, action.dest)
+    typed = [
+        (name, action.dest, action.type)
         for name, sub in [("ksbound", parser), *commands.choices.items()]
         for action in sub._actions
-        if action.type is float
+        if action.type is not None
     ]
-    assert floats == []
+    assert typed == []
+
+
+def test_flag_reads_the_named_number():
+    # an integer reads as an int, any other number as its exact Fraction
+    for text, value in (("0.026", Fraction(13, 500)), ("1/72", Fraction(1, 72)),
+                        (" 1e-3 ", Fraction(1, 1000)), ("1e-00005", Fraction(1, 10**5)),
+                        ("1", 1), ("0E-4", 0), ("1.0", 1), ("2/2", 1), ("-0", 0)):
+        rate = _flag(text, "--delta", check_rate)
+        assert rate == value and type(rate) is type(value), text
+    for text in ("1e3", "1000.0", "2000/2", "1E+03", "+1000", "01000", "1_000", " 1000 ", "١٠٠٠"):
+        count = _flag(text, "--trials", check_integer, 1)
+        assert count == 1000 and type(count) is int, text
+    for text in ("nan", "inf", "abc", "1/0", "-0.001", "1.0001", "3/2"):
+        message = f"--delta must lie in [0, 1], got {text}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _flag(text, "--delta", check_rate)
+
+
+#: The other arguments of a run that each numeric flag is tried in.
+FLAG_RUNS = {
+    "--delta": ["bounds", "catalog:cabello18"],
+    "--epsilon": ["bounds", "catalog:cabello18"],
+    "--N": ["critical-r", "--M", "18", "--d", "4"],
+    "--M": ["critical-r", "--N", "9", "--d", "4"],
+    "--d": ["critical-r", "--N", "9", "--M", "18"],
+    "--r": ["simulate", "catalog:cabello18", "--trials", "10"],
+    "--trials": ["simulate", "catalog:cabello18", "--r", "0.1"],
+    "--seed": ["simulate", "catalog:cabello18", "--r", "0.1", "--trials", "10"],
+}
+RATE_FLAGS = ("--delta", "--epsilon", "--r")
+#: Each flag's refused values, with the message main prints for each.
+FLAG_ERRORS = {
+    flag: [(value, f"{flag} must lie in [0, 1], got {value}") for value in ("abc", "1/0", "nan")]
+    for flag in RATE_FLAGS
+} | {
+    flag: [(value, f"{flag} must be an integer, got {value}")
+           for value in ("abc", "1/0", "nan", "1.5", "2/3", "1e-1")]
+    for flag in FLAG_RUNS if flag not in RATE_FLAGS
+}
+for flag, value, rule in [
+    ("--r", "1.5", "must lie in [0, 1]"),
+    ("--r", "3/2", "must lie in [0, 1]"),
+    ("--delta", "1.0001", "must lie in [0, 1]"),
+    ("--epsilon", "-1e-4", "must lie in [0, 1]"),
+    ("--seed", "-1", "must lie in [0, 2^64)"),
+    ("--seed", "18446744073709551616", "must lie in [0, 2^64)"),
+    ("--seed", "-1e0", "must lie in [0, 2^64)"),
+    ("--trials", "0", "must be >= 1"),
+    ("--trials", "0.0", "must be >= 1"),
+    ("--N", "0", "must be >= 1"),
+    ("--M", "0/7", "must be >= 1"),
+    ("--d", "2", "must be >= 3"),
+    ("--d", "2e0", "must be >= 3"),
+    ("--seed", "1e99999", "takes an exponent of at most 4 digits"),
+    ("--N", "2e-10000", "takes an exponent of at most 4 digits"),
+]:
+    FLAG_ERRORS[flag].append((value, f"{flag} {rule}, got {value}"))
+
+
+@pytest.mark.parametrize("flag", FLAG_RUNS)
+def test_a_refused_flag_is_named_as_typed(flag, capsys):
+    # one error line from main, exit 1, nothing on stdout and no usage line
+    for value, message in FLAG_ERRORS[flag]:
+        for extra in ([], ["--json"]):
+            assert main([*FLAG_RUNS[flag], f"{flag}={value}", *extra]) == 1, value
+            assert capsys.readouterr() == ("", f"error: {message}\n"), value
+
+
+def test_a_refused_value_too_long_to_print_exits_1(capsys):
+    # a check's message cannot print a number past Python's int string limit
+    # (4300 digits), so main reports that limit as the check raised it
+    limit = "Exceeds the limit ("
+    for flag, value in (("--r", "1e9999"), ("--seed", "1e9999"), ("--N", "1e-9999")):
+        assert main([*FLAG_RUNS[flag], f"{flag}={value}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {limit}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("run, flag, value, plain", [
+    (FLAG_RUNS["--trials"], "--trials", "1e3", "1000"),
+    (FLAG_RUNS["--d"], "--d", "4.0", "4"),
+    (FLAG_RUNS["--seed"], "--seed", "7/1", "7"),
+    (FLAG_RUNS["--N"], "--N", "18/2", "9"),
+], ids=["trials-1e3", "d-4.0", "seed-7/1", "N-18/2"])
+def test_equal_spellings_give_the_same_bytes(run, flag, value, plain, capsys):
+    for extra in ([], ["--json"]):
+        outs = []
+        for text in (value, plain):
+            assert main([*run, flag, text, *extra]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and outs[0].err == ""
 
 
 def test_simulate_rejects_bad_seed(capsys):
@@ -677,7 +772,7 @@ def test_command_searches_the_full_set_once(argv, cabello18, monkeypatch, capsys
 
 
 #: SHA-256 of every (argv, exit code, stdout, stderr) in ``test_cli_outputs_are_pinned``.
-PINNED_CLI = "dd39bc80e0ae9e6ddb61771b99e3fb24e4553083188ffa9d5c206e0ae1726524"
+PINNED_CLI = "44116d89972b3f7ac3079bf9b02e0cf69cb2c50db615f3dee3c2c5b102a6c3f2"
 
 #: The flip rates ``test_cli_outputs_are_pinned`` simulates at; "r*" is the set's critical rate.
 PINNED_RATES = (0.0, 1e-3, "r*", 0.02, 0.1, 0.5, 1.0)

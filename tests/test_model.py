@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ksbound as kb
@@ -111,7 +112,7 @@ def test_set_structural_validation():
         make_set("bad", 3, vs + [("a", (0, 1, 1))], [])
     with pytest.raises(DimensionMismatchError):
         make_set("bad", 3, [("a", (1, 0))], [])
-    with pytest.raises(ValueError, match="m_override must be non-negative"):
+    with pytest.raises(ValueError, match=f"^{re.escape('m_override must be >= 0, got -1')}$"):
         make_set("bad", 3, vs, [], m_override=-1)
     mixed = r"'a' lives in ring sqrt\(2\), set declares sqrt\(1\)"
     with pytest.raises(RingMismatchError, match=mixed):
@@ -123,11 +124,12 @@ def test_set_structural_validation():
 def test_m_override_must_be_an_integer():
     # serialize_set would write "m-override 1.5", which the parser refuses
     vs = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
-    for value in (1.5, 2.0, "3"):
+    for value in (1.5, 2.0, "3", True, 9.5, Fraction(3, 2)):
         with pytest.raises(ValueError, match=re.escape(f"m_override must be an integer, got {value!r}")):
             make_set("bad", 3, vs, [("a", "b", "c")], m_override=value)
     ks = make_set("ok", 3, vs, [("a", "b", "c")], m_override=0)
     assert build_stats(ks).M == 0
+    assert build_stats(make_set("ok", 3, vs, [("a", "b", "c")], m_override=np.int64(7))).M == 7
 
 
 @pytest.mark.parametrize("field, value, message", [
