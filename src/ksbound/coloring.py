@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .model import KsSet, _keys_orthogonal, check_integer
+from .model import KsSet, _keys_orthogonal, check_integer, incidence
 
 
 class Violation(NamedTuple):
@@ -47,7 +47,7 @@ def validate_orthogonality(ks: KsSet) -> ValidationReport:
             Violation("duplicate-ray", f"{u.id!r} and {v.id!r} are the same ray", None, (u.id, v.id))
         )
     seen: dict[frozenset, int] = {}
-    for ci, (ctx, at) in enumerate(zip(ks.contexts, ks._incidence.contexts)):
+    for ci, (ctx, at) in enumerate(zip(ks.contexts, incidence(ks).contexts)):
         key = frozenset(ctx.vector_ids)
         if key in seen:
             violations.append(
@@ -94,7 +94,7 @@ def find_coloring(ks: KsSet) -> ColoringResult:
     unsatisfiability certificates reproducible.  Rays and contexts are read
     by position off the set's :class:`~ksbound.model.Incidence`.
     """
-    ctxs = ks._incidence.contexts
+    ctxs = incidence(ks).contexts
     val: list[Optional[int]] = [None] * len(ks.vectors)
     decided = [False] * len(ctxs)
     # (context, its free rays when taken, zero options left to try)
@@ -174,7 +174,7 @@ def assignment_defect(ks: KsSet, slots: Sequence[int]) -> tuple[int, int]:
         check_integer(x, "slot value")
     sum_defects = sum(sum(slots[s : s + d]) != d - 1 for s in range(0, size, d))
     connection_defects = 0
-    for at in ks._incidence.slots:
+    for at in incidence(ks).slots:
         ones = sum(slots[s] for s in at)
         connection_defects += ones * (len(at) - ones)
     return sum_defects, connection_defects

@@ -66,14 +66,16 @@ class SetDocument(NamedTuple):
 
 
 def _parse_rational(token: str) -> Fraction:
+    """The rational a ``p`` or ``p/q`` token names, read by ``Fraction`` once
+    the token has that shape (``Fraction`` alone would take ``1.5``, ``1e3``
+    and ``1_0`` too).  ``q = 0`` and a digit string past Python's int limit
+    (4300 digits) raise ValueError, the latter with ``int()``'s message."""
     if not _RATIONAL.match(token):
         raise ValueError(f"malformed rational {token!r}")
-    if "/" in token:
-        p, q = map(int, token.split("/"))  # int() refuses a digit string over its limit
-        if q == 0:
-            raise ValueError(f"zero denominator in {token!r}")
-        return Fraction(p, q)
-    return Fraction(int(token))
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 def _parse_component(token: str, radicand: int) -> ExactScalar:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from operator import index, mul
 from typing import Container, Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
@@ -122,11 +122,7 @@ class ExactScalar(namedtuple("ExactScalar", "rational surd radicand")):
     __slots__ = ()
 
     def __new__(cls, rational: Rational, surd: Rational = 0, radicand: int = 1) -> ExactScalar:
-        # wrap only what is not already a Fraction (a subclass is converted)
-        if type(rational) is not Fraction:
-            rational = _exact(rational)
-        if type(surd) is not Fraction:
-            surd = _exact(surd)
+        rational, surd = _exact(rational), _exact(surd)
         check_radicand(radicand)
         if radicand == 1 and surd != 0:
             raise ValueError("surd part must be zero when the radicand is 1")
@@ -247,8 +243,9 @@ class Context(namedtuple("Context", "vector_ids")):
 
 
 class Incidence(NamedTuple):
-    """Which rays sit in which contexts, by position: built from the ids once
-    per set, on first use (``KsSet._incidence``), and read by every engine.
+    """Which rays sit in which contexts, by position: built from a set's ids
+    by :func:`incidence` on each call, for every engine and the tests'
+    oracles.
 
     ``contexts`` gives each context's rays by position; ``slots`` gives
     each ray's slots in context order, empty for a ray in no context.  Slot
@@ -276,8 +273,12 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
     given, is at least 0, the value an ``m-override`` line can hold.  It, the
     dimension and the radicand must be integers and not bools
     (:func:`check_integer`), so that the set writes out as a file that parses
-    back.  ``_replace`` skips the constructor's checks.
+    back.  ``_replace`` skips the constructor's checks.  A plain value like
+    the other records: the fields are its whole state, and what derives
+    from them, such as its :func:`incidence`, is built on each call.
     """
+
+    __slots__ = ()
 
     def __new__(
         cls,
@@ -305,21 +306,15 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
             check_context(ctx.vector_ids, dimension, seen)
         return super().__new__(cls, name, dimension, ring_radicand, vectors, contexts, m_override)
 
-    def __setattr__(self, name: str, value: object) -> NoReturn:
-        raise AttributeError(f"cannot set {name!r}: a KsSet is immutable")
 
-    def __getstate__(self) -> None:
-        # the fields are the whole state; the derived record is rebuilt on first use
-        return None
-
-    @cached_property  # in the instance dict, outside the fields: a _replace builds its own
-    def _incidence(self) -> Incidence:
-        index = {v.id: i for i, v in enumerate(self.vectors)}
-        contexts = tuple(tuple(map(index.__getitem__, ctx.vector_ids)) for ctx in self.contexts)
-        slots: list[list[int]] = [[] for _ in self.vectors]
-        for s, vi in enumerate(chain.from_iterable(contexts)):  # c*d + p: each context holds d
-            slots[vi].append(s)
-        return Incidence(contexts, tuple(map(tuple, slots)))
+def incidence(ks: KsSet) -> Incidence:
+    """The set's :class:`Incidence`, by one walk over its contexts' ids."""
+    index = {v.id: i for i, v in enumerate(ks.vectors)}
+    contexts = tuple(tuple(map(index.__getitem__, ctx.vector_ids)) for ctx in ks.contexts)
+    slots: list[list[int]] = [[] for _ in ks.vectors]
+    for s, vi in enumerate(chain.from_iterable(contexts)):  # c*d + p: each context holds d
+        slots[vi].append(s)
+    return Incidence(contexts, tuple(map(tuple, slots)))
 
 
 class SetStats(NamedTuple):
@@ -406,7 +401,7 @@ def build_stats(ks: KsSet) -> SetStats:
     Sum_v C(k_v, 2); an m_override on the set replaces the reported M but
     not ``m_all_pairs``.
     """
-    mult = {v.id: len(at) for v, at in zip(ks.vectors, ks._incidence.slots)}
+    mult = {v.id: len(at) for v, at in zip(ks.vectors, incidence(ks).slots)}
     m_all_pairs = sum(math.comb(k, 2) for k in mult.values())
     return SetStats(
         n=len(ks.vectors),

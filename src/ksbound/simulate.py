@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optio
 
 from .bounds import check_rate
 from .coloring import DefectReport, min_defect
-from .model import KsSet, check_integer
+from .model import KsSet, check_integer, incidence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -219,7 +219,7 @@ def _slot_layout(model: TrialModel) -> tuple[np.ndarray, ...]:
     base, rank, root, to_conn = [0] * slots, [0] * slots, [0] * slots, [0] * slots
     left: list[int] = []
     right: list[int] = []
-    for v, at in zip(ks.vectors, ks._incidence.slots):
+    for v, at in zip(ks.vectors, incidence(ks).slots):
         x = model.base[v.id]
         for i, s in enumerate(at):
             base[s], rank[s], root[s], to_conn[s] = x, i, at[0], len(left) - i - 1
@@ -561,5 +561,5 @@ def default_base(ks: KsSet, report: Optional[DefectReport] = None) -> dict[str, 
         report = min_defect(ks)
     return {
         v.id: report.witness[at[-1]] if at else 1
-        for v, at in zip(ks.vectors, ks._incidence.slots)
+        for v, at in zip(ks.vectors, incidence(ks).slots)
     }

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ksbound as kb
+from ksbound.model import incidence
 
 BRUTE_FORCE_LIMIT = 25
 
@@ -50,7 +51,7 @@ def brute_force_coloring(ks):
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"set too large for 2^n enumeration (n={n} > {BRUTE_FORCE_LIMIT})")
     d = ks.dimension
-    ctxs = ks._incidence.contexts
+    ctxs = incidence(ks).contexts
     masks = np.array([sum(1 << vi for vi in ctx) for ctx in ctxs], dtype=np.uint64)
     want = np.uint64(d - 1)
     total = 1 << n

@@ -16,6 +16,7 @@ from ksbound import (
     min_defect,
     validate_orthogonality,
 )
+from ksbound.model import incidence
 
 
 def subset(ks, indices, name="sub"):
@@ -264,13 +265,13 @@ def test_min_defect_witness_is_total(cabello18):
     "name", ["cabello18", "kernaghan20", "kp36", "fan50", "cabello18x2", "loose_ray"]
 )
 def test_min_defect_witness_follows_the_incidence_numbering(name, request):
-    # the witness holds slot c*d + p at that index, as ks._incidence numbers
+    # the witness holds slot c*d + p at that index, as incidence(ks) numbers
     # slots: all of a ray's slots hold one value, the one default_base reads
     ks = request.getfixturevalue(name)
     rep = min_defect(ks)
     assert len(rep.witness) == len(ks.contexts) * ks.dimension
     base = kb.default_base(ks, rep)
-    for v, at in zip(ks.vectors, ks._incidence.slots):
+    for v, at in zip(ks.vectors, incidence(ks).slots):
         assert [rep.witness[s] for s in at] == [base[v.id]] * len(at), v.id
         assert at or base[v.id] == 1, v.id
 

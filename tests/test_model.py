@@ -29,6 +29,7 @@ from ksbound import (
     make_set,
     same_ray,
 )
+from ksbound.model import incidence
 
 
 def vec(vid, *comps, k=1):
@@ -214,7 +215,7 @@ def test_incidence_matches_a_fresh_walk(name, request):
     # oracle its contexts, build_stats and the slot walks each ray's slots
     ks = request.getfixturevalue(name)
     contexts, slots = fresh_incidence(ks)
-    assert ks._incidence == (contexts, slots)
+    assert incidence(ks) == (contexts, slots)
     assert build_stats(ks).multiplicities == {v.id: len(at) for v, at in zip(ks.vectors, slots)}
     # default_base reads each ray's value off a witness by slot, 1 for none
     rng = random.Random(21)
@@ -224,22 +225,21 @@ def test_incidence_matches_a_fresh_walk(name, request):
     assert base == {v.id: value[v.id] if at else 1 for v, at in zip(ks.vectors, slots)}
 
 
-def test_incidence_is_built_on_first_use_for_each_set(cabello18):
-    # the record is derived, so it lives outside the fields: built on first
-    # use, never shared across a _replace, and unseen by ==, hash and pickle
+def test_incidence_is_derived_from_the_fields_alone(cabello18):
+    # the record is built on each call from the fields, so a _replace, a deep
+    # copy and a pickle each get their own, and ==, hash and pickle see none
     ks = KsSet(*cabello18)
-    assert "_incidence" not in vars(ks)
     before, pickled = hash(ks), pickle.dumps(ks)
-    record = ks._incidence
-    assert ks._incidence is record == fresh_incidence(ks)
+    record = incidence(ks)
+    assert record == fresh_incidence(ks) and incidence(ks) == record
     assert hash(ks) == before and ks == cabello18 and pickle.dumps(ks) == pickled
-    assert "_incidence" not in vars(copy.deepcopy(ks))
-    for data in (pickled, pickle.dumps(ks)):
-        back = pickle.loads(data)
-        assert back == ks and hash(back) == before and back._incidence == record
+    assert incidence(copy.deepcopy(ks)) == record
+    back = pickle.loads(pickled)
+    assert back == ks and hash(back) == before and incidence(back) == record
     fewer = ks._replace(contexts=ks.contexts[1:])
-    assert fewer._incidence == fresh_incidence(fewer) != record
-    assert copy.deepcopy(fewer)._incidence == fresh_incidence(fewer)
+    assert incidence(fewer) == fresh_incidence(fewer) != record
+    for copied in (copy.deepcopy(fewer), pickle.loads(pickle.dumps(fewer))):
+        assert incidence(copied) == fresh_incidence(fewer)
 
 
 def test_catalog_published_parameters(catalog_sets):
@@ -353,6 +353,10 @@ def test_records_are_immutable_hashable_values(two_triads):
 
     # copies and pickles rebuild through the constructor
     assert copy.deepcopy(ks) == ks == pickle.loads(pickle.dumps(ks))
+    # a set is a plain value: no instance dict to hold derived state
+    assert not hasattr(ks, "__dict__")
+    with pytest.raises(TypeError):
+        vars(ks)
 
     # a scalar is no sequence to repeat
     with pytest.raises(TypeError):
