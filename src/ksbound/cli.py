@@ -22,6 +22,11 @@ ratio such as ``1/72``, as the exact number it names.  A count (``--N``,
 ``--trials 1e3`` reads 1000 and ``--N 1.5`` is refused.  A refused value is
 named as typed: ``error: --N must be an integer, got 1.5``.
 
+The inequality rules out non-contextual models only on a KS set, so
+``bounds`` and ``critical-r`` run :func:`find_coloring` on a set after
+reading their flags: on a colorable one, ``bounds`` reports no
+contradiction and ``critical-r`` exits 1.
+
 :func:`main` is the library entry and leaves the garbage collector alone.
 :func:`run` is the process entry (``python -m ksbound`` and the installed
 ``ksbound`` command): it freezes the collector's view of the heap before and
@@ -84,7 +89,9 @@ def _flag(text: str, name: str, check: Callable[..., Any], *least: int) -> Any:
     all read 1000, and any other number as a Fraction, which the integer
     checks refuse.  Text that names no number, ``nan``, ``inf`` and ``1/0``
     among them, reads as nan, which every check refuses.  A refused value's
-    message ends in the text as typed.
+    message ends in the text as typed.  A number whose exact value has more
+    digits than Python writes out (4300 by default), such as ``1e9999`` or
+    ``1e-9999``, is refused before any check, which could not write it.
     """
     # Fraction writes out 10**|exponent| before any check can run
     if len(text.lower().partition("e")[2].strip().lstrip("+-0")) > 4:
@@ -95,13 +102,15 @@ def _flag(text: str, name: str, check: Callable[..., Any], *least: int) -> Any:
     except (ValueError, ZeroDivisionError):
         value = float("nan")
     try:
+        str(value)  # a check's message writes the value; Python refuses past its int limit
+    except ValueError:
+        raise ValueError(
+            f"{name} has more than {sys.get_int_max_str_digits()} digits, got {text}"
+        ) from None
+    try:
         return check(value, name, *least)
     except ValueError as exc:
-        # every check's message ends in "got <value>"; a value past Python's
-        # int string limit fails the message itself, which is raised as it is
-        rule, got, _ = str(exc).rpartition(" got ")
-        if not got:
-            raise
+        rule = str(exc).rpartition(" got ")[0]  # every check's message ends in "got <value>"
         raise ValueError(f"{rule} got {text}") from None
 
 
@@ -214,8 +223,11 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     epsilon = _flag(args.epsilon, "--epsilon", check_rate)
     ks = _load_set(args.set)
     stats = build_stats(ks)
+    # a coloring is a non-contextual model with no errors at all, so the
+    # inequality rules nothing out on a colorable set
+    colorable = find_coloring(ks).satisfiable
     margin = inequality_margin(stats.M, stats.N, delta, epsilon)
-    floor = delta_lower_bound(stats.N, stats.M, epsilon)
+    floor = 0 if colorable else delta_lower_bound(stats.N, stats.M, epsilon)
     doc = {
         "set": ks.name,
         "d": ks.dimension,
@@ -224,18 +236,23 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         "delta": _reported(delta, "delta"),
         "epsilon": _reported(epsilon, "epsilon"),
         "margin": _reported(margin, "margin"),
-        "contradiction": margin > 0,
+        "contradiction": not colorable and margin > 0,
         "delta_min": _reported(floor, "delta_min"),
         "delta_min_vacuous": floor == 0,
     }
+    if colorable:
+        verdict = "no contradiction (the set is colorable)"
+    elif margin > 0:
+        verdict = "contradiction (no non-contextual model fits these rates)"
+    else:
+        verdict = "no contradiction at these rates"
+    vacuous = "the set is colorable" if colorable else "epsilon >= 1/N"
     text = [
         f"set {ks.name}: d={ks.dimension} N={stats.N} M={stats.M}",
         f"delta={doc['delta']} epsilon={doc['epsilon']}",
         f"margin 1 - M*delta - N*epsilon = {doc['margin']}",
-        "verdict: contradiction (no non-contextual model fits these rates)"
-        if margin > 0
-        else "verdict: no contradiction at these rates",
-        "delta floor: vacuous (epsilon >= 1/N)"
+        f"verdict: {verdict}",
+        f"delta floor: vacuous ({vacuous})"
         if floor == 0
         else f"delta floor: any non-contextual model needs delta >= {doc['delta_min']}",
     ]
@@ -251,6 +268,8 @@ def _cmd_critical_r(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         if n_ctx is not None or m_conn is not None or dim is not None:
             raise ValueError("give either a set or explicit --N/--M/--d, not both")
         ks = _load_set(args.set)
+        if find_coloring(ks).satisfiable:  # its coloring fits every rate
+            raise ValueError(f"set {ks.name} is colorable, so no flip rate gives a contradiction")
         stats = build_stats(ks)
         name, n_ctx, m_conn, dim = ks.name, stats.N, stats.M, ks.dimension
     elif n_ctx is None or m_conn is None or dim is None:
@@ -359,7 +378,11 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="ksbound", description=__doc__)
+    parser = _Parser(
+        prog="ksbound",
+        description="Kochen-Specker vector sets: exact uncolorability proofs, "
+        "error-rate bounds, and seeded noise simulation.",
+    )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -389,7 +412,11 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", default="0", help="context sum error rate, read as --delta")
 
     p = add(
-        "critical-r", "largest flip rate still forcing a contradiction", _cmd_critical_r, nargs="?"
+        "critical-r",
+        "largest flip rate still forcing a contradiction on a KS set; given --N, --M "
+        "and --d instead, a calculator over those numbers that checks no set",
+        _cmd_critical_r,
+        nargs="?",
     )
     p.add_argument("--N", help="context count: an integer >= 1, such as 9 or 1e3")
     p.add_argument("--M", help="connection count: an integer >= 1")
@@ -410,9 +437,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc, text = args.func(args)
-    # a rejected input raises ValueError (a ParseError is one; so are a set
-    # with no connections, which has no delta floor, and a simulate run past
-    # int64 positions) or OverflowError (a count past float range meets a
+    # a rejected input raises ValueError (a ParseError is one; so are a KS
+    # set with an m-override of 0, which has no delta floor, a colorable set
+    # given to critical-r, and a simulate run past int64 positions) or OverflowError (a count past float range meets a
     # float rate, or a rate or bounds value that no float carries); an
     # internal fault is an AssertionError and keeps its traceback
     except (ValueError, OverflowError) as exc:

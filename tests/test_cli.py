@@ -312,7 +312,7 @@ def test_bounds_reads_ratios_and_refuses_non_numbers(capsys):
     # float range is refused by the report
     for value, message in (
         ("1e-10000", "--epsilon takes an exponent of at most 4 digits, got 1e-10000"),
-        ("1e-9999", "epsilon is too small for a float"),
+        ("1e-400", "epsilon is too small for a float"),
     ):
         assert main(["bounds", "catalog:cabello18", "--epsilon", value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -320,11 +320,47 @@ def test_bounds_reads_ratios_and_refuses_non_numbers(capsys):
     assert "verdict: contradiction" in capsys.readouterr().out
 
 
-def test_bounds_without_connections_exits_1(good_file, capsys):
-    assert main(["bounds", good_file, "--delta", "0.01"]) == 1
-    captured = capsys.readouterr()
-    assert "error: M must be >= 1" in captured.err
-    assert "Traceback" not in captured.err
+#: The last two lines of a ``bounds`` report on a colorable set.
+COLORABLE_VERDICT = [
+    "verdict: no contradiction (the set is colorable)",
+    "delta floor: vacuous (the set is colorable)",
+]
+
+
+def test_bounds_on_a_set_without_connections_is_colorable(good_file, capsys):
+    # with no ray shared, every context takes its own zero: a coloring, so
+    # no rate rules out a non-contextual model
+    assert main(["bounds", good_file, "--delta", "0.01"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[2:] == ["margin 1 - M*delta - N*epsilon = 1.0",
+                                                  *COLORABLE_VERDICT]
+
+
+def test_a_colorable_set_gets_no_contradiction(two_triads, tmp_path, capsys):
+    # two triads sharing one ray: the coloring is a non-contextual model with
+    # no errors at all, so bounds finds no contradiction and critical-r no rate
+    path = tmp_path / "two-triads.ksset"
+    path.write_text(serialize_set(two_triads))
+    assert main(["color", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("two-triads: colorable (2 search nodes)\n")
+    assert main(["bounds", str(path), "--delta", "0", "--epsilon", "0"]) == 0
+    assert capsys.readouterr() == ("\n".join([
+        "set two-triads: d=3 N=2 M=1",
+        "delta=0.0 epsilon=0.0",
+        "margin 1 - M*delta - N*epsilon = 1.0",
+        *COLORABLE_VERDICT,
+    ]) + "\n", "")
+    assert main(["bounds", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["margin"], doc["contradiction"]) == (1.0, False)
+    assert (doc["delta_min"], doc["delta_min_vacuous"]) == (0.0, True)
+    message = "error: set two-triads is colorable, so no flip rate gives a contradiction\n"
+    for extra in ([], ["--json"]):
+        assert main(["critical-r", str(path), *extra]) == 1
+        assert capsys.readouterr() == ("", message)
+    # given the counts alone, critical-r is a calculator and checks no set
+    assert main(["critical-r", "--N", "2", "--M", "1", "--d", "3"]) == 0
+    assert "critical rate r* = 0.160568504687\n" in capsys.readouterr().out
 
 
 def test_critical_r_from_parameters(capsys):
@@ -366,8 +402,9 @@ HUGE_M_ERRORS = {
     "argv", [["critical-r"], ["bounds"], ["bounds", "--delta", "0.01", "--json"]]
 )
 def test_huge_m_override_exits_1(argv, tmp_path, capsys):
+    # on a KS set: a colorable one gets no contradiction whatever its M
     p = tmp_path / "huge-m.ksset"
-    p.write_text(GOOD + f"m-override {HUGE}\n")
+    p.write_text(ksbound.catalog_text("cabello18") + f"m-override {HUGE}\n")
     assert main([argv[0], str(p), *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -669,14 +706,19 @@ def test_a_refused_flag_is_named_as_typed(flag, capsys):
             assert capsys.readouterr() == ("", f"error: {message}\n"), value
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python writes ints of any length")
 def test_a_refused_value_too_long_to_print_exits_1(capsys):
-    # a check's message cannot print a number past Python's int string limit
-    # (4300 digits), so main reports that limit as the check raised it
-    limit = "Exceeds the limit ("
-    for flag, value in (("--r", "1e9999"), ("--seed", "1e9999"), ("--N", "1e-9999")):
-        assert main([*FLAG_RUNS[flag], f"{flag}={value}"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: {limit}") and err.count("\n") == 1
+    # Python writes no int past its digit limit (4300 by default), so no check
+    # could write such a number in its message: the reader refuses it first,
+    # named as typed, as it does every refused value, and a rate in range too
+    limit = sys.get_int_max_str_digits()
+    for flag, value in (("--r", "1e9999"), ("--seed", "1e9999"), ("--N", "1e-9999"),
+                        ("--trials", "1e9999"), ("--epsilon", "1e-9999")):
+        for extra in ([], ["--json"]):
+            assert main([*FLAG_RUNS[flag], f"{flag}={value}", *extra]) == 1
+            message = f"error: {flag} has more than {limit} digits, got {value}\n"
+            assert capsys.readouterr() == ("", message), (flag, extra)
 
 
 @pytest.mark.parametrize("run, flag, value, plain", [
@@ -772,7 +814,7 @@ def test_command_searches_the_full_set_once(argv, cabello18, monkeypatch, capsys
 
 
 #: SHA-256 of every (argv, exit code, stdout, stderr) in ``test_cli_outputs_are_pinned``.
-PINNED_CLI = "44116d89972b3f7ac3079bf9b02e0cf69cb2c50db615f3dee3c2c5b102a6c3f2"
+PINNED_CLI = "fdbc4089f8a0da8e9ca7673337673a8b0d88ae5526de293a031adf074ae35dff"
 
 #: The flip rates ``test_cli_outputs_are_pinned`` simulates at; "r*" is the set's critical rate.
 PINNED_RATES = (0.0, 1e-3, "r*", 0.02, 0.1, 0.5, 1.0)
@@ -977,6 +1019,17 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as ei:
         main([])
     assert ei.value.code == 1
+
+
+def test_help_is_plain_text(capsys):
+    # the module docstring is for developers; users get one plain sentence
+    with pytest.raises(SystemExit) as ei:
+        main(["--help"])
+    assert ei.value.code == 0
+    out = capsys.readouterr().out
+    assert "Kochen-Specker vector sets" in out
+    for markup in ("``", ":func:", "freeze"):
+        assert markup not in out
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ksbound as kb
 from ksbound import ParseError, parse_document, serialize_set
+from ksbound.format import _parse_rational
 from ksbound.model import Context, ExactScalar, KsSet, RayVector, check_vector
 
 GOOD = """\
@@ -194,6 +195,25 @@ def test_component_errors():
     for digit in ("٣", "３", "²"):  # only ASCII digits are components
         rejects(base + f"vec a {digit} 0 0\n", "malformed rational", line=4)
         rejects(base + f"vec a 1/{digit} 0 0\n", "malformed rational", line=4)
+
+
+@pytest.mark.parametrize("token, value", [
+    ("+3/4", Fraction(3, 4)), ("007/2", Fraction(7, 2)), ("-0", Fraction(0)), ("-7/14", Fraction(-1, 2)),
+])
+def test_parse_rational_reads_a_signed_ratio(token, value):
+    read = _parse_rational(token)
+    assert read == value and type(read) is Fraction
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python's int() has no digit limit")
+def test_parse_rational_refuses_a_zero_or_overlong_part():
+    with pytest.raises(ValueError, match=r"^zero denominator in '3/0'$"):
+        _parse_rational("3/0")
+    digits = "3" * (sys.get_int_max_str_digits() + 1)
+    for token in (f"{digits}/7", f"-{digits}/7", f"7/{digits}", f"{digits}/0"):
+        with pytest.raises(ValueError, match=rf"^Exceeds the limit .* value has {len(digits)} digits"):
+            _parse_rational(token)
 
 
 def test_repeated_tokens_parse_as_fresh_ones():
