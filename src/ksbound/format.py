@@ -66,14 +66,16 @@ class SetDocument(NamedTuple):
 
 
 def _parse_rational(token: str) -> Fraction:
-    """The rational a ``p`` or ``p/q`` token names, read by ``Fraction`` once
-    the token has that shape (``Fraction`` alone would take ``1.5``, ``1e3``
-    and ``1_0`` too).  ``q = 0`` and a digit string past Python's int limit
-    (4300 digits) raise ValueError, the latter with ``int()``'s message."""
+    """The rational a ``p`` or ``p/q`` token names, as the ``Fraction`` of its
+    one or two ``int()`` parts once the token has that shape.  ``q = 0`` and
+    a digit string past Python's int limit (4300 digits by default) raise
+    ValueError, the latter with ``int()``'s message.  ``Fraction(token)``
+    reads the same numbers at over twice the cost of an integer token, about
+    4 % of an ingest op."""
     if not _RATIONAL.match(token):
         raise ValueError(f"malformed rational {token!r}")
     try:
-        return Fraction(token)
+        return Fraction(*map(int, token.split("/")))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {token!r}") from None
 
