@@ -378,11 +378,8 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="ksbound",
-        description="Kochen-Specker vector sets: exact uncolorability proofs, "
-        "error-rate bounds, and seeded noise simulation.",
-    )
+    parser = _Parser(prog="ksbound", description="Kochen-Specker vector sets: exact "
+                     "uncolorability proofs, error-rate bounds, and seeded noise simulation.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -411,13 +408,8 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", default="0", help="rotation mismatch rate, such as 0.026 or 1/72")
     p.add_argument("--epsilon", default="0", help="context sum error rate, read as --delta")
 
-    p = add(
-        "critical-r",
-        "largest flip rate still forcing a contradiction on a KS set; given --N, --M "
-        "and --d instead, a calculator over those numbers that checks no set",
-        _cmd_critical_r,
-        nargs="?",
-    )
+    p = add("critical-r", "largest flip rate still forcing a contradiction on a KS set, or "
+            "a calculator over --N, --M and --d that checks no set", _cmd_critical_r, nargs="?")
     p.add_argument("--N", help="context count: an integer >= 1, such as 9 or 1e3")
     p.add_argument("--M", help="connection count: an integer >= 1")
     p.add_argument("--d", help="dimension: an integer >= 3")
@@ -439,9 +431,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, doc, text = args.func(args)
     # a rejected input raises ValueError (a ParseError is one; so are a KS
     # set with an m-override of 0, which has no delta floor, a colorable set
-    # given to critical-r, and a simulate run past int64 positions) or OverflowError (a count past float range meets a
-    # float rate, or a rate or bounds value that no float carries); an
-    # internal fault is an AssertionError and keeps its traceback
+    # given to critical-r, and a simulate run past int64 positions) or
+    # OverflowError (a count past float range meets a float rate, or a rate
+    # or bounds value that no float carries); an internal fault is an
+    # AssertionError and keeps its traceback
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
