@@ -119,8 +119,8 @@ def _flag(text: str, name: str, check: Callable[..., Any], *least: int) -> Any:
 
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
-    # the parser proves every invariant that validate_orthogonality reports,
-    # so a document that loads is valid
+    # the parser runs every check KsSet runs, so a document that loads is a
+    # valid set and there is nothing left to report
     ks = _load_set(args.set)
     doc = {"set": ks.name, "source": args.set, "valid": True, "violations": []}
     text = [

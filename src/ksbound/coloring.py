@@ -12,14 +12,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .model import KsSet, _keys_orthogonal, check_integer, incidence
+from .model import KsSet, check_integer, incidence
 
 
 class Violation(NamedTuple):
-    kind: str
     message: str
-    context_index: Optional[int] = None
-    vector_ids: tuple[str, ...] = ()
 
 
 class ValidationReport(NamedTuple):
@@ -28,45 +25,18 @@ class ValidationReport(NamedTuple):
 
 
 def validate_orthogonality(ks: KsSet) -> ValidationReport:
-    """Full mathematical validation; every violation is reported, none raised.
+    """Re-run :class:`KsSet`'s checks on the set's fields, and report the
+    first refusal as one :class:`Violation` rather than raising it.
 
-    Checks the vector list for projective duplicates, then each context for
-    repeats and exact pairwise orthogonality, both on the ray keys as the
-    parser does; every duplicate pair is reported in declaration order.  A
-    constructed KsSet has no structural problem (undeclared ids, wrong
-    component counts, zero vectors).  ``parse_document`` rejects each of
-    these violations itself, so this is the check for sets built in code.
+    The constructor refuses a repeated ray, a repeated context and a
+    context that is not orthogonal, and the parser runs the same checks, so
+    only a set made by ``_replace`` or ``_make`` can fail here.
     """
-    violations: list[Violation] = []
-    rays: dict[tuple[int, ...], list[int]] = {}
-    for i, v in enumerate(ks.vectors):
-        rays.setdefault(v.key, []).append(i)
-    for i, j in sorted(p for group in rays.values() for p in combinations(group, 2)):
-        u, v = ks.vectors[i], ks.vectors[j]
-        violations.append(
-            Violation("duplicate-ray", f"{u.id!r} and {v.id!r} are the same ray", None, (u.id, v.id))
-        )
-    seen: dict[frozenset, int] = {}
-    for ci, (ctx, at) in enumerate(zip(ks.contexts, incidence(ks).contexts)):
-        key = frozenset(ctx.vector_ids)
-        if key in seen:
-            violations.append(
-                Violation(
-                    "duplicate-context",
-                    f"context {ci} repeats context {seen[key]}",
-                    ci,
-                    tuple(ctx.vector_ids),
-                )
-            )
-        else:
-            seen[key] = ci
-        for u, v in combinations([ks.vectors[i] for i in at], 2):
-            if not _keys_orthogonal(u.key, v.key, ks.ring_radicand):
-                a, b = u.id, v.id
-                violations.append(
-                    Violation("non-orthogonal", f"context {ci}: {a}·{b} != 0", ci, (a, b))
-                )
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    try:
+        KsSet(*ks)
+    except ValueError as exc:
+        return ValidationReport(ok=False, violations=(Violation(str(exc)),))
+    return ValidationReport(ok=True, violations=())
 
 
 class ColoringResult(NamedTuple):

@@ -19,24 +19,25 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 from typing import Any, NamedTuple
 
 from .model import (
+    _IDENT_CHARS,
     Context,
     ExactScalar,
     KsSet,
     RayVector,
-    _keys_orthogonal,
     check_context,
     check_dimension,
+    check_distinct_context,
+    check_m_override,
+    check_orthogonal,
     check_radicand,
+    check_ray,
     check_vector,
 )
 
-_IDENT_CHARS = "[A-Za-z0-9_.-]+"
-_IDENT = re.compile(f"^{_IDENT_CHARS}$")
 _RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 _CATALOG = Path(__file__).with_name("catalog")
 
@@ -98,21 +99,22 @@ def parse_document(text: str) -> SetDocument:
     ``duplicate <directive> directive``.  ``dim`` must precede every
     ``vec`` and ``ctx``, and ``field`` every ``vec``.
 
-    Beyond the grammar itself, the parser enforces the set invariants that a
-    document can break: two declarations of the same ray, repeated
-    contexts, and contexts that are not pairwise orthogonal (checked
-    exactly, on the ray keys).  Where the model enforces an invariant too
-    (the dimension floor, the radicand, a surd part over Q, the zero vector,
-    a vector's component count and repeated id, a context's length,
-    repeated and undeclared ids), the model's own check runs, with its
-    message; a ``vec`` line's count and id are checked before any of its
-    components is parsed, so they stay the line's first error.  Every
-    check raises ``ValueError``, and one handler attaches the line.  Rays
-    are compared through their canonical keys
-    (:func:`ksbound.model.same_ray`), so a duplicate is one dict lookup.
-    Each distinct component token is parsed once per document and its scalar
-    shared by every vector that repeats it: ``field`` precedes every
-    ``vec``, so a token always means the same scalar.
+    Every invariant of a set is the model's own check, with its message,
+    run line by line as :class:`~ksbound.model.KsSet` runs it: the
+    dimension floor, the radicand, a surd part over Q, the zero vector, a
+    vector's id, component count and repeated id, a second declaration of
+    a ray (one dict lookup on the canonical ray key), a context's length,
+    repeated and undeclared ids, a repeated context and a context that is
+    not pairwise orthogonal.  A ``vec`` line's id and count are checked
+    before any of its components is parsed, so they stay the line's first
+    error.  Every check raises ``ValueError``, and one handler attaches the
+    line.  Once every line is read, an ``m-override`` below M_cut is
+    refused at its own line, which may precede the contexts that fix
+    M_cut.  The checked parts then make the set through ``KsSet._make``, so
+    no check runs twice.  Each distinct component token is parsed once per
+    document and its scalar shared by every vector that repeats it:
+    ``field`` precedes every ``vec``, so a token always means the same
+    scalar.
     """
     # str.splitlines would also end a line at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
     raw_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -122,9 +124,10 @@ def parse_document(text: str) -> SetDocument:
     header: dict[str, Any] = {}  # the value of each header directive seen, by directive
     vectors: dict[str, RayVector] = {}
     scalars: dict[str, ExactScalar] = {}  # each distinct component token, parsed once
-    ray_ids: dict[tuple[int, ...], str] = {}
+    rays: dict[tuple[int, ...], str] = {}
     contexts: list[Context] = []
-    ctx_key_seen: dict[frozenset, int] = {}
+    seen: dict[frozenset[str], str] = {}  # each context's ids, and where it was declared
+    m_line = 0  # the m-override line
 
     last_line = max(1, len(raw_lines))
     for lineno, raw in enumerate(raw_lines, start=1):
@@ -152,6 +155,8 @@ def parse_document(text: str) -> SetDocument:
                     check_dimension(header["dim"])
                 elif directive == "field":
                     check_radicand(header["field"])
+                elif directive == "m-override":
+                    m_line = lineno
             elif directive not in ("vec", "ctx"):
                 raise ValueError(f"unknown directive {directive!r}")
             elif "dim" not in header:
@@ -159,35 +164,23 @@ def parse_document(text: str) -> SetDocument:
             elif directive == "vec":
                 if len(tokens) < 2:
                     raise ValueError("vec needs an id and components")
-                vid = tokens[1]
-                if not _IDENT.match(vid):
-                    raise ValueError(f"malformed vector id {vid!r}")
-                comps = tokens[2:]
+                vid, comps = tokens[1], tokens[2:]
                 check_vector(vid, comps, header["dim"], vectors)  # before any token is parsed
                 for c in comps:  # a bad token raises at its first occurrence
                     if c not in scalars:
                         scalars[c] = _parse_component(c, header.get("field", 1))
                 vec = RayVector(vid, tuple(map(scalars.__getitem__, comps)))
-                known = ray_ids.setdefault(vec.key, vid)
-                if known != vid:
-                    raise ValueError(f"duplicate ray: {vid!r} is a scalar multiple of {known!r}")
+                check_ray(vec, rays)
                 vectors[vid] = vec
+                rays[vec.key] = vid
             else:  # ctx
                 ids = tokens[1:]
                 check_context(ids, header["dim"], vectors)
                 ctx = Context(tuple(ids))
                 key = frozenset(ids)
-                if key in ctx_key_seen:
-                    raise ValueError(
-                        f"duplicate context (same vectors as line {ctx_key_seen[key]})"
-                    )
-                # every vector has dim components over the field's ring, so only
-                # the keys are tested
-                radicand = header.get("field", 1)
-                for a, b in combinations(ids, 2):
-                    if not _keys_orthogonal(vectors[a].key, vectors[b].key, radicand):
-                        raise ValueError(f"context not orthogonal ({a}·{b} != 0)")
-                ctx_key_seen[key] = lineno
+                check_distinct_context(key, seen)
+                check_orthogonal(ids, vectors)
+                seen[key] = f"line {lineno}"
                 contexts.append(ctx)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
@@ -197,15 +190,17 @@ def parse_document(text: str) -> SetDocument:
     for directive in ("name", "dim"):
         if directive not in header:
             raise ParseError(f"missing {directive} directive", last_line)
+    m_override = header.get("m-override")
+    if m_override is not None:
+        try:
+            check_m_override(m_override, contexts, header["dim"], "m-override")
+        except ValueError as exc:
+            raise ParseError(str(exc), m_line) from exc
 
-    return SetDocument(KsSet(
-        name=header["name"],
-        dimension=header["dim"],
-        ring_radicand=header.get("field", 1),
-        vectors=tuple(vectors.values()),
-        contexts=tuple(contexts),
-        m_override=header.get("m-override"),
-    ))
+    return SetDocument(KsSet._make((
+        header["name"], header["dim"], header.get("field", 1),
+        tuple(vectors.values()), tuple(contexts), m_override,
+    )))
 
 
 def _format_component(c: ExactScalar) -> str:
@@ -213,18 +208,9 @@ def _format_component(c: ExactScalar) -> str:
 
 
 def serialize_set(ks: KsSet) -> str:
-    """Canonical document for a set; ``parse_document`` of the result round-trips.
-
-    Raises ValueError, naming it, on the first of the set's name and vector
-    ids that is not an identifier (a string of one or more of
-    ``A-Z a-z 0-9 _ . -``): a ``name`` line would refuse a space, a ``#`` in
-    an id would turn the rest of its ``vec`` and ``ctx`` lines into a
-    comment, and a name or id of ``123`` would parse back as ``"123"``.
-    """
-    for ident in (ks.name, *(v.id for v in ks.vectors)):
-        # not match: "$" also matches before a final "\n"
-        if not (isinstance(ident, str) and _IDENT.fullmatch(ident)):
-            raise ValueError(f"cannot serialize {ident!r}: not an identifier ({_IDENT_CHARS})")
+    """Canonical document for a set; ``parse_document`` of the result
+    round-trips, since :class:`~ksbound.model.KsSet` refuses what a document
+    cannot hold."""
     lines = ["ksset 1", f"name {ks.name}", f"dim {ks.dimension}"]
     if ks.ring_radicand != 1:
         lines.append(f"field sqrt {ks.ring_radicand}")
@@ -244,23 +230,17 @@ def list_catalog() -> tuple[str, ...]:
 
 def catalog_text(name: str) -> str:
     """Raw document text of a bundled catalog set."""
-    if not _IDENT.match(name):
-        raise ValueError(f"unknown catalog set {name!r}")
-    entry = _CATALOG / f"{name}.ksset"
-    if not entry.is_file():
+    if name not in list_catalog():
         raise ValueError(
             f"unknown catalog set {name!r}; available: {', '.join(list_catalog())}"
         )
-    return entry.read_text(encoding="utf-8")
+    return (_CATALOG / f"{name}.ksset").read_text(encoding="utf-8")
 
 
 def load_catalog(name: str) -> KsSet:
     """Load a bundled set, ``parse_document(catalog_text(name)).ks_set``.
 
     A broken bundled file is a packaging defect, not a user error, so it
-    raises :class:`ParseError` rather than returning a report.  The parser
-    rejects every violation that ``validate_orthogonality`` reports (a
-    repeated ray, a repeated context, a context that is not orthogonal), so
-    no second check runs.
+    raises :class:`ParseError` at its line, as any document does.
     """
     return parse_document(catalog_text(name)).ks_set

@@ -13,10 +13,11 @@ point.  The derived statistics (n, N, M) parametrize every bound in
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+import re
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from operator import index, mul
 from typing import Container, Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
 
@@ -78,6 +79,20 @@ def check_dimension(d: int, name: str = "dimension") -> int:
     return check_integer(d, name, 3)
 
 
+#: the characters of an identifier, the only set name or vector id a
+#: document holds: a space would end the word, a ``#`` start a comment, and
+#: ``123`` would read back as ``"123"``
+_IDENT_CHARS = "[A-Za-z0-9_.-]+"
+_IDENT = re.compile(_IDENT_CHARS)
+
+
+def check_identifier(x: object, what: str) -> None:
+    """Raise ValueError, naming ``what``, unless x is an identifier: a str of
+    one or more of ``A-Z a-z 0-9 _ . -``."""
+    if not (isinstance(x, str) and _IDENT.fullmatch(x)):
+        raise ValueError(f"malformed {what} {x!r}")
+
+
 def check_context(ids: Sequence[str], dimension: int, declared: Container[str]) -> None:
     """Raise ValueError unless a context names ``dimension`` ids, each of
     them in ``declared``; :class:`Context` refuses a repeated id."""
@@ -88,17 +103,62 @@ def check_context(ids: Sequence[str], dimension: int, declared: Container[str]) 
             raise ValueError(f"context references undeclared vector id {vid!r}")
 
 
+def check_distinct_context(ids: frozenset[str], seen: Mapping[frozenset[str], str]) -> None:
+    """Raise ValueError if a context of the same ids is in ``seen``, which
+    says where each earlier context was declared."""
+    if ids in seen:
+        raise ValueError(f"duplicate context (same vectors as {seen[ids]})")
+
+
+def check_orthogonal(ids: Sequence[str], declared: Mapping[str, RayVector]) -> None:
+    """Raise ValueError unless the declared vectors with these ids, of one
+    dimension and ring, are pairwise orthogonal, decided on their ray keys."""
+    k = declared[ids[0]].radicand
+    for a, b in combinations(ids, 2):
+        if not _keys_orthogonal(declared[a].key, declared[b].key, k):
+            raise ValueError(f"context not orthogonal ({a}·{b} != 0)")
+
+
 def check_vector(
     vid: str, components: Sequence[object], dimension: int, declared: Container[str]
 ) -> None:
-    """Raise DimensionMismatchError unless a vector has ``dimension``
-    components, then ValueError if its id is already in ``declared``."""
+    """Raise ValueError unless a vector's id is an identifier, then
+    DimensionMismatchError unless it has ``dimension`` components, then
+    ValueError if its id is already in ``declared``."""
+    check_identifier(vid, "vector id")
     if len(components) != dimension:
         raise DimensionMismatchError(
             f"vector {vid!r} has {len(components)} components, expected {dimension}"
         )
     if vid in declared:
         raise ValueError(f"duplicate vector id {vid!r}")
+
+
+def check_ray(vec: RayVector, rays: Mapping[tuple[int, ...], str]) -> None:
+    """Raise ValueError if ``vec`` lies on a ray in ``rays``, the id of each
+    declared vector by its ray key."""
+    if vec.key in rays:
+        raise ValueError(f"duplicate ray: {vec.id!r} is a scalar multiple of {rays[vec.key]!r}")
+
+
+def check_m_override(m: object, contexts: Sequence[Context], dimension: int,
+                     name: str = "m_override") -> None:
+    """Raise ValueError unless m is an integer of at least M_cut = (N*d -
+    n1)/2, where n1 counts the rays in exactly one of the N contexts.
+
+    The KS inequality ``M*delta + N*epsilon >= 1`` holds on an uncolorable
+    set when each connection of a ray in k contexts weighs 1/(k-1), for a
+    total of M_cut, or any M above it; a lower M claims a contradiction
+    that a non-contextual model can refute.  Compared as ``2*m >= N*d -
+    n1``, so a half-integer M_cut needs no float.
+    """
+    check_integer(m, name, 0)
+    counts = Counter(chain.from_iterable(ctx.vector_ids for ctx in contexts))
+    twice_cut = len(contexts) * dimension - list(counts.values()).count(1)
+    if 2 * m < twice_cut:
+        raise ValueError(
+            f"{name} must be >= M_cut = (N*d - n1)/2 = {Fraction(twice_cut, 2)}, got {m}"
+        )
 
 
 def _exact(x: Rational) -> Fraction:
@@ -228,9 +288,8 @@ class RayVector(namedtuple("RayVector", "id components key")):
 class Context(namedtuple("Context", "vector_ids")):
     """An ordered tuple of d distinct vector ids measured together.
 
-    Orthogonality is a set-level property (it needs the vectors) and is
-    checked by construction-time validation and by
-    :func:`ksbound.coloring.validate_orthogonality`.
+    Orthogonality is a set-level property (it needs the vectors):
+    :class:`KsSet` and the parser check it with :func:`check_orthogonal`.
     """
 
     __slots__ = ()
@@ -262,20 +321,21 @@ class Incidence(NamedTuple):
 class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m_override")):
     """A named set of rays and orthogonal d-tuples, with optional M override.
 
-    The constructor enforces referential structure with the checks the
-    parser runs too (:func:`check_vector` for each vector: its component
-    count, then a repeated id; :func:`check_context` for each context) and
-    one ring.  The mathematical invariants -- pairwise orthogonality
-    inside each context, no two declared vectors on the same ray, no repeated
-    context -- are checked by :func:`ksbound.coloring.validate_orthogonality`,
-    so that a structurally sound but mathematically broken set can still be
-    built and *reported on* rather than just rejected.  ``m_override``, if
-    given, is at least 0, the value an ``m-override`` line can hold.  It, the
-    dimension and the radicand must be integers and not bools
-    (:func:`check_integer`), so that the set writes out as a file that parses
-    back.  ``_replace`` skips the constructor's checks.  A plain value like
-    the other records: the fields are its whole state, and what derives
-    from them, such as its :func:`incidence`, is built on each call.
+    The constructor refuses, with ``ValueError``, any set that no document
+    can hold, by the checks the parser runs line by line: the name
+    (:func:`check_identifier`); each vector's id, component count and
+    repeated id (:func:`check_vector`), its ring, and a second vector on a
+    ray already declared (:func:`check_ray`); each context's length and
+    undeclared ids (:func:`check_context`), a repeat of an earlier context
+    (:func:`check_distinct_context`) and a pair of its vectors that is not
+    orthogonal (:func:`check_orthogonal`); and an ``m_override`` below
+    M_cut (:func:`check_m_override`).  The dimension, the radicand and
+    ``m_override`` must be integers and not bools (:func:`check_integer`).
+    So every set writes out as a document that parses back.  ``_replace``
+    and ``_make`` skip the checks: the parser builds its checked set with
+    ``_make``.  A plain value like the other records: the fields are its
+    whole state, and what derives from them, such as its
+    :func:`incidence`, is built on each call.
     """
 
     __slots__ = ()
@@ -289,21 +349,30 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
         contexts: tuple[Context, ...],
         m_override: Optional[int] = None,
     ) -> KsSet:
+        check_identifier(name, "set name")
         check_dimension(dimension)
         check_radicand(ring_radicand)
-        if m_override is not None:
-            check_integer(m_override, "m_override", 0)
-        seen: set[str] = set()
+        declared: dict[str, RayVector] = {}
+        rays: dict[tuple[int, ...], str] = {}
         for v in vectors:
-            check_vector(v.id, v.components, dimension, seen)
-            seen.add(v.id)
+            check_vector(v.id, v.components, dimension, declared)
             if v.radicand != ring_radicand:
                 raise RingMismatchError(
                     f"vector {v.id!r} lives in ring sqrt({v.radicand}), "
                     f"set declares sqrt({ring_radicand})"
                 )
-        for ctx in contexts:
-            check_context(ctx.vector_ids, dimension, seen)
+            check_ray(v, rays)
+            declared[v.id] = v
+            rays[v.key] = v.id
+        seen: dict[frozenset[str], str] = {}
+        for c, ctx in enumerate(contexts):
+            check_context(ctx.vector_ids, dimension, declared)
+            key = frozenset(ctx.vector_ids)
+            check_distinct_context(key, seen)
+            check_orthogonal(ctx.vector_ids, declared)
+            seen[key] = f"context {c}"
+        if m_override is not None:
+            check_m_override(m_override, contexts, dimension)
         return super().__new__(cls, name, dimension, ring_radicand, vectors, contexts, m_override)
 
 
@@ -382,7 +451,7 @@ def _keys_orthogonal(x: tuple[int, ...], y: tuple[int, ...], k: int) -> bool:
     product sum(A*C + k*B*D) + sum(A*D + B*C)*sqrt(k) vanishes exactly when
     the vectors' does; both parts are integers.  Over Q (k = 1) every B and
     D is 0, so the test is the plain dot product.  Callers vouch for the
-    dimension and ring: ``orthogonal``, the parser, ``validate_orthogonality``.
+    dimension and ring: :func:`orthogonal` and :func:`check_orthogonal`.
     """
     if k == 1:
         return sum(map(mul, x, y)) == 0

@@ -127,15 +127,40 @@ def fan_document(n_triads):
     return "\n".join(lines) + "\n"
 
 
+#: 5 times the left multiplication by the unit quaternion (1, 2, 2, 4)/5: it
+#: keeps orthogonality, and up to three copies of cabello18 and kernaghan20
+#: mapped 0, 1 and 2 times through it share no ray
+QUATERNION = ((1, -2, -2, -4), (2, 1, -4, 2), (2, 4, 1, -2), (4, -2, 2, 1))
+
+
+def rotated(v, times):
+    """``v`` mapped ``times`` times through ``QUATERNION``, in its own ring."""
+    comps = v.components
+    for _ in range(times):
+        comps = tuple(
+            kb.ExactScalar(sum(m * c.rational for m, c in zip(row, comps)),
+                           sum(m * c.surd for m, c in zip(row, comps)), v.radicand)
+            for row in QUATERNION
+        )
+    return comps
+
+
 def disjoint_union(name, *parts):
-    """One set holding disjoint copies of ``parts``, ids prefixed by copy."""
+    """One set holding disjoint copies of ``parts``, ids prefixed by copy.
+
+    The copies are sets of dimension 4, and copy i is mapped i times through
+    ``QUATERNION``, which keeps each context orthogonal: a set may not
+    declare one ray twice, and the two copies of ``cabello18x2`` would.  The
+    incidence, and so every search, is that of the copies side by side.
+    """
     ids = [{v.id: f"{tag}_{v.id}" for v in ks.vectors} for tag, ks in zip("abc", parts)]
     return kb.KsSet(
         name=name,
         dimension=parts[0].dimension,
         ring_radicand=parts[0].ring_radicand,
         vectors=tuple(
-            kb.RayVector(names[v.id], v.components) for names, ks in zip(ids, parts) for v in ks.vectors
+            kb.RayVector(names[v.id], rotated(v, i))
+            for i, (names, ks) in enumerate(zip(ids, parts)) for v in ks.vectors
         ),
         contexts=tuple(
             kb.Context(tuple(names[vid] for vid in ctx.vector_ids))

@@ -20,12 +20,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ksbound
-from conftest import SURD_SET, disjoint_union, fan_document
+from conftest import SURD_SET, connection_slots, fan_document
 from ksbound import (
+    Context,
     assignment_defect,
     build_stats,
     critical_rate,
-    make_set,
+    find_coloring,
     parse_document,
     serialize_set,
 )
@@ -198,29 +199,17 @@ def test_defect_json(capsys):
     assert len(doc["witness"]) == 9 * 4
 
 
-#: 5 times the left multiplication by the unit quaternion (1, 2, 2, 4)/5: it
-#: keeps orthogonality and moves every cabello18 ray off the set's own rays
-QUATERNION = ((1, -2, -2, -4), (2, 1, -4, 2), (2, 4, 1, -2), (4, -2, 2, 1))
-
-
-def test_defect_json_beyond_drop_one(tmp_path, capsys, cabello18):
-    # cabello18x2's second copy repeats the first one's rays, which a document
-    # refuses; a rotated copy has the same incidence, so the same search.  No
-    # drop-one witness exists, so the search drops pairs of contexts.
-    rotated = make_set("r", 4, [
-        (v.id, [sum(m * c.rational for m, c in zip(row, v.components)) for row in QUATERNION])
-        for v in cabello18.vectors
-    ], [ctx.vector_ids for ctx in cabello18.contexts])
-    ks = disjoint_union("cabello18x2", cabello18, rotated)
+def test_defect_json_beyond_drop_one(tmp_path, capsys, cabello18x2):
+    # no drop-one witness exists, so the search drops pairs of contexts
     path = tmp_path / "cabello18x2.ksset"
-    path.write_text(serialize_set(ks))
+    path.write_text(serialize_set(cabello18x2))
     assert main(["defect", str(path), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["d_min"], doc["nodes"]) == (2, 35222)
     assert [entry[:2] for entry in doc["witness"]] == [[s // 4, s % 4] for s in range(18 * 4)]
     witness = tuple(value for _, _, value in doc["witness"])
     breakdown = (doc["sum_defects"], doc["connection_defects"])
-    assert breakdown == assignment_defect(ks, witness) == (2, 0)
+    assert breakdown == assignment_defect(cabello18x2, witness) == (2, 0)
 
 
 def test_bounds_text(capsys):
@@ -361,6 +350,57 @@ def test_a_colorable_set_gets_no_contradiction(two_triads, tmp_path, capsys):
     # given the counts alone, critical-r is a calculator and checks no set
     assert main(["critical-r", "--N", "2", "--M", "1", "--d", "3"]) == 0
     assert "critical rate r* = 0.160568504687\n" in capsys.readouterr().out
+
+
+def test_a_mixture_of_colorings_meets_the_bound_on_cabello18(cabello18, capsys):
+    # a non-contextual model: cabello18's 9 drop-one colorings, each breaking
+    # its one context, and 18 detached-slot colorings, each cutting its one
+    # ray's connection, with weight 1/27 each.  Every epsilon_C and delta_c is
+    # 1/27, so M*delta + N*epsilon = 1 at M = 18 = M_cut: bounds must find no
+    # contradiction there, and a lower M would claim one this model refutes
+    ks, d = cabello18, cabello18.dimension
+    rows = [ctx.vector_ids for ctx in ks.contexts]
+    strategies = []
+    for c in range(len(rows)):
+        found = find_coloring(ks._replace(contexts=ks.contexts[:c] + ks.contexts[c + 1:]))
+        strategies.append(tuple(found.assignment[vid] for row in rows for vid in row))
+    # every ray is in two contexts: detach its first slot onto a fresh ray,
+    # a copy of it that _replace lets in, since the search reads only the ids
+    for v in ks.vectors:
+        c = next(c for c, row in enumerate(rows) if v.id in row)
+        detached = [*rows[:c], tuple("fresh" if vid == v.id else vid for vid in rows[c]), *rows[c + 1:]]
+        found = find_coloring(ks._replace(vectors=(*ks.vectors, v._replace(id="fresh")),
+                                          contexts=tuple(map(Context, detached))))
+        strategies.append(tuple(found.assignment[vid] for row in detached for vid in row))
+    assert [assignment_defect(ks, s) for s in strategies] == [(1, 0)] * 9 + [(0, 1)] * 18
+    weight = Fraction(1, len(strategies))
+    epsilon = [sum(weight for s in strategies if sum(s[c * d:c * d + d]) != d - 1)
+               for c in range(len(rows))]
+    delta = [sum(weight for s in strategies if s[a] != s[b]) for a, b in connection_slots(ks)]
+    assert (len(epsilon), len(delta)) == (9, 18)
+    assert set(epsilon) == set(delta) == {Fraction(1, 27)}
+    assert main(["bounds", "catalog:cabello18", "--delta", "1/27", "--epsilon", "1/27", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["M"], doc["margin"], doc["contradiction"]) == (18, 0.0, False)
+
+
+@pytest.mark.parametrize("m", [0, 1, 17, 18])
+def test_an_override_below_m_cut_is_refused_at_its_line(m, tmp_path, capsys):
+    # cabello18's M_cut is (9*4 - 0)/2 = 18; the m-override line precedes the
+    # contexts that fix M_cut, and the refusal names it
+    lines = ksbound.catalog_text("cabello18").splitlines()
+    at = lines.index("dim 4") + 1
+    path = tmp_path / "low-m.ksset"
+    path.write_text("\n".join([*lines[:at], f"m-override {m}", *lines[at:]]) + "\n")
+    argv = ["bounds", str(path), "--delta", "0.05", "--epsilon", "0.05"]
+    if m < 18:
+        for command in (argv, ["critical-r", str(path)]):
+            assert main(command) == 1
+            message = f"m-override must be >= M_cut = (N*d - n1)/2 = 18, got {m}"
+            assert capsys.readouterr() == ("", f"error: {path}:{at + 1}: {message}\n")
+    else:
+        assert main(argv) == 0
+        assert "verdict: no contradiction at these rates" in capsys.readouterr().out
 
 
 def test_critical_r_from_parameters(capsys):

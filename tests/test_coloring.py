@@ -10,6 +10,7 @@ import ksbound as kb
 from conftest import brute_force_coloring, connection_slots, disjoint_union
 from ksbound import (
     KsSet,
+    Violation,
     assignment_defect,
     find_coloring,
     make_set,
@@ -49,33 +50,29 @@ def test_validate_canonical_triad(triad):
     assert validate_orthogonality(triad).ok
 
 
-def test_validate_flags_non_orthogonal_pair():
-    ks = make_set(
-        "bad",
-        3,
-        [("a", (1, 0, 0)), ("b", (1, 1, 0)), ("c", (0, 0, 1))],
-        [("a", "b", "c")],
-    )
-    report = validate_orthogonality(ks)
-    assert not report.ok
-    kinds = [v.kind for v in report.violations]
-    assert kinds == ["non-orthogonal"]
-    v = report.violations[0]
-    assert "a·b != 0" in v.message
-    assert v.context_index == 0 and v.vector_ids == ("a", "b")
+def test_validate_flags_non_orthogonal_pair(triad):
+    # KsSet refuses the set, and validate_orthogonality reports that refusal
+    # for a set that skipped the constructor
+    vs = [("a", (1, 0, 0)), ("b", (1, 1, 0)), ("c", (0, 0, 1))]
+    message = "context not orthogonal (a·b != 0)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_set("bad", 3, vs, [("a", "b", "c")])
+    bad = triad._replace(vectors=make_set("t", 3, vs, []).vectors)
+    assert validate_orthogonality(bad) == (False, (Violation(message),))
 
 
-def test_validate_flags_duplicate_ray_and_context():
-    ks = make_set(
-        "dups",
-        3,
-        [("a", (1, 0, 0)), ("a2", (2, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))],
-        [("a", "b", "c"), ("b", "a", "c")],
-    )
-    report = validate_orthogonality(ks)
-    kinds = {v.kind for v in report.violations}
-    assert "duplicate-ray" in kinds
-    assert "duplicate-context" in kinds
+def test_validate_flags_duplicate_ray_and_context(triad):
+    vs = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
+    ray = "duplicate ray: 'a2' is a scalar multiple of 'a'"
+    context = "duplicate context (same vectors as context 0)"
+    with pytest.raises(ValueError, match=f"^{re.escape(ray)}$"):
+        make_set("dups", 3, vs + [("a2", (2, 0, 0))], [("a", "b", "c")])
+    with pytest.raises(ValueError, match=f"^{re.escape(context)}$"):
+        make_set("dups", 3, vs, [("a", "b", "c"), ("b", "a", "c")])
+    a2 = triad.vectors[0]._replace(id="a2")
+    for bad, message in ((triad._replace(vectors=(*triad.vectors, a2)), ray),
+                         (triad._replace(contexts=triad.contexts * 2), context)):
+        assert validate_orthogonality(bad) == (False, (Violation(message),))
 
 
 def test_validate_catalog(catalog_sets):
@@ -437,7 +434,7 @@ def test_min_defect_matches_an_integer_program(
     cabello18, kernaghan20, cabello18x2, cabello18x2_report
 ):
     assert milp_min_defect(cabello18x2) == cabello18x2_report.d_min == 2
-    mixed = disjoint_union("cabello18+kernaghan20", cabello18, kernaghan20)
+    mixed = disjoint_union("cabello18_kernaghan20", cabello18, kernaghan20)
     cases = [mixed]
     rng = random.Random(8)
     n_ctx = len(mixed.contexts)

@@ -340,7 +340,7 @@ def test_directive_soup_parses_or_names_a_line(head, vecs, ctxs, soup):
         assert 1 <= exc.line <= max(1, len(lines))
         return
     ks = doc.ks_set
-    assert kb.validate_orthogonality(ks).ok
+    assert KsSet(*ks) == ks
     assert parse_document(serialize_set(ks)).ks_set == ks
 
 
@@ -358,17 +358,17 @@ def test_serialize_round_trip_small():
     ("demo", ("a", "c#", "d#"), "c#"),
     ("demo", ("a", "b", ""), ""),
 ])
-def test_serialize_refuses_what_the_format_cannot_hold(name, ids, bad):
+def test_ks_set_refuses_what_the_format_cannot_hold(name, ids, bad):
     # "name my set" and "vec c# ..." would not parse back to the same set
     vecs = zip(ids, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    ks = kb.make_set(name, 3, vecs, [ids])
-    with pytest.raises(ValueError, match=re.escape(f"cannot serialize {bad!r}")):
-        serialize_set(ks)
+    what = "set name" if bad == name else "vector id"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'malformed {what} {bad!r}')}$"):
+        kb.make_set(name, 3, vecs, [ids])
 
 
 def unchecked_document(ks):
-    """The document ``serialize_set`` would write for ``ks`` without its
-    identifier check: every field as Python formats it."""
+    """The document ``serialize_set`` would write for the fields of ``ks``
+    made unchecked: every field as Python formats it."""
     def word(c):
         return str(c.rational) if c.surd == 0 else f"{c.rational}:{c.surd}"
 
@@ -405,7 +405,9 @@ def test_every_valid_set_round_trips_or_is_refused(
 ):
     # a valid set with up to two fields replaced by near-valid values: the
     # rows of a basis, the first two mixed into (1, 1, 0, ...) and
-    # (1, -1, 0, ...) when ``mixed``, each scaled by a + b*sqrt(k)
+    # (1, -1, 0, ...) when ``mixed``, each scaled by a + b*sqrt(k).  What
+    # KsSet builds writes out and reads back; what it refuses, written
+    # unchecked, does not read back as the same fields
     rows = [[int(i == j) for j in range(dimension)] for i in range(dimension)]
     if mixed:
         rows[0][1], rows[1][0], rows[1][1] = 1, 1, -1
@@ -417,22 +419,20 @@ def test_every_valid_set_round_trips_or_is_refused(
             for vid, row, (a, b) in zip(ids, rows, scales)
         )
         contexts = (Context(tuple(ids[:dimension])),) if with_context else ()
-        ks = KsSet(flaws.get("name", name), flaws.get("dimension", dimension), radicand,
-                   vectors, contexts, flaws.get("m_override", m_override))
     except ValueError:
-        return  # the model refuses these fields: there is no set to write
-    if not kb.validate_orthogonality(ks).ok:
-        return  # the parser refuses a repeated ray or a non-orthogonal context
+        return  # a vector or context refuses these fields: there is no set to write
+    fields = (flaws.get("name", name), flaws.get("dimension", dimension), radicand,
+              vectors, contexts, flaws.get("m_override", m_override))
     try:
-        text = serialize_set(ks)
+        ks = KsSet(*fields)
     except ValueError:
-        # refused: the same words written unchecked do not read back as ks
         try:
-            back = parse_document(unchecked_document(ks)).ks_set
+            back = parse_document(unchecked_document(KsSet._make(fields))).ks_set
         except ParseError:
             return
-        assert back != ks
+        assert back != fields
         return
+    text = serialize_set(ks)
     back = parse_document(text).ks_set
     assert back == ks
     assert serialize_set(back) == text
@@ -499,8 +499,7 @@ def test_catalog_text_unknown_name():
 
 
 def test_load_catalog_raises_parse_error_on_a_broken_bundled_file(monkeypatch):
-    # the parser meets a non-orthogonal context before validate_orthogonality
-    # does, so a broken bundled file raises at the context's line
+    # a broken bundled file raises at its line, as any document does
     bad = GOOD.replace("vec b 0 1 0", "vec b 1 1 0")
     monkeypatch.setattr("ksbound.format.catalog_text", lambda name: bad)
     with pytest.raises(ParseError) as ei:

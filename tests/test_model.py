@@ -133,6 +133,23 @@ def test_m_override_must_be_an_integer():
     assert build_stats(make_set("ok", 3, vs, [("a", "b", "c")], m_override=np.int64(7))).M == 7
 
 
+def test_m_override_must_reach_m_cut(cabello18, kernaghan20, kp36):
+    # M_cut = (N*d - n1)/2, n1 the rays in one context: each catalog set
+    # takes its M_cut and refuses one less, whatever its own M
+    for ks, cut in ((cabello18, 18), (kernaghan20, 22), (kp36, 44)):
+        assert KsSet(*ks._replace(m_override=cut)).m_override == cut
+        message = f"m_override must be >= M_cut = (N*d - n1)/2 = {cut}, got {cut - 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KsSet(*ks._replace(m_override=cut - 1))
+    # three triads sharing a: N*d - n1 = 9 - 6, so M_cut = 3/2 and M = 2 is the least
+    vs = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1)), ("d", (0, 1, 1)),
+          ("e", (0, 1, -1)), ("f", (0, 1, 2)), ("g", (0, 2, -1))]
+    fan = [("a", "b", "c"), ("a", "d", "e"), ("a", "f", "g")]
+    assert build_stats(make_set("fan", 3, vs, fan, m_override=2)).M == 2
+    with pytest.raises(ValueError, match=re.escape("= (N*d - n1)/2 = 3/2, got 1")):
+        make_set("fan", 3, vs, fan, m_override=1)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("dimension", 3.0, "dimension must be an integer, got 3.0"),
     ("ring_radicand", 2.0, "radicand must be an integer, got 2.0"),
@@ -304,7 +321,7 @@ def test_records_are_immutable_hashable_values(two_triads):
         stats, ("n", "N", "M", "multiplicities", "m_all_pairs"),
         kb.critical_rate(9, 18, 4), ("r", "floor4", "bracket_low", "bracket_high", "iterations"),
         kb.TABLE_ROWS[0], ("name", "d", "n_label", "N", "M"),
-        kb.Violation("duplicate-ray", "m"), ("kind", "message", "context_index", "vector_ids"),
+        kb.Violation("m"), ("message",),
         kb.validate_orthogonality(ks), ("ok", "violations"),
         kb.find_coloring(ks), ("satisfiable", "assignment", "nodes"),
         kb.min_defect(ks), ("d_min", "witness", "nodes"),
@@ -346,8 +363,7 @@ def test_records_are_immutable_hashable_values(two_triads):
                  contexts=ks.contexts)
     assert same == KsSet(ks.name, 3, 1, ks.vectors, ks.contexts, None) == ks
     assert same.m_override is None
-    violation = kb.Violation(kind="k", message="m")
-    assert (violation.context_index, violation.vector_ids) == (None, ())
+    assert kb.Violation(message="m") == kb.Violation("m")
     assert kb.TableRow(name="x", d=3, n_label="4", N=5, M=6) == kb.TableRow("x", 3, "4", 5, 6)
     assert kb.TrialModel(ks_set=ks, base=dict.fromkeys("abcde", 1), flip_rate=0.5, seed=2).seed == 2
 
@@ -481,6 +497,34 @@ def test_only_check_integer_asks_for_index():
                 scope = parent.get(scope)
             places.add((path.name, scope.name if scope else None))
     assert places == {("model.py", "check_integer")}
+
+
+def test_only_model_checks_a_set_invariant():
+    # each set invariant is written once, in a model helper that KsSet and
+    # the parser both call: no other code of src/ksbound imports the exact
+    # orthogonality test on ray keys or words an invariant's refusal
+    rules = ("duplicate ray", "duplicate context", "not orthogonal", "M_cut")
+    places = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ksbound").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "_keys_orthogonal" not in [alias.name for alias in node.names], path.name
+            if not (
+                isinstance(node, ast.Name) and node.id == "_keys_orthogonal"
+                or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and not isinstance(parent.get(node), ast.Expr)  # a docstring
+                and any(rule in node.value for rule in rules)
+            ):
+                continue
+            scope = parent.get(node)
+            while scope is not None and not isinstance(scope, ast.FunctionDef):
+                scope = parent.get(scope)
+            places.add((path.name, scope.name if scope else None))
+    assert places == {("model.py", name) for name in (
+        "orthogonal", "check_orthogonal", "check_ray", "check_distinct_context", "check_m_override"
+    )}
 
 
 def test_only_simulate_imports_numpy():

@@ -1,16 +1,18 @@
 """Canonical integer ray keys against the exact definitions they replace.
 
-The references below are the checks the parser and ``validate_orthogonality``
-made before rays carried keys, on the tests' field oracle (``conftest``): 2x2
-minors for ray equality and the exact inner product ``dot`` for orthogonality.
+The references below are the checks the parser and ``KsSet`` made before rays
+carried keys, on the tests' field oracle (``conftest``): 2x2 minors for ray
+equality and the exact inner product ``dot`` for orthogonality.
 """
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import ksbound as kb
@@ -72,23 +74,26 @@ def reference_outcome(text):
 
 
 def reference_violations(ks):
-    """validate_orthogonality as it was: all pairs by minors, then each context."""
+    """Every violation among a set's fields, by minors and inner products, in
+    the order ``KsSet``'s checks meet them, as (message, what to drop to mend
+    it): each vector on the ray of an earlier one, named with the first of
+    those, then each context that repeats an earlier one or holds a pair
+    that is not orthogonal."""
     out, vs, seen = [], ks.vectors, {}
     by_id = {v.id: v for v in vs}
-    for u, v in combinations(vs, 2):
-        if minors_same_ray(u, v):
-            out.append(Violation("duplicate-ray", f"{u.id!r} and {v.id!r} are the same ray", None, (u.id, v.id)))
+    for j, v in enumerate(vs):
+        u = next((u for u in vs[:j] if minors_same_ray(u, v)), None)
+        if u is not None:
+            out.append((f"duplicate ray: {v.id!r} is a scalar multiple of {u.id!r}", ("vector", v.id)))
     for ci, ctx in enumerate(ks.contexts):
         key = frozenset(ctx.vector_ids)
         if key in seen:
-            out.append(Violation("duplicate-context", f"context {ci} repeats context {seen[key]}",
-                                 ci, ctx.vector_ids))
-        else:
-            seen[key] = ci
+            out.append((f"duplicate context (same vectors as context {seen[key]})", ("context", ci)))
+        seen.setdefault(key, ci)
         for a, b in combinations(ctx.vector_ids, 2):
             if dot(by_id[a], by_id[b]):
-                out.append(Violation("non-orthogonal", f"context {ci}: {a}·{b} != 0", ci, (a, b)))
-    return tuple(out)
+                out.append((f"context not orthogonal ({a}·{b} != 0)", ("context", ci)))
+    return out
 
 
 # --- the key against the minor definition ------------------------------------------
@@ -233,9 +238,10 @@ MUTANTS = {"cabello18": 40, "kernaghan20": 30, "kernaghan-peres36": 6, "sqrt2-de
 
 def outcome(text):
     try:
-        parse_document(text)
+        ks = parse_document(text).ks_set
     except ParseError as exc:
         return exc.message, exc.line
+    assert KsSet(*ks) == ks  # the constructor accepts what the parser accepts
     return None
 
 
@@ -257,8 +263,9 @@ def test_parser_matches_the_minor_reference_on_mutants():
 
 
 def surd_set(name, vectors, contexts):
+    """The fields of a set over Q(sqrt 2), unchecked: ``_make`` skips ``KsSet``'s checks."""
     vecs = tuple(RayVector(vid, tuple(scalar(*c) for c in comps)) for vid, comps in vectors)
-    return KsSet(name, 3, 2, vecs, tuple(Context(tuple(c)) for c in contexts))
+    return KsSet._make((name, 3, 2, vecs, tuple(Context(tuple(c)) for c in contexts), None))
 
 
 HAND_SETS = [
@@ -291,18 +298,38 @@ HAND_SETS = [
 ]
 
 
+def without(ks, drop):
+    """``ks`` less one vector, with every context that names it, or less one context."""
+    what, which = drop
+    if what == "vector":
+        return ks._replace(vectors=tuple(v for v in ks.vectors if v.id != which),
+                           contexts=tuple(c for c in ks.contexts if which not in c.vector_ids))
+    return ks._replace(contexts=ks.contexts[:which] + ks.contexts[which + 1:])
+
+
 def test_validate_matches_the_minor_reference_on_hand_built_sets(catalog_sets):
+    # KsSet refuses each hand-built set with the reference's first violation,
+    # which validate_orthogonality reports; mending that one shows the next,
+    # until the set is built
+    refused = {}
     for ks in HAND_SETS:
-        got = validate_orthogonality(ks).violations
-        assert got == reference_violations(ks), ks.name
-        assert got
-    kinds = {v.kind for ks in HAND_SETS for v in validate_orthogonality(ks).violations}
-    assert kinds == {"duplicate-ray", "duplicate-context", "non-orthogonal"}
-    assert [v.vector_ids for v in validate_orthogonality(HAND_SETS[0]).violations[:4]] == [
-        ("a", "a2"), ("a", "a3"), ("b", "b2"), ("b", "b3"),
-    ]
+        walk = refused[ks.name] = []
+        while found := reference_violations(ks):
+            message, drop = found[0]
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                KsSet(*ks)
+            assert validate_orthogonality(ks) == (False, (Violation(message),))
+            walk.append(message)
+            ks = without(ks, drop)
+        assert KsSet(*ks) == ks and validate_orthogonality(ks).ok
+    kinds = {m.split(":")[0].split(" (")[0] for walk in refused.values() for m in walk}
+    assert kinds == {"duplicate ray", "duplicate context", "context not orthogonal"}
+    # surd multiples: sqrt2, -3, 1 + sqrt2, -sqrt2 and -3 + 2 sqrt2 times an earlier ray
+    assert refused["dups"] == [f"duplicate ray: {v!r} is a scalar multiple of {u!r}" for v, u in
+                               [("a2", "a"), ("b2", "b"), ("a3", "a"), ("c2", "c"), ("b3", "b")]]
+    assert len(refused["skew"]) == 3 and len(refused["repeats"]) == 4
     for ks in catalog_sets:
-        assert validate_orthogonality(ks).violations == reference_violations(ks) == ()
+        assert reference_violations(ks) == [] and KsSet(*ks) == ks
 
 
 # --- pinned keys and orthogonality over every ring ------------------------------
