@@ -170,6 +170,20 @@ def disjoint_union(name, *parts):
     )
 
 
+#: Each set's critical rate r*, ``critical_rate(N, M, d).r`` written out as the
+#: float it is, by set name: the pinned simulations run at these rates, so a
+#: change to ``critical_rate`` moves only the pinned ``critical-r`` and ``table``
+#: outputs.  A set without contexts has no r*.
+R_STAR = {
+    "cabello18": 0.014213613444098883,
+    "kernaghan20": 0.009760040514720458,
+    "kernaghan-peres36": 0.0043531740343496494,
+    "peres57": 0.003218127202217147,
+    "surds": 0.10786273027906645,
+    "two-triads": 0.16056850468748962,
+}
+
+
 #: A small valid set over Q(sqrt 2): ``a:b`` is a + b*sqrt(2).
 SURD_SET = """\
 ksset 1

@@ -20,12 +20,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ksbound
-from conftest import SURD_SET, connection_slots, fan_document
+from conftest import R_STAR, SURD_SET, connection_slots, fan_document
 from ksbound import (
     Context,
     assignment_defect,
-    build_stats,
-    critical_rate,
     find_coloring,
     parse_document,
     serialize_set,
@@ -856,7 +854,8 @@ def test_command_searches_the_full_set_once(argv, cabello18, monkeypatch, capsys
 #: SHA-256 of every (argv, exit code, stdout, stderr) in ``test_cli_outputs_are_pinned``.
 PINNED_CLI = "fdbc4089f8a0da8e9ca7673337673a8b0d88ae5526de293a031adf074ae35dff"
 
-#: The flip rates ``test_cli_outputs_are_pinned`` simulates at; "r*" is the set's critical rate.
+#: The flip rates ``test_cli_outputs_are_pinned`` simulates at; "r*" is the set's
+#: critical rate, as ``R_STAR`` pins it.
 PINNED_RATES = (0.0, 1e-3, "r*", 0.02, 0.1, 0.5, 1.0)
 
 
@@ -882,12 +881,11 @@ def test_cli_outputs_are_pinned(two_triads, tmp_path, monkeypatch, capsys):
         ks = parse_document(text).ks_set
         runs += [[cmd, source] for cmd in ("validate", "stats", "color", "defect", "critical-r")]
         runs += [["bounds", source], ["bounds", source, "--delta", "0.005", "--epsilon", "0.01"]]
-        st = build_stats(ks)
         for rate in PINNED_RATES:
             if rate == "r*":
-                if not st.N or not st.M:  # a set without contexts has no r*
+                if ks.name not in R_STAR:  # a set without contexts has no r*
                     continue
-                rate = critical_rate(st.N, st.M, ks.dimension).r
+                rate = R_STAR[ks.name]
             simulate = ["simulate", source, "--r", str(rate), "--trials", "30000"]
             runs += [simulate + ["--seed", seed] for seed in ("7", "123")]
         # the flips end within the first chunk: the rest is counted without them

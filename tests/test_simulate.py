@@ -14,7 +14,7 @@ import pytest
 
 import ksbound as kb
 import ksbound.simulate as sim
-from conftest import connection_slots, fan_document
+from conftest import R_STAR, connection_slots, fan_document
 from ksbound import (
     SimSummary,
     TrialModel,
@@ -290,8 +290,7 @@ def test_seeded_counters_are_pinned(catalog_sets):
     summaries = []
     for i, ks in enumerate(catalog_sets):
         base = default_base(ks)
-        st = build_stats(ks)
-        for j, rate in enumerate((critical_rate(st.N, st.M, ks.dimension).r, 0.1, 0.5)):
+        for j, rate in enumerate((R_STAR[ks.name], 0.1, 0.5)):
             model = TrialModel(ks, base, rate, seed=1000 + 10 * i + j)
             summaries.append(list(simulate_model(model, 40_000)))
     digest = hashlib.sha256(json.dumps(summaries).encode()).hexdigest()
