@@ -29,8 +29,9 @@ def validate_orthogonality(ks: KsSet) -> ValidationReport:
     first refusal as one :class:`Violation` rather than raising it.
 
     The constructor refuses a repeated ray, a repeated context and a
-    context that is not orthogonal, and the parser runs the same checks, so
-    only a set made by ``_replace`` or ``_make`` can fail here.
+    context that is not orthogonal, and the parser feeds the same
+    :class:`~ksbound.model.SetCheck`, so only a set made by ``_replace`` or
+    ``_make`` can fail here.
     """
     try:
         KsSet(*ks)

@@ -10,7 +10,8 @@ ignored, UTF-8; a line ends at LF, CRLF or CR and nowhere else):
                                     before any vec
     vec <id> <comp> ... <comp>      exactly d components
     ctx <id> ... <id>               exactly d previously declared ids
-    m-override <integer >= 0>       optional, at most once
+    m-override <integer >= M_cut>   optional, at most once, M_cut = (N*d - n1)/2
+                                    for N contexts and n1 rays in exactly one
 
 A component is either a rational ``p`` / ``p/q`` or ``p/q:r/s`` meaning
 p/q + (r/s)*sqrt(k).  Every diagnostic carries the offending line number.
@@ -24,18 +25,12 @@ from typing import Any, NamedTuple
 
 from .model import (
     _IDENT_CHARS,
-    Context,
     ExactScalar,
     KsSet,
     RayVector,
-    check_context,
+    SetCheck,
     check_dimension,
-    check_distinct_context,
-    check_m_override,
-    check_orthogonal,
     check_radicand,
-    check_ray,
-    check_vector,
 )
 
 _RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -99,22 +94,25 @@ def parse_document(text: str) -> SetDocument:
     ``duplicate <directive> directive``.  ``dim`` must precede every
     ``vec`` and ``ctx``, and ``field`` every ``vec``.
 
-    Every invariant of a set is the model's own check, with its message,
-    run line by line as :class:`~ksbound.model.KsSet` runs it: the
-    dimension floor, the radicand, a surd part over Q, the zero vector, a
-    vector's id, component count and repeated id, a second declaration of
-    a ray (one dict lookup on the canonical ray key), a context's length,
-    repeated and undeclared ids, a repeated context and a context that is
-    not pairwise orthogonal.  A ``vec`` line's id and count are checked
+    Every invariant of a set is checked by one
+    :class:`~ksbound.model.SetCheck`, the checker
+    :class:`~ksbound.model.KsSet` feeds, with its messages: it is made at
+    the first ``vec`` or ``ctx`` line and fed each such line.  It checks
+    the dimension floor and the radicand (both checked at their own lines
+    first), a vector's id, component count and repeated id, its ring and a
+    second declaration of a ray, a context's length, undeclared and
+    repeated ids, a repeated context and a context that is not pairwise
+    orthogonal; the zero vector and a surd part over Q are refused as
+    their components are read.  A ``vec`` line's id and count are checked
     before any of its components is parsed, so they stay the line's first
     error.  Every check raises ``ValueError``, and one handler attaches the
     line.  Once every line is read, an ``m-override`` below M_cut is
     refused at its own line, which may precede the contexts that fix
-    M_cut.  The checked parts then make the set through ``KsSet._make``, so
-    no check runs twice.  Each distinct component token is parsed once per
-    document and its scalar shared by every vector that repeats it:
-    ``field`` precedes every ``vec``, so a token always means the same
-    scalar.
+    M_cut.  The checker's state then makes the set through
+    ``KsSet._make``, so no check runs twice.  Each distinct component token
+    is parsed once per document and its scalar shared by every vector that
+    repeats it: ``field`` precedes every ``vec``, so a token always means
+    the same scalar.
     """
     # str.splitlines would also end a line at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
     raw_lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -122,11 +120,8 @@ def parse_document(text: str) -> SetDocument:
         raw_lines.pop()  # a final line end closes the last line; it opens no new one
     version_seen = False
     header: dict[str, Any] = {}  # the value of each header directive seen, by directive
-    vectors: dict[str, RayVector] = {}
+    check: SetCheck | None = None  # made at the first vec or ctx line
     scalars: dict[str, ExactScalar] = {}  # each distinct component token, parsed once
-    rays: dict[tuple[int, ...], str] = {}
-    contexts: list[Context] = []
-    seen: dict[frozenset[str], str] = {}  # each context's ids, and where it was declared
     m_line = 0  # the m-override line
 
     last_line = max(1, len(raw_lines))
@@ -148,7 +143,7 @@ def parse_document(text: str) -> SetDocument:
                     raise ValueError(message)
                 if directive in header:
                     raise ValueError(f"duplicate {directive} directive")
-                if directive == "field" and vectors:
+                if directive == "field" and check and check.vectors:
                     raise ValueError("field must be declared before any vec")
                 header[directive] = match[1] if directive == "name" else int(match[1])
                 if directive == "dim":
@@ -161,27 +156,19 @@ def parse_document(text: str) -> SetDocument:
                 raise ValueError(f"unknown directive {directive!r}")
             elif "dim" not in header:
                 raise ValueError(f"dim must be declared before any {directive}")
-            elif directive == "vec":
-                if len(tokens) < 2:
+            else:
+                check = check or SetCheck(header["dim"], header.get("field", 1))
+                if directive == "ctx":
+                    check.context(tokens[1:], f"line {lineno}")
+                elif len(tokens) < 2:
                     raise ValueError("vec needs an id and components")
-                vid, comps = tokens[1], tokens[2:]
-                check_vector(vid, comps, header["dim"], vectors)  # before any token is parsed
-                for c in comps:  # a bad token raises at its first occurrence
-                    if c not in scalars:
-                        scalars[c] = _parse_component(c, header.get("field", 1))
-                vec = RayVector(vid, tuple(map(scalars.__getitem__, comps)))
-                check_ray(vec, rays)
-                vectors[vid] = vec
-                rays[vec.key] = vid
-            else:  # ctx
-                ids = tokens[1:]
-                check_context(ids, header["dim"], vectors)
-                ctx = Context(tuple(ids))
-                key = frozenset(ids)
-                check_distinct_context(key, seen)
-                check_orthogonal(ids, vectors)
-                seen[key] = f"line {lineno}"
-                contexts.append(ctx)
+                else:
+                    vid, comps = tokens[1], tokens[2:]
+                    check.declare(vid, comps)  # before any token is parsed
+                    for c in comps:  # a bad token raises at its first occurrence
+                        if c not in scalars:
+                            scalars[c] = _parse_component(c, check.radicand)
+                    check.vector(RayVector(vid, tuple(map(scalars.__getitem__, comps))))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
 
@@ -190,16 +177,15 @@ def parse_document(text: str) -> SetDocument:
     for directive in ("name", "dim"):
         if directive not in header:
             raise ParseError(f"missing {directive} directive", last_line)
-    m_override = header.get("m-override")
-    if m_override is not None:
-        try:
-            check_m_override(m_override, contexts, header["dim"], "m-override")
-        except ValueError as exc:
-            raise ParseError(str(exc), m_line) from exc
+    check = check or SetCheck(header["dim"], header.get("field", 1))
+    try:
+        check.m_override(header.get("m-override"), "m-override")
+    except ValueError as exc:
+        raise ParseError(str(exc), m_line) from exc
 
     return SetDocument(KsSet._make((
-        header["name"], header["dim"], header.get("field", 1),
-        tuple(vectors.values()), tuple(contexts), m_override,
+        header["name"], check.dimension, check.radicand,
+        tuple(check.vectors.values()), tuple(check.contexts), header.get("m-override"),
     )))
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import index, mul
-from typing import Container, Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -63,13 +63,15 @@ def check_integer(x: object, name: str, least: Optional[int] = None) -> int:
     return index(x)
 
 
-def check_radicand(k: int) -> None:
-    """Raise ValueError unless k is a square-free integer in [1, MAX_RADICAND]."""
-    check_integer(k, "radicand")
+def check_radicand(k: int) -> int:
+    """Return k as a Python int; raise ValueError unless it is a square-free
+    integer in [1, MAX_RADICAND]."""
+    k = check_integer(k, "radicand")
     if k > MAX_RADICAND:
         raise ValueError(f"radicand {k} exceeds the limit {MAX_RADICAND}")
     if not is_square_free(k):
         raise ValueError(f"radicand {k} is not a square-free positive integer")
+    return k
 
 
 def check_dimension(d: int, name: str = "dimension") -> int:
@@ -91,74 +93,6 @@ def check_identifier(x: object, what: str) -> None:
     one or more of ``A-Z a-z 0-9 _ . -``."""
     if not (isinstance(x, str) and _IDENT.fullmatch(x)):
         raise ValueError(f"malformed {what} {x!r}")
-
-
-def check_context(ids: Sequence[str], dimension: int, declared: Container[str]) -> None:
-    """Raise ValueError unless a context names ``dimension`` ids, each of
-    them in ``declared``; :class:`Context` refuses a repeated id."""
-    if len(ids) != dimension:
-        raise ValueError(f"context has {len(ids)} ids, expected {dimension}")
-    for vid in ids:
-        if vid not in declared:
-            raise ValueError(f"context references undeclared vector id {vid!r}")
-
-
-def check_distinct_context(ids: frozenset[str], seen: Mapping[frozenset[str], str]) -> None:
-    """Raise ValueError if a context of the same ids is in ``seen``, which
-    says where each earlier context was declared."""
-    if ids in seen:
-        raise ValueError(f"duplicate context (same vectors as {seen[ids]})")
-
-
-def check_orthogonal(ids: Sequence[str], declared: Mapping[str, RayVector]) -> None:
-    """Raise ValueError unless the declared vectors with these ids, of one
-    dimension and ring, are pairwise orthogonal, decided on their ray keys."""
-    k = declared[ids[0]].radicand
-    for a, b in combinations(ids, 2):
-        if not _keys_orthogonal(declared[a].key, declared[b].key, k):
-            raise ValueError(f"context not orthogonal ({a}·{b} != 0)")
-
-
-def check_vector(
-    vid: str, components: Sequence[object], dimension: int, declared: Container[str]
-) -> None:
-    """Raise ValueError unless a vector's id is an identifier, then
-    DimensionMismatchError unless it has ``dimension`` components, then
-    ValueError if its id is already in ``declared``."""
-    check_identifier(vid, "vector id")
-    if len(components) != dimension:
-        raise DimensionMismatchError(
-            f"vector {vid!r} has {len(components)} components, expected {dimension}"
-        )
-    if vid in declared:
-        raise ValueError(f"duplicate vector id {vid!r}")
-
-
-def check_ray(vec: RayVector, rays: Mapping[tuple[int, ...], str]) -> None:
-    """Raise ValueError if ``vec`` lies on a ray in ``rays``, the id of each
-    declared vector by its ray key."""
-    if vec.key in rays:
-        raise ValueError(f"duplicate ray: {vec.id!r} is a scalar multiple of {rays[vec.key]!r}")
-
-
-def check_m_override(m: object, contexts: Sequence[Context], dimension: int,
-                     name: str = "m_override") -> None:
-    """Raise ValueError unless m is an integer of at least M_cut = (N*d -
-    n1)/2, where n1 counts the rays in exactly one of the N contexts.
-
-    The KS inequality ``M*delta + N*epsilon >= 1`` holds on an uncolorable
-    set when each connection of a ray in k contexts weighs 1/(k-1), for a
-    total of M_cut, or any M above it; a lower M claims a contradiction
-    that a non-contextual model can refute.  Compared as ``2*m >= N*d -
-    n1``, so a half-integer M_cut needs no float.
-    """
-    check_integer(m, name, 0)
-    counts = Counter(chain.from_iterable(ctx.vector_ids for ctx in contexts))
-    twice_cut = len(contexts) * dimension - list(counts.values()).count(1)
-    if 2 * m < twice_cut:
-        raise ValueError(
-            f"{name} must be >= M_cut = (N*d - n1)/2 = {Fraction(twice_cut, 2)}, got {m}"
-        )
 
 
 def _exact(x: Rational) -> Fraction:
@@ -289,7 +223,7 @@ class Context(namedtuple("Context", "vector_ids")):
     """An ordered tuple of d distinct vector ids measured together.
 
     Orthogonality is a set-level property (it needs the vectors):
-    :class:`KsSet` and the parser check it with :func:`check_orthogonal`.
+    :class:`SetCheck` checks it for :class:`KsSet` and the parser.
     """
 
     __slots__ = ()
@@ -318,19 +252,102 @@ class Incidence(NamedTuple):
     slots: tuple[tuple[int, ...], ...]
 
 
+class SetCheck:
+    """The checks of every set invariant, in one order and on one state:
+    :class:`KsSet` and the parser both feed one, so a set built in code and
+    a document are refused alike, with one message each.
+
+    Built from the dimension and radicand, which it checks.  Then, in order,
+    :meth:`declare` and :meth:`vector` for each vector, :meth:`context` for
+    each context and :meth:`m_override` last.  Each method raises
+    ``ValueError`` at the first refusal, so a parser can attach its line,
+    and records what it accepts: the declared vectors by id, their ids by
+    ray key, the contexts, and where each context was declared.
+    """
+
+    def __init__(self, dimension: int, radicand: int) -> None:
+        self.dimension, self.radicand = check_dimension(dimension), check_radicand(radicand)
+        self.vectors: dict[str, RayVector] = {}
+        self.rays: dict[tuple[int, ...], str] = {}
+        self.contexts: list[Context] = []
+        self.seen: dict[frozenset[str], str] = {}  # each context's ids, and where it was declared
+
+    def declare(self, vid: str, components: Sequence[object]) -> None:
+        """Raise ValueError unless a vector's id is an identifier, then
+        DimensionMismatchError unless it has ``dimension`` components, then
+        ValueError if the id is already declared."""
+        check_identifier(vid, "vector id")
+        if len(components) != self.dimension:
+            raise DimensionMismatchError(
+                f"vector {vid!r} has {len(components)} components, expected {self.dimension}"
+            )
+        if vid in self.vectors:
+            raise ValueError(f"duplicate vector id {vid!r}")
+
+    def vector(self, vec: RayVector) -> None:
+        """Raise RingMismatchError unless ``vec`` lives in the set's ring,
+        then ValueError if it lies on a declared ray (one lookup of its ray
+        key); record it."""
+        if vec.radicand != self.radicand:
+            raise RingMismatchError(
+                f"vector {vec.id!r} lives in ring sqrt({vec.radicand}), "
+                f"set declares sqrt({self.radicand})"
+            )
+        earlier = self.rays.get(vec.key)
+        if earlier is not None:
+            raise ValueError(f"duplicate ray: {vec.id!r} is a scalar multiple of {earlier!r}")
+        self.vectors[vec.id] = vec
+        self.rays[vec.key] = vec.id
+
+    def context(self, ids: Sequence[str], where: str) -> None:
+        """Raise ValueError unless a context names ``dimension`` declared
+        ids, none twice (:class:`Context`), not the ids of an earlier
+        context, and pairwise orthogonal vectors, decided on their ray keys;
+        record it, declared at ``where``."""
+        if len(ids) != self.dimension:
+            raise ValueError(f"context has {len(ids)} ids, expected {self.dimension}")
+        for vid in ids:
+            if vid not in self.vectors:
+                raise ValueError(f"context references undeclared vector id {vid!r}")
+        ctx = Context(tuple(ids))
+        key = frozenset(ids)
+        if key in self.seen:
+            raise ValueError(f"duplicate context (same vectors as {self.seen[key]})")
+        for a, b in combinations(ids, 2):
+            if not _keys_orthogonal(self.vectors[a].key, self.vectors[b].key, self.radicand):
+                raise ValueError(f"context not orthogonal ({a}·{b} != 0)")
+        self.contexts.append(ctx)
+        self.seen[key] = where
+
+    def m_override(self, m: object, name: str) -> None:
+        """Raise ValueError unless m is None (no override) or an integer of
+        at least M_cut = (N*d - n1)/2, where n1 counts the rays in exactly
+        one of the N contexts.  Called last: it counts every context's ids.
+
+        The KS inequality ``M*delta + N*epsilon >= 1`` holds on an
+        uncolorable set when each connection of a ray in k contexts weighs
+        1/(k-1), for a total of M_cut, or any M above it; a lower M claims a
+        contradiction that a non-contextual model can refute.  Compared as
+        ``2*m >= N*d - n1``, so a half-integer M_cut needs no float.
+        """
+        if m is None:
+            return
+        check_integer(m, name, 0)
+        counts = Counter(chain.from_iterable(self.seen))  # a context's ids are distinct
+        twice_cut = len(self.contexts) * self.dimension - list(counts.values()).count(1)
+        if 2 * m < twice_cut:
+            raise ValueError(
+                f"{name} must be >= M_cut = (N*d - n1)/2 = {Fraction(twice_cut, 2)}, got {m}"
+            )
+
+
 class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m_override")):
     """A named set of rays and orthogonal d-tuples, with optional M override.
 
     The constructor refuses, with ``ValueError``, any set that no document
-    can hold, by the checks the parser runs line by line: the name
-    (:func:`check_identifier`); each vector's id, component count and
-    repeated id (:func:`check_vector`), its ring, and a second vector on a
-    ray already declared (:func:`check_ray`); each context's length and
-    undeclared ids (:func:`check_context`), a repeat of an earlier context
-    (:func:`check_distinct_context`) and a pair of its vectors that is not
-    orthogonal (:func:`check_orthogonal`); and an ``m_override`` below
-    M_cut (:func:`check_m_override`).  The dimension, the radicand and
-    ``m_override`` must be integers and not bools (:func:`check_integer`).
+    can hold: it checks the name (:func:`check_identifier`), then feeds one
+    :class:`SetCheck`, the checker the parser feeds line by line, with the
+    dimension and radicand, each vector, each context and ``m_override``.
     So every set writes out as a document that parses back.  ``_replace``
     and ``_make`` skip the checks: the parser builds its checked set with
     ``_make``.  A plain value like the other records: the fields are its
@@ -350,29 +367,13 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
         m_override: Optional[int] = None,
     ) -> KsSet:
         check_identifier(name, "set name")
-        check_dimension(dimension)
-        check_radicand(ring_radicand)
-        declared: dict[str, RayVector] = {}
-        rays: dict[tuple[int, ...], str] = {}
+        check = SetCheck(dimension, ring_radicand)
         for v in vectors:
-            check_vector(v.id, v.components, dimension, declared)
-            if v.radicand != ring_radicand:
-                raise RingMismatchError(
-                    f"vector {v.id!r} lives in ring sqrt({v.radicand}), "
-                    f"set declares sqrt({ring_radicand})"
-                )
-            check_ray(v, rays)
-            declared[v.id] = v
-            rays[v.key] = v.id
-        seen: dict[frozenset[str], str] = {}
+            check.declare(v.id, v.components)
+            check.vector(v)
         for c, ctx in enumerate(contexts):
-            check_context(ctx.vector_ids, dimension, declared)
-            key = frozenset(ctx.vector_ids)
-            check_distinct_context(key, seen)
-            check_orthogonal(ctx.vector_ids, declared)
-            seen[key] = f"context {c}"
-        if m_override is not None:
-            check_m_override(m_override, contexts, dimension)
+            check.context(ctx.vector_ids, f"context {c}")
+        check.m_override(m_override, "m_override")
         return super().__new__(cls, name, dimension, ring_radicand, vectors, contexts, m_override)
 
 
@@ -451,7 +452,7 @@ def _keys_orthogonal(x: tuple[int, ...], y: tuple[int, ...], k: int) -> bool:
     product sum(A*C + k*B*D) + sum(A*D + B*C)*sqrt(k) vanishes exactly when
     the vectors' does; both parts are integers.  Over Q (k = 1) every B and
     D is 0, so the test is the plain dot product.  Callers vouch for the
-    dimension and ring: :func:`orthogonal` and :func:`check_orthogonal`.
+    dimension and ring: :func:`orthogonal` and :meth:`SetCheck.context`.
     """
     if k == 1:
         return sum(map(mul, x, y)) == 0

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import ksbound as kb
 from ksbound import ParseError, parse_document, serialize_set
 from ksbound.format import _parse_rational
-from ksbound.model import Context, ExactScalar, KsSet, RayVector, check_vector
+from ksbound.model import Context, ExactScalar, KsSet, RayVector, SetCheck
 
 GOOD = """\
 ksset 1
@@ -279,6 +279,11 @@ DECLARED = "ksset 1\nname x\ndim 3\nvec a 1 0 0\nvec b 0 1 0\nvec c 0 0 1\n"
                  lambda: kb.make_set("x", 3, AXES, [("a", "a", "b")]), id="repeated-id"),
     pytest.param(DECLARED + "ctx a b q\n", 7,
                  lambda: kb.make_set("x", 3, AXES, [("a", "b", "q")]), id="undeclared-id"),
+    pytest.param(DECLARED + "vec d 2 0 0\n", 7,
+                 lambda: kb.make_set("x", 3, [*AXES, ("d", (2, 0, 0))], []), id="duplicate-ray"),
+    pytest.param(DECLARED + "vec d 1 1 0\nctx a d c\n", 8,
+                 lambda: kb.make_set("x", 3, [*AXES, ("d", (1, 1, 0))], [("a", "d", "c")]),
+                 id="not-orthogonal"),
 ])
 def test_model_checks_report_the_models_message(text, line, model_check):
     # one implementation per invariant: the parser says what the model says,
@@ -296,8 +301,11 @@ def test_model_checks_report_the_models_message(text, line, model_check):
     pytest.param("a", ("0", "1"), "vector 'a' has 2 components, expected 3", id="both"),
 ])
 def test_vector_checks_have_one_implementation(vid, comps, message):
+    check = SetCheck(3, 1)
+    for v in parses(DECLARED).vectors:
+        check.vector(v)
     with pytest.raises(ValueError) as model:
-        check_vector(vid, comps, 3, {"a", "b", "c"})
+        check.declare(vid, comps)
     assert str(model.value) == message
     err = rejects(DECLARED + f"vec {vid} {' '.join(comps)}\n", message, line=7)
     assert err.message == message

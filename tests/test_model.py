@@ -500,9 +500,9 @@ def test_only_check_integer_asks_for_index():
 
 
 def test_only_model_checks_a_set_invariant():
-    # each set invariant is written once, in a model helper that KsSet and
-    # the parser both call: no other code of src/ksbound imports the exact
-    # orthogonality test on ray keys or words an invariant's refusal
+    # each set invariant is written once, in a method of the SetCheck that
+    # KsSet and the parser both feed: no other code of src/ksbound imports
+    # the exact orthogonality test on ray keys or words an invariant's refusal
     rules = ("duplicate ray", "duplicate context", "not orthogonal", "M_cut")
     places = set()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ksbound").glob("*.py")):
@@ -518,12 +518,14 @@ def test_only_model_checks_a_set_invariant():
                 and any(rule in node.value for rule in rules)
             ):
                 continue
-            scope = parent.get(node)
-            while scope is not None and not isinstance(scope, ast.FunctionDef):
-                scope = parent.get(scope)
-            places.add((path.name, scope.name if scope else None))
+            scopes = []  # the enclosing classes and functions, outermost first
+            while node in parent:
+                node = parent[node]
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    scopes.insert(0, node.name)
+            places.add((path.name, ".".join(scopes)))
     assert places == {("model.py", name) for name in (
-        "orthogonal", "check_orthogonal", "check_ray", "check_distinct_context", "check_m_override"
+        "orthogonal", "SetCheck.vector", "SetCheck.context", "SetCheck.m_override"
     )}
 
 
