@@ -348,7 +348,11 @@ class KsSet(namedtuple("KsSet", "name dimension ring_radicand vectors contexts m
     can hold: it checks the name (:func:`check_identifier`), then feeds one
     :class:`SetCheck`, the checker the parser feeds line by line, with the
     dimension and radicand, each vector, each context and ``m_override``.
-    So every set writes out as a document that parses back.  ``_replace``
+    The dimension, the radicand and ``m_override`` must be integers and not
+    bools (:func:`check_integer`).  Each context's ids are checked again
+    through :class:`Context`, so a context made by ``Context._make`` is held
+    to its rule too.  So every set writes out as a document that parses
+    back.  ``_replace``
     and ``_make`` skip the checks: the parser builds its checked set with
     ``_make``.  A plain value like the other records: the fields are its
     whole state, and what derives from them, such as its

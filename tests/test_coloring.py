@@ -9,6 +9,7 @@ import pytest
 import ksbound as kb
 from conftest import brute_force_coloring, connection_slots, disjoint_union
 from ksbound import (
+    Context,
     KsSet,
     Violation,
     assignment_defect,
@@ -70,8 +71,11 @@ def test_validate_flags_duplicate_ray_and_context(triad):
     with pytest.raises(ValueError, match=f"^{re.escape(context)}$"):
         make_set("dups", 3, vs, [("a", "b", "c"), ("b", "a", "c")])
     a2 = triad.vectors[0]._replace(id="a2")
+    # a context made by _make skipped Context's own check, which KsSet runs again
+    repeats = Context._make((("a", "a", "b"),))
     for bad, message in ((triad._replace(vectors=(*triad.vectors, a2)), ray),
-                         (triad._replace(contexts=triad.contexts * 2), context)):
+                         (triad._replace(contexts=triad.contexts * 2), context),
+                         (triad._replace(contexts=(repeats,)), "context repeats vector id 'a'")):
         assert validate_orthogonality(bad) == (False, (Violation(message),))
 
 

@@ -518,11 +518,11 @@ def test_only_model_checks_a_set_invariant():
                 and any(rule in node.value for rule in rules)
             ):
                 continue
-            scopes = []  # the enclosing classes and functions, outermost first
-            while node in parent:
-                node = parent[node]
-                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-                    scopes.insert(0, node.name)
+            scopes, scope = [], node  # the enclosing classes and functions, outermost first
+            while scope in parent:
+                scope = parent[scope]
+                if isinstance(scope, (ast.ClassDef, ast.FunctionDef)):
+                    scopes.insert(0, scope.name)
             places.add((path.name, ".".join(scopes)))
     assert places == {("model.py", name) for name in (
         "orthogonal", "SetCheck.vector", "SetCheck.context", "SetCheck.m_override"
