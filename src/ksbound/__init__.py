@@ -10,7 +10,6 @@ search (:mod:`ksbound.coloring`), analytic bounds and critical rates
 from types import ModuleType as _ModuleType
 
 from .bounds import (
-    BISECTION_TOLERANCE,
     CriticalRate,
     TABLE_ROWS,
     TableRow,
@@ -42,6 +41,7 @@ from .format import (
     serialize_set,
 )
 from .model import (
+    MAX_DIMENSION,
     MAX_RADICAND,
     Context,
     DimensionMismatchError,

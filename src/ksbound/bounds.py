@@ -5,20 +5,19 @@ non-contextual description is impossible whenever it is positive.  Under
 independent per-result flips at rate r the two rates become
 delta(r) = 2r - 2r^2 and epsilon(r, d) = 1 - (1-r)^d - (d-1)(1-r)^(d-2) r^2,
 and the largest r still forcing a contradiction is the root of
-g(r) = M*delta(r) + N*epsilon(r, d) = 1, found here by bisection.
+g(r) = M*delta(r) + N*epsilon(r, d) = 1, found here by a bisection over the
+floats whose every step is decided exactly.
 """
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .model import check_dimension, check_integer
 
 Number = Union[int, float, Fraction]
-
-BISECTION_TOLERANCE = 1e-12
-_BRACKET_HIGH = 0.5
 
 
 def inequality_margin(M: int, N: int, delta: Number, epsilon: Number) -> Number:
@@ -83,39 +82,57 @@ class CriticalRate(NamedTuple):
     iterations: int
 
 
+def _float(bits: int) -> float:
+    # the float with these IEEE bits; non-negative floats sort as their bits do
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _excess(x: Union[float, Fraction], N: int, M: int, d: int) -> int:
+    # q^d * (g(x) - 1) for x = m/q, exactly: its sign is that of g(x) - 1
+    m, q = x.as_integer_ratio()
+    t = q - m
+    return 2 * M * m * t * q ** (d - 2) + N * (q**d - t**d - (d - 1) * t ** (d - 2) * m * m) - q**d
+
+
 def critical_rate(N: int, M: int, d: int) -> CriticalRate:
-    """Smallest r > 0 with g(r) = 1, by bisection on [0, 1/2] to 1e-12.
+    """The root of g(r) = 1 in (0, 1/2], as the float nearest to it.
 
     g(0) = 0 and g is strictly increasing at the scales of interest, so the
     root is the largest rate that still certifies a contradiction.  The
     bracket always holds it: g(1/2) = M/2 + N(1 - d/2^d) >= 9/8 for every
-    N, M >= 1 and d >= 3.  floor4 truncates to 4 decimals for comparison
-    against published tables (the rate is a supremum, so truncation, not
-    rounding, is the faithful reduction).
+    N, M >= 1 and d >= 3.  The search bisects the IEEE bit patterns of the
+    floats between 0 and 1/2, deciding each step's sign of g - 1 exactly in
+    integers, so it makes at most 62 halvings for any N and M.  It ends on
+    two adjacent floats with g(bracket_low) < 1 <= g(bracket_high), and ``r``
+    is the nearer of the two, by the exact sign at their midpoint.  floor4
+    truncates the exact value of ``r`` to 4 decimals for comparison against
+    published tables (the rate is a supremum, so truncation, not rounding, is
+    the faithful reduction).
 
-    The stopping width is absolute: every call makes exactly 39 halvings and
-    ends at a width of 2^-40 (about 9.09e-13), so ``r`` is accurate only to
-    about 1e-12, absolute.  A root below that is not found: for N = 10^23 - 1,
-    M = 1, d = 3 the root is near 3.3e-24, but ``r`` is 2^-41 (4.55e-13).
-    ``floor4`` is still right.  ROADMAP.md item 2 plans the fix.
+    A root that rounds to 0.0 raises OverflowError, as a reported value no
+    float carries does.  ``check_dimension`` caps d at ``MAX_DIMENSION``, which
+    bounds the cost of a step.
     """
     N, M = check_integer(N, "N", 1), check_integer(M, "M", 1)
     check_dimension(d)
-    lo, hi = 0.0, _BRACKET_HIGH
+    lo, hi = 0, 0x3FE0_0000_0000_0000  # the bits of 0.0 and of 0.5
     iterations = 0
-    while hi - lo > BISECTION_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if independent_error_lhs(mid, N, M, d) < 1:
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _excess(_float(mid), N, M, d) < 0:
             lo = mid
         else:
             hi = mid
         iterations += 1
-    r = 0.5 * (lo + hi)
+    low, high = _float(lo), _float(hi)
+    r = low if _excess((Fraction(low) + Fraction(high)) / 2, N, M, d) >= 0 else high
+    if not r:
+        raise OverflowError("critical rate is too small for a float")
     return CriticalRate(
         r=r,
-        floor4=math.floor(r * 10_000) / 10_000,
-        bracket_low=lo,
-        bracket_high=hi,
+        floor4=math.floor(Fraction(r) * 10_000) / 10_000,
+        bracket_low=low,
+        bracket_high=high,
         iterations=iterations,
     )
 

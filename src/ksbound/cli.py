@@ -10,10 +10,10 @@ stderr.  A reader that closes stdout early gets exit 1 and no diagnostic.
 One error path: a rejected input, whether a flag, a file or a set, raises
 ``ValueError`` (a ``ParseError`` is one) or ``OverflowError`` (a count past
 float range meeting a float rate, or an exact value that a reported float
-cannot carry), and :func:`main` alone prints it as
-``error: <message>`` and returns 1.  The flags' rules are the library's own
-checks, given the flag's name.  An internal fault is an ``AssertionError``
-and ends in a traceback.
+cannot carry, such as a critical rate below the least positive float),
+and :func:`main` alone prints it as ``error: <message>`` and returns 1.  The
+flags' rules are the library's own checks, given the flag's name.  An
+internal fault is an ``AssertionError`` and ends in a traceback.
 
 Every numeric flag, a rate or a count, is read by one reader,
 :func:`_flag`, in one grammar: a decimal such as ``0.026`` or ``1e3``, or a
@@ -48,7 +48,7 @@ from typing import Any, Callable, NoReturn, Optional, Sequence
 from .bounds import check_rate, critical_rate, delta_lower_bound, inequality_margin, table_report
 from .coloring import find_coloring, min_defect
 from .format import ParseError, catalog_text, parse_document
-from .model import KsSet, build_stats, check_dimension, check_integer
+from .model import MAX_DIMENSION, KsSet, build_stats, check_dimension, check_integer
 from .simulate import TrialModel, check_seed, check_trials, default_base, simulate_model
 
 CATALOG_PREFIX = "catalog:"
@@ -291,7 +291,7 @@ def _cmd_critical_r(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         f"critical rate r* = {rate.r:.12g}",
         f"4-decimal floor  = {rate.floor4:.4f}",
         f"bisection: {rate.iterations} iterations, final bracket "
-        f"[{rate.bracket_low:.15g}, {rate.bracket_high:.15g}]",
+        f"[{rate.bracket_low!r}, {rate.bracket_high!r}]",
     ]
     return 0, doc, text
 
@@ -412,7 +412,7 @@ def build_parser() -> _Parser:
             "a calculator over --N, --M and --d that checks no set", _cmd_critical_r, nargs="?")
     p.add_argument("--N", help="context count: an integer >= 1, such as 9 or 1e3")
     p.add_argument("--M", help="connection count: an integer >= 1")
-    p.add_argument("--d", help="dimension: an integer >= 3")
+    p.add_argument("--d", help=f"dimension: an integer from 3 to {MAX_DIMENSION}")
 
     p = add("simulate", "seeded Monte Carlo run of the independent-error model", _cmd_simulate)
     p.add_argument("--r", required=True, help="independent flip rate, read as bounds --delta")
@@ -432,9 +432,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # a rejected input raises ValueError (a ParseError is one; so are a KS
     # set with an m-override of 0, which has no delta floor, a colorable set
     # given to critical-r, and a simulate run past int64 positions) or
-    # OverflowError (a count past float range meets a float rate, or a rate
-    # or bounds value that no float carries); an internal fault is an
-    # AssertionError and keeps its traceback
+    # OverflowError (a count past float range meets a float rate, or a rate,
+    # bounds value or critical rate that no float carries); an internal fault
+    # is an AssertionError and keeps its traceback
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """Inequality margin, delta floor, analytic error model, critical rates."""
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -155,13 +156,57 @@ def test_lhs_matches_exact_rational_evaluation():
 # --- critical rate ---------------------------------------------------------------
 
 
+def assert_adjacent_bracket(rate, N, M, d):
+    # two adjacent floats with exact signs, and r the nearer of the two
+    lo, hi = rate.bracket_low, rate.bracket_high
+    assert hi == math.nextafter(lo, 1)
+    assert g_exact(Fraction(lo), N, M, d) < 1 <= g_exact(Fraction(hi), N, M, d)
+    midpoint_below = g_exact((Fraction(lo) + Fraction(hi)) / 2, N, M, d) < 1
+    assert rate.r == (hi if midpoint_below else lo)
+
+
 def test_critical_rate_matches_frozen_oracle():
     for row in TABLE_ROWS:
         rate = critical_rate(row.N, row.M, row.d)
-        frozen = FROZEN_CROSSINGS[row.name]
-        assert abs(rate.r - frozen) <= 5e-12, row.name
-        assert rate.bracket_high - rate.bracket_low <= 1e-12
-        assert rate.bracket_low <= rate.r <= rate.bracket_high
+        assert rate.r == FROZEN_CROSSINGS[row.name], row.name
+        assert_adjacent_bracket(rate, row.N, row.M, row.d)
+
+
+def test_critical_rate_is_the_nearest_float_for_any_counts():
+    rng = random.Random(48)
+    for _ in range(60):
+        N, M, d = rng.randint(1, 10**30), rng.randint(1, 10**30), rng.randint(3, 16)
+        rate = critical_rate(N, M, d)
+        assert_adjacent_bracket(rate, N, M, d)
+        assert rate.iterations <= 62
+
+
+def test_critical_rate_finds_a_tiny_root():
+    # a root far below any fixed tolerance: about 1/(N*d)
+    N = 10**23 - 1
+    rate = critical_rate(N, 1, 3)
+    assert rate.r == 3.3333333333333334e-24
+    assert_adjacent_bracket(rate, N, 1, 3)
+
+
+@pytest.mark.parametrize("N, M", [(10**400, 1), (1, 10**400), (10**4299, 10**4299)])
+def test_critical_rate_refuses_a_root_below_every_float(N, M):
+    with pytest.raises(OverflowError, match="^critical rate is too small for a float$"):
+        critical_rate(N, M, 128)
+
+
+def test_floor4_is_the_exact_truncation(catalog_sets):
+    # floor4 = f/10^4 with g(f/10^4) < 1 <= g((f+1)/10^4): the published
+    # floor is the last 4-decimal rate below the root
+    params = [(row.N, row.M, row.d) for row in TABLE_ROWS]
+    for ks in catalog_sets:
+        stats = kb.build_stats(ks)
+        params.append((stats.N, stats.M, ks.dimension))
+    for N, M, d in params:
+        floor4 = critical_rate(N, M, d).floor4
+        f = round(floor4 * 10**4)
+        assert floor4 == f / 10**4
+        assert g_exact(Fraction(f, 10**4), N, M, d) < 1 <= g_exact(Fraction(f + 1, 10**4), N, M, d)
 
 
 def test_crossing_oracle_rederivation():
@@ -229,8 +274,9 @@ def test_counts_follow_the_one_integer_rule(call, name, least):
 
 @pytest.mark.parametrize("N, M", [(1, 1), (9, 18), (1, 10**300), (10**300, 1), (10**300, 10**300)])
 def test_bisection_bracket_always_holds_the_crossing(N, M):
-    # critical_rate bisects [0, 1/2] without checking that g crosses 1 there:
-    # g(1/2) = M/2 + N(1 - d/2^d) >= 1/2 + 5/8 for every N, M >= 1 and d >= 3
+    # critical_rate bisects the floats in [0, 1/2] without checking that g
+    # crosses 1 there: g(1/2) = M/2 + N(1 - d/2^d) >= 1/2 + 5/8 for every
+    # N, M >= 1 and d >= 3
     half = Fraction(1, 2)
     for d in range(3, 65):
         assert g_exact(half, N, M, d) == M * half + N * (1 - Fraction(d, 2**d))

@@ -417,19 +417,24 @@ def test_critical_r_from_catalog(capsys):
 HUGE = "1" + "0" * 400  # past float range
 
 
-@pytest.mark.parametrize("flag", ["--N", "--M", "--d"])
-def test_critical_r_huge_parameter_exits_1(flag, capsys):
+@pytest.mark.parametrize("flag, message", [
+    # a count this large puts the root below the least positive float
+    ("--N", "critical rate is too small for a float"),
+    ("--M", "critical rate is too small for a float"),
+    # the exact search's cost grows with d, which check_dimension caps
+    ("--d", f"--d must be <= 128, got {HUGE}"),
+], ids=["--N", "--M", "--d"])
+def test_critical_r_huge_parameter_exits_1(flag, message, capsys):
     argv = ["critical-r", "--N", "1", "--M", "1", "--d", "3"]
     argv[argv.index(flag) + 1] = HUGE
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err == "error: int too large to convert to float\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-#: Each case's message.  critical-r meets M in float arithmetic; bounds decides
-#: exactly and refuses a value its report cannot carry as a float.
+#: Each case's message.  critical-r and bounds both decide exactly and refuse
+#: a value their report cannot carry as a float.
 HUGE_M_ERRORS = {
-    "critical-r": "int too large to convert to float",
+    "critical-r": "critical rate is too small for a float",  # about 1/(2M)
     "bounds": "delta_min is too small for a float",  # 1/M rounds to 0
     # the margin 1 - M/100 is past float range
     "bounds --delta 0.01 --json": "integer division result too large for a float",
@@ -453,6 +458,7 @@ def test_huge_m_override_exits_1(argv, tmp_path, capsys):
     (["--N", "0", "--M", "1", "--d", "3"], "--N must be >= 1, got 0"),
     (["--N", "1", "--M", "0", "--d", "3"], "--M must be >= 1, got 0"),
     (["--N", "1", "--M", "1", "--d", "2"], "--d must be >= 3, got 2"),
+    (["--N", "1", "--M", "1", "--d", "129"], "--d must be <= 128, got 129"),
 ])
 def test_critical_r_names_the_bad_flag(flags, message, capsys):
     assert main(["critical-r", *flags]) == 1
@@ -852,7 +858,7 @@ def test_command_searches_the_full_set_once(argv, cabello18, monkeypatch, capsys
 
 
 #: SHA-256 of every (argv, exit code, stdout, stderr) in ``test_cli_outputs_are_pinned``.
-PINNED_CLI = "fdbc4089f8a0da8e9ca7673337673a8b0d88ae5526de293a031adf074ae35dff"
+PINNED_CLI = "09972988cf674d95d3c3271fd756b9c4ead445e414893a40e930fc7c728581ef"
 
 #: The flip rates ``test_cli_outputs_are_pinned`` simulates at; "r*" is the set's
 #: critical rate, as ``R_STAR`` pins it.

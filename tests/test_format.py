@@ -121,6 +121,7 @@ def test_dim_directive_errors():
     rejects("ksset 1\nname x\ndim\n", "dim takes one integer", line=3)
     rejects("ksset 1\nname x\ndim three\n", "dim takes one integer", line=3)
     rejects("ksset 1\nname x\ndim 2\n", "dimension must be >= 3, got 2", line=3)
+    rejects("ksset 1\nname x\ndim 129\n", "dimension must be <= 128, got 129", line=3)
     for digit in ("²", "³", "٣"):  # superscripts, and a non-ASCII decimal
         rejects(f"ksset 1\nname x\ndim {digit}\n", "dim takes one integer", line=3)
     rejects("ksset 1\nname x\ndim 3\ndim 4\n", "duplicate dim", line=4)

@@ -29,7 +29,7 @@ from ksbound import (
     make_set,
     same_ray,
 )
-from ksbound.model import incidence
+from ksbound.model import check_dimension, incidence
 
 
 def vec(vid, *comps, k=1):
@@ -105,6 +105,9 @@ def test_set_structural_validation():
     vs = [("a", (1, 0, 0)), ("b", (0, 1, 0)), ("c", (0, 0, 1))]
     with pytest.raises(ValueError, match="dimension must be >= 3, got 2"):
         make_set("bad", 2, [("a", (1, 0)), ("b", (0, 1))], [])
+    with pytest.raises(ValueError, match=f"^dimension must be <= {kb.MAX_DIMENSION}, got 129$"):
+        check_dimension(kb.MAX_DIMENSION + 1)
+    assert check_dimension(kb.MAX_DIMENSION) == 128
     with pytest.raises(ValueError, match="undeclared"):
         make_set("bad", 3, vs, [("a", "b", "x")])
     with pytest.raises(ValueError, match="expected 3"):
@@ -290,9 +293,9 @@ def test_connection_pairs_are_ordered(catalog_sets, fan50):
 
 
 PUBLIC_NAMES = """
-    BISECTION_TOLERANCE ColoringResult Context CriticalRate
+    ColoringResult Context CriticalRate
     DefectReport DimensionMismatchError ExactScalar
-    KsSet MAX_RADICAND ParseError RayVector RingMismatchError SetDocument
+    KsSet MAX_DIMENSION MAX_RADICAND ParseError RayVector RingMismatchError SetDocument
     SetStats SimSummary TABLE_ROWS TableRow TrialModel
     ValidationReport Violation assignment_defect
     build_stats catalog_text critical_rate default_base delta_analytic
