@@ -388,3 +388,25 @@ def test_keys_and_orthogonality_are_pinned():
     assert hits >= 100, hits
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
     assert digest == PINNED_KEYS
+
+
+#: SHA-256 of the keys and verdicts in ``test_keys_and_orthogonality_are_pinned_up_to_d8``.
+PINNED_KEYS_D8 = "224235c88a1b93ac05d0f3cf3633561e3ae68cc144580d3178d68db3b0785991"
+
+
+def test_keys_and_orthogonality_are_pinned_up_to_d8():
+    # the same pin at the dimensions of kernaghan-peres36 (d = 8) and below
+    rng = random.Random(3608)
+    record, hits = [], 0
+    for k in (1, 2, 3, 5):
+        for d in (6, 8):
+            vs = pinned_vectors(k, d, rng)
+            keys = [kb.model._ray_key(v.components, k) for v in vs]
+            assert keys == [v.key for v in vs]
+            verdicts = [orthogonal(u, v) for u, v in combinations(vs, 2)]
+            assert verdicts == [not dot(u, v) for u, v in combinations(vs, 2)]
+            hits += sum(verdicts)
+            record.append([k, d, keys, "".join("01"[b] for b in verdicts)])
+    assert hits >= 100, hits
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == PINNED_KEYS_D8
