@@ -5,9 +5,9 @@ quadratic ring Q(sqrt(k)) for a per-set square-free radicand k, with no
 arithmetic of their own.  Each :class:`RayVector` carries a canonical integer
 *ray key*, computed once, and the keys are the one exact arithmetic: two
 vectors are the same ray exactly when their keys are equal, and orthogonal
-exactly when the integer dot product of their keys vanishes (see
-:func:`same_ray` and :func:`orthogonal`), so neither test touches floating
-point.  The derived statistics (n, N, M) parametrize every bound in
+exactly when both integer parts of their keys' product vanish (see
+:func:`same_ray` and :func:`_keys_orthogonal`), so neither test touches
+floating point.  The derived statistics (n, N, M) parametrize every bound in
 :mod:`ksbound.bounds`.
 """
 from __future__ import annotations
@@ -107,7 +107,10 @@ def check_identifier(x: object, what: str) -> None:
 
 def _exact(x: Rational) -> Fraction:
     """``Fraction(x)``, refusing a float (numpy's float64 is one): its binary
-    value is not the decimal it was written as, so 0.1 + 0.2 - 0.3 != 0."""
+    value is not the decimal it was written as, so 0.1 + 0.2 - 0.3 != 0.  A
+    ``Fraction`` itself, such as each part the parser reads, is kept as it is."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"an exact part must be an int or Fraction, not {type(x).__name__} {x!r}")
     return Fraction(x)
@@ -163,31 +166,39 @@ def _ray_key(components: Sequence[ExactScalar], k: int) -> Optional[tuple[int, .
     vectors on the same ray differ by a rational factor after the conjugate
     step, so they share one primitive, positively signed key.  When b = 0 the
     conjugate is the integer a, so the key is the cleared vector divided by
-    its gcd and signed by a; an integer vector needs no clearing either.
+    its gcd and signed by a.
+
+    One walk over the components reads the parts; the lcm is taken over the
+    denominators other than 1 only, so an integer vector needs no clearing,
+    and a key that is primitive and positive as built is returned as it is.
     """
-    nums, dens, first = [], [], -1
+    nums, dens = [], []  # dens: (position in nums, denominator) of each part that is no integer
     for c in components:
         p, q = c.rational.as_integer_ratio()
         r, s = c.surd.as_integer_ratio()
-        if first < 0 and (p or r):
-            first = len(nums)
+        if q != 1:
+            dens.append((len(nums), q))
+        if s != 1:
+            dens.append((len(nums) + 1, s))
         nums += p, r
-        dens += q, s
-    if first < 0:
+    if dens:
+        scale = math.lcm(*[q for _, q in dens])
+        nums = [n * scale for n in nums]
+        for i, q in dens:
+            nums[i] //= q
+    for i in range(0, len(nums), 2):
+        a, b = nums[i], nums[i + 1]
+        if a or b:
+            break
+    else:
         return None
-    scale = math.lcm(*dens)
-    if scale != 1:
-        nums = [n * (scale // q) for n, q in zip(nums, dens)]
-    a, b = nums[first], nums[first + 1]
-    if b == 0:
-        g = math.gcd(*nums)
-        return tuple(t // g for t in nums) if a > 0 else tuple(t // -g for t in nums)
-    pairs = iter(nums)
-    key = [t for x, y in zip(pairs, pairs) for t in (x * a - k * y * b, y * a - x * b)]
-    g = math.gcd(*key)
-    if a * a < k * b * b:  # the first entry a^2 - k*b^2 is negative: 1 + sqrt 2 has norm -1
-        g = -g
-    return tuple(t // g for t in key)
+    key = nums
+    if b:
+        pairs = iter(nums)
+        key = [t for x, y in zip(pairs, pairs) for t in (x * a - k * y * b, y * a - x * b)]
+    # key[i] is the first nonzero entry, a or a^2 - k*b^2: 1 + sqrt 2 has norm -1
+    g = math.gcd(*key) if key[i] > 0 else -math.gcd(*key)
+    return tuple(key) if g == 1 else tuple([t // g for t in key])
 
 
 class RayVector(namedtuple("RayVector", "id components key")):
@@ -464,17 +475,19 @@ def _keys_orthogonal(x: tuple[int, ...], y: tuple[int, ...], k: int) -> bool:
 
     Each key is its vector times a nonzero field element, so the keys'
     product sum(A*C + k*B*D) + sum(A*D + B*C)*sqrt(k) vanishes exactly when
-    the vectors' does; both parts are integers.  Over Q (k = 1) every B and
-    D is 0, so the test is the plain dot product.  Callers vouch for the
+    the vectors' does; both parts are integers, summed in one walk over the
+    keys' (A, B) and (C, D) pairs.  Over Q (k = 1) every B and D is 0, so
+    the test is the plain dot product.  Callers vouch for the
     dimension and ring: :func:`orthogonal` and :meth:`SetCheck.context`.
     """
     if k == 1:
         return sum(map(mul, x, y)) == 0
-    a, b, c, d = x[::2], x[1::2], y[::2], y[1::2]
-    return (
-        sum(map(mul, a, c)) + k * sum(map(mul, b, d)) == 0
-        and sum(map(mul, a, d)) + sum(map(mul, b, c)) == 0
-    )
+    rational = surd = 0
+    for i in range(0, len(x), 2):
+        a, b, c, d = x[i], x[i + 1], y[i], y[i + 1]
+        rational += a * c + k * b * d
+        surd += a * d + b * c
+    return rational == 0 and surd == 0
 
 
 def build_stats(ks: KsSet) -> SetStats:
