@@ -172,7 +172,7 @@ def _ray_key(components: Sequence[ExactScalar], k: int) -> Optional[tuple[int, .
     denominators other than 1 only, so an integer vector needs no clearing,
     and a key that is primitive and positive as built is returned as it is.
     """
-    nums, dens = [], []  # dens: (position in nums, denominator) of each part that is no integer
+    nums, dens = [], []  # dens: (position in nums, denominator) of each part that is not an integer
     for c in components:
         p, q = c.rational.as_integer_ratio()
         r, s = c.surd.as_integer_ratio()
@@ -197,7 +197,7 @@ def _ray_key(components: Sequence[ExactScalar], k: int) -> Optional[tuple[int, .
         pairs = iter(nums)
         key = [t for x, y in zip(pairs, pairs) for t in (x * a - k * y * b, y * a - x * b)]
     # key[i] is the first nonzero entry, a or a^2 - k*b^2: 1 + sqrt 2 has norm -1
-    g = math.gcd(*key) if key[i] > 0 else -math.gcd(*key)
+    g = -math.gcd(*key) if key[i] < 0 else math.gcd(*key)
     return tuple(key) if g == 1 else tuple([t // g for t in key])
 
 
