@@ -97,9 +97,14 @@ def _excess(x: Union[float, Fraction], N: int, M: int, d: int) -> int:
 def critical_rate(N: int, M: int, d: int) -> CriticalRate:
     """The root of g(r) = 1 in (0, 1/2], as the float nearest to it.
 
-    g(0) = 0 and g is strictly increasing at the scales of interest, so the
-    root is the largest rate that still certifies a contradiction.  The
-    bracket always holds it: g(1/2) = M/2 + N(1 - d/2^d) >= 9/8 for every
+    g(0) = 0 and g is strictly increasing on (0, 1/2], so the root is
+    unique and is the largest rate that still certifies a contradiction.
+    The lemma: delta'(r) = 2 - 4r > 0 on [0, 1/2), and with t = 1 - r,
+    epsilon'(r) = t^(d-3) * Q with Q = d*t^2 - 2(d-1)*r*t + (d-1)(d-2)*r^2,
+    a quadratic form in (t, r) with leading coefficient d > 0 and
+    discriminant 4(d-1)(3d - 1 - d^2) < 0 for every d >= 3; so Q > 0, and
+    epsilon' > 0 wherever t > 0.  The bracket always holds the root:
+    g(1/2) = M/2 + N(1 - d/2^d) >= 9/8 for every
     N, M >= 1 and d >= 3.  The search bisects the IEEE bit patterns of the
     floats between 0 and 1/2, deciding each step's sign of g - 1 exactly in
     integers, so it makes at most 62 halvings for any N and M.  It ends on

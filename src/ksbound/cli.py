@@ -49,7 +49,7 @@ from .bounds import check_rate, critical_rate, delta_lower_bound, inequality_mar
 from .coloring import find_coloring, min_defect
 from .format import ParseError, catalog_text, parse_document
 from .model import MAX_DIMENSION, KsSet, build_stats, check_dimension, check_integer
-from .simulate import TrialModel, check_seed, check_trials, default_base, simulate_model
+from .simulate import TrialModel, check_seed, default_base, simulate_model
 
 CATALOG_PREFIX = "catalog:"
 
@@ -300,7 +300,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     # ksbound calls no BLAS routine, and one thread keeps numpy's first import
     # from starting OpenBLAS's worker pool: about 70 ms of a ~280 ms child (2 cores)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    trials = _flag(args.trials, "--trials", check_trials)
+    trials = _flag(args.trials, "--trials", check_integer, 1)
     r = _reported(_flag(args.r, "--r", check_rate), "--r")
     seed = _flag(args.seed, "--seed", check_seed)
     ks = _load_set(args.set)

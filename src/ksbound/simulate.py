@@ -60,13 +60,6 @@ def check_seed(seed: int, name: str = "seed") -> int:
     return seed
 
 
-def check_trials(trials: int, name: str = "trials") -> int:
-    """Return ``trials`` as a Python int; raise ValueError unless it is an
-    integer (what ``check_integer`` accepts) of at least 1.  ``name`` is
-    what the message calls the value, such as a command-line flag."""
-    return check_integer(trials, name, 1)  # a numpy integer would overflow the int64 sums
-
-
 class TrialModel(namedtuple("TrialModel", "ks_set base flip_rate seed")):
     """A hypothetical non-contextual value table plus independent slot noise.
 
@@ -517,7 +510,8 @@ def simulate_model(model: TrialModel, trials: int) -> SimSummary:
     """
     import numpy as np
 
-    trials = check_trials(trials)
+    # a Python int: a numpy integer would overflow the int64 sums
+    trials = check_integer(trials, "trials", 1)
     d = model.ks_set.dimension
     n_ctx = len(model.ks_set.contexts)
     slots = n_ctx * d

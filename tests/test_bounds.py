@@ -235,6 +235,28 @@ def test_lhs_strictly_increasing_near_origin():
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def test_lhs_is_strictly_increasing_by_the_lemma(catalog_sets):
+    # delta' = 2 - 4r > 0 on [0, 1/2); epsilon' = t^(d-3) * Q with Q a
+    # positive definite quadratic form in (t, r), so every root is unique
+    # and two exact signs prove each floor
+    rng = random.Random(30)
+    for d in range(3, kb.MAX_DIMENSION + 1):
+        assert 4 * (d - 1) ** 2 - 4 * d * (d - 1) * (d - 2) == 4 * (d - 1) * (3 * d - 1 - d * d) < 0
+        for _ in range(3):
+            r = Fraction(rng.randint(1, 10**6 - 1), 2 * 10**6)
+            t = 1 - r
+            Q = d * t * t - 2 * (d - 1) * r * t + (d - 1) * (d - 2) * r * r
+            slope = d * t ** (d - 1) - 2 * (d - 1) * r * t ** (d - 2)
+            slope += (d - 1) * (d - 2) * r * r * t ** (d - 3)  # epsilon'(r), term by term
+            assert Q > 0 and t ** (d - 3) * Q == slope
+    params = [(row.N, row.M, row.d) for row in TABLE_ROWS]
+    for ks in catalog_sets:
+        stats = kb.build_stats(ks)
+        params.append((stats.N, stats.M, ks.dimension))
+    for N, M, d in params:
+        assert g_exact(Fraction(1, 2), N, M, d) >= 1
+
+
 def test_smaller_sets_tolerate_more_noise():
     # table rows are ordered largest set first; r* must increase down the rows
     rates = [critical_rate(row.N, row.M, row.d).r for row in TABLE_ROWS]

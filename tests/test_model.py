@@ -467,6 +467,27 @@ def test_src_line_counter():
     assert total == ["total", str(sum(raw)), str(sum(int(row[2]) for row in rows))]
 
 
+def test_ab_probe_prints_a_paired_row_per_input():
+    # three copies of this checkout (A, B and the A/A control) on the stats layer
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "-B", "tools/ab_probe.py", "--a", ".", "--layer", "stats"]
+    argv += ["--passes", "3"]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split()[:4] == ["row", "A_ms", "B_ms", "B/A"]
+    ratio = r"(\d+\.\d{3}) \[(\d+\.\d{3})-(\d+\.\d{3})\]"
+    names = ["cabello18", "kernaghan20", "kernaghan-peres36", "peres57"]
+    medians = r"\d+\.\d{3} +\d+\.\d{3}"
+    pattern = re.compile(rf"(\S+) +{medians}  {ratio} +[0-3]/3 +{ratio}  (-|faster|slower) *")
+    matches = [pattern.fullmatch(row) for row in rows]
+    assert all(matches), done.stdout
+    assert [m[1] for m in matches] == names
+    for m in matches:
+        for q1, q2, q3 in (m.group(3, 2, 4), m.group(6, 5, 7)):
+            assert float(q1) <= float(q2) <= float(q3)
+
+
 def test_sources_parse_as_the_oldest_supported_python():
     # pyproject.toml promises Python 3.10; syntax added later would fail only there
     root = Path(__file__).resolve().parents[1]
@@ -474,7 +495,9 @@ def test_sources_parse_as_the_oldest_supported_python():
     with pytest.raises(SyntaxError):  # the check bites on this interpreter
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
     sources = sorted((root / "src" / "ksbound").glob("*.py"))
+    sources += sorted((root / "tools").glob("*.py"))
     assert root / "src" / "ksbound" / "model.py" in sources
+    assert root / "tools" / "src_lines.py" in sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
